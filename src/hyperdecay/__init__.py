@@ -8,7 +8,7 @@ from .asymptotics import (ExpansionCase, ExpansionRecord, Regime, high_freq_expa
 from .decay import CriticalExponentReport, DecayPrediction, critical_exponent, predict_decay
 from .profiles import (ProfileKind, ProfileSpec, build_profile, closed_form_profile, moment,
                        profile_gap_series, profile_value)
-from .rootkit import (RootBranchSet, RootCluster, connecting_permutation, roots,
+from .rootkit import (RootBranchSet, RootCluster, connecting_permutation, roots, roots_batch,
                       spectral_abscissa, track_branches)
 from .semilinear import SemilinearRun, build_run, run_semilinear, step
 from .solver import (DataSpec, GaussianProfile, GridProfile, NormTimeSeries, RingProfile,
@@ -18,7 +18,7 @@ from .stability import (Hyperbolicity, Interlacing, InterlacingClass, StabilityR
                         hermite_biehler_stable, routh_hurwitz_cubic, sample_directions,
                         stable_Q1, verify_hypothesis_Q2)
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, check_poly,
-                      full_symbol_at, load_model, restrict_to_direction, save_model)
+                      full_symbol_at, load_model, restrict_to_direction, save_model, symbol_coeffs)
 from .tolerances import TOL, set_tolerance
 
 __version__ = "0.1.0"
@@ -33,8 +33,9 @@ __all__ = [
     "closed_form_profile", "connecting_permutation", "critical_exponent", "full_symbol_at",
     "hermite_biehler_stable", "high_freq_expansions", "kappa_solutions", "load_model",
     "low_freq_expansions", "moment", "predict_decay", "profile_gap_series", "profile_value",
-    "propagate_mode", "restrict_to_direction", "roots", "routh_hurwitz_cubic", "run_semilinear",
-    "sample_directions", "save_model", "set_tolerance", "simulate", "sobolev_norm",
-    "spectral_abscissa", "stable_Q1", "step", "track_branches", "verify_expansion",
+    "propagate_mode", "restrict_to_direction", "roots", "roots_batch", "routh_hurwitz_cubic",
+    "run_semilinear", "sample_directions", "save_model", "set_tolerance", "simulate",
+    "sobolev_norm", "spectral_abscissa", "stable_Q1", "step", "symbol_coeffs", "track_branches",
+    "verify_expansion",
     "verify_hypothesis_Q2",
 ]

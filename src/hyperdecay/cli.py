@@ -24,7 +24,8 @@ from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
                      simulate)
 from .stability import classify_stack
-from .symbols import Direction, OperatorStack, axis_direction, load_model, save_model
+from .symbols import (Direction, HomogeneousSymbol, OperatorStack, axis_direction, load_model,
+                      save_model)
 from .tolerances import set_tolerance
 
 EXIT_OK = 0
@@ -65,16 +66,28 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-def _load_stack(spec: str) -> tuple[OperatorStack, str]:
+def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
+    """A preset or a model file; `dim` rebuilds an isotropic preset in that dimension."""
     if spec.startswith("preset:"):
         spec = spec.split(":", 1)[1]
     if spec in preset_mod.PRESETS:
         pm = preset_mod.get_preset(spec)
-        return pm.build(), pm.name
+        stack = pm.build()
+        if dim is not None and dim != stack.dim and stack.isotropic:
+            stack = _isotropic_at_dim(stack, dim)
+        return stack, pm.name
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(f"{spec!r} is neither a preset name nor a model file")
     return load_model(path)
+
+
+def _isotropic_at_dim(stack: OperatorStack, dim: int) -> OperatorStack:
+    """The isotropic stack with the same radial coefficients in dimension `dim`."""
+    axis = axis_direction(stack.dim)
+    radial = [{k: c for k, c in enumerate(s.restrict(axis).coeffs) if c} for s in stack.symbols]
+    return OperatorStack.build([HomogeneousSymbol.isotropic(s.order, dim, r)
+                                for s, r in zip(stack.symbols, radial)])
 
 
 def _load_data(spec: str | None, m: int) -> DataSpec:
@@ -229,7 +242,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_semilinear(args) -> int:
-    stack, name = _load_stack(args.model)
+    stack, name = _load_stack(args.model, dim=args.dim)
     run = run_semilinear(stack, p=args.p, sign=args.sign, nu=args.nu, T=args.T, dt0=args.dt,
                          box_halfwidth=args.box, modes_per_axis=args.modes, dim=args.dim,
                          amplitude=args.amplitude)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linear_sum_assignment
 
 from .symbols import Direction, OperatorStack, UnivariatePoly, full_symbol_at, restrict_complexified
@@ -21,6 +20,8 @@ from .tolerances import TOL
 
 ABERTH_MAX_SWEEPS = 100
 MAX_BISECTIONS = 20
+_TINY = np.finfo(float).tiny
+BATCH_ROWS = 512        # rows per eigvals call and Aberth sweep; bounds the kernel's temporaries
 
 
 class RootfindingError(RuntimeError):
@@ -46,28 +47,90 @@ class BisectionLimitError(RuntimeError):
 # core root extraction
 
 
-def _residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|p(z)| normalized by the coefficient-magnitude bound sum |c_i||z|^i."""
-    vals = np.abs(npoly.polyval(z, c))
-    scale = npoly.polyval(np.abs(z), np.abs(c))
-    return vals / np.maximum(scale, np.finfo(float).tiny)
+def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z) for ascending coefficients c[..., d+1] at points z[..., k].
+
+    Horner's rule in the operation order of numpy's `polyval`, so a row gets
+    the same bits alone or inside a batch.
+    """
+    v = c[..., -1, None] + z * 0
+    for i in range(c.shape[-1] - 2, -1, -1):
+        v = c[..., i, None] + v * z
+    return v
 
 
-def _aberth(c: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    dc = npoly.polyder(c)
-    z = z0.astype(complex).copy()
-    best = z.copy()
-    best_res = _residuals(c, z)
-    tiny = np.finfo(float).tiny
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """Coefficients of p' for ascending coefficients c[..., d+1]."""
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
+def _residuals(c: np.ndarray, z: np.ndarray, vals: np.ndarray | None = None) -> np.ndarray:
+    """|p(z)| normalized by the coefficient-magnitude bound sum |c_i||z|^i.
+
+    `vals` may pass p(z) when the caller has it already.
+    """
+    vals = _polyval(c, z) if vals is None else vals
+    return np.abs(vals) / np.maximum(_polyval(np.abs(c), np.abs(z)), _TINY)
+
+
+def companion(c: np.ndarray) -> np.ndarray:
+    """Companion matrices of the polynomials c[..., m+1] (ascending); shape (..., m, m).
+
+    Ones on the superdiagonal and last row -c[:m] / c[m]: the state matrix of
+    the mode equation in the state (u, d_t u, ..., d_t^(m-1) u).
+    """
+    c = np.asarray(c, dtype=complex)
+    m = c.shape[-1] - 1
+    a = np.zeros(c.shape[:-1] + (m, m), dtype=complex)
+    a[..., np.arange(m - 1), np.arange(1, m)] = 1.0
+    a[..., -1, :] = -c[..., :m] / c[..., m:]
+    return a
+
+
+def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+    """Starting roots per row, as `np.roots` computes them.
+
+    Low-order coefficients that are exactly zero become exact-zero roots
+    (listed last); the rest are the eigenvalues of the reduced companion
+    matrix in `np.roots`' index-reversed layout, one stacked `eigvals` call
+    per count of such zeros.
+    """
+    m = c.shape[1] - 1
+    zeros = np.argmax(c != 0, axis=1)
+    if not zeros.any():
+        return np.linalg.eigvals(companion(c)[:, ::-1, ::-1])
+    z = np.zeros((c.shape[0], m), dtype=complex)
+    for k in np.unique(zeros):
+        rows = np.nonzero(zeros == k)[0]
+        if k < m:
+            z[rows, : m - k] = np.linalg.eigvals(companion(c[rows, k:])[:, ::-1, ::-1])
+    return z
+
+
+def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aberth-Ehrlich sweeps on the rows of z0[N, m], roots of c[N, m+1].
+
+    Each row keeps its best iterate by residual and stops on its own: once
+    all its residuals are <= 1e-15, once its largest relative step is below
+    1e-16, or after ABERTH_MAX_SWEEPS sweeps.  Finished rows leave the sweep.
+    Returns the best iterates and their residuals.
+    """
+    dc = _polyder(c)
+    m = z0.shape[1]
+    diag = np.arange(m)
+    out, out_res = np.empty_like(z0), np.empty(z0.shape)
+    rows = np.arange(len(z0))          # original index of each row still sweeping
+    z = z0
+    p = _polyval(c, z)
+    best, best_res = z, _residuals(c, z, p)
     for _ in range(ABERTH_MAX_SWEEPS):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
-        newton = p / np.where(np.abs(dp) < tiny, tiny, dp)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        dp = _polyval(dc, z)
+        newton = p / np.where(np.abs(dp) < _TINY, _TINY, dp)
+        diff = z[:, :, None] - z[:, None, :]
+        diff[:, diag, diag] = np.inf
         # exactly coincident iterates exert no repulsion (multiple roots)
-        diff = np.where(diff == 0, np.inf, diff)
-        s = np.sum(1.0 / diff, axis=1)
+        diff[diff == 0] = np.inf
+        s = np.sum(np.divide(1.0, diff, out=diff), axis=2)
         denom = 1.0 - newton * s
         with np.errstate(invalid="ignore", over="ignore"):
             step = newton / np.where(np.abs(denom) < 1e-300, 1.0, denom)
@@ -78,13 +141,54 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> np.ndarray:
             too_big = mag > cap
             step = np.where(too_big, step / np.where(mag == 0, 1.0, mag) * cap, step)
         z = z - step
-        res = _residuals(c, z)
+        p = _polyval(c, z)
+        res = _residuals(c, z, p)
         improved = res < best_res
-        best[improved] = z[improved]
-        best_res[improved] = res[improved]
-        if np.all(best_res <= 1e-15) or np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-16:
-            break
-    return best
+        best = np.where(improved, z, best)
+        best_res = np.where(improved, res, best_res)
+        done = (np.all(best_res <= 1e-15, axis=1)
+                | (np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < 1e-16))
+        if done.any():
+            out[rows[done]], out_res[rows[done]] = best[done], best_res[done]
+            keep = ~done
+            rows, c, dc, z, p = rows[keep], c[keep], dc[keep], z[keep], p[keep]
+            best, best_res = best[keep], best_res[keep]
+            if rows.size == 0:
+                break
+    out[rows], out_res[rows] = best, best_res
+    return out, out_res
+
+
+def roots_batch(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of every row of coeffs[N, m+1] (ascending, nonzero leading term); shape (N, m).
+
+    Companion eigenvalues from stacked `eigvals` calls, refined by
+    Aberth-Ehrlich sweeps vectorized over the rows, both over blocks of
+    BATCH_ROWS rows; a row gets the same roots alone as inside any batch.
+    Every root is certified by the residual bound TOL.root_residual_rtol,
+    and each row is sorted canonically.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise RootfindingError(f"need coefficient rows of degree >= 1, got shape {c.shape}")
+    lead = np.nonzero(c[:, -1] == 0)[0]
+    if lead.size:
+        raise RootfindingError(f"row {lead[0]} has a zero leading coefficient")
+    n, m = c.shape[0], c.shape[1] - 1
+    if m == 1:
+        z = -c[:, :1] / c[:, 1:]
+        res = _residuals(c, z)
+    else:
+        z, res = np.empty((n, m), dtype=complex), np.empty((n, m))
+        for rows in (slice(b, b + BATCH_ROWS) for b in range(0, n, BATCH_ROWS)):
+            z[rows], res[rows] = _aberth(c[rows], _companion_eigvals(c[rows]))
+    worst = np.max(res, axis=1)
+    bad = np.nonzero(~(worst <= TOL.root_residual_rtol))[0]
+    if bad.size:
+        raise RootfindingError(
+            f"root refinement left residual {worst[bad[0]]:.3e} above {TOL.root_residual_rtol:.1e} "
+            f"in row {bad[0]} ({bad.size} of {n} rows fail)")
+    return _canonical_sort(z)
 
 
 def roots(p: UnivariatePoly) -> np.ndarray:
@@ -93,28 +197,12 @@ def roots(p: UnivariatePoly) -> np.ndarray:
         raise RootfindingError("the zero polynomial has no well-defined root set")
     if p.degree == 0:
         raise RootfindingError("a degree-0 polynomial has no roots")
-    c = p.array()
-    return _roots_from_coeffs(c)
-
-
-def _roots_from_coeffs(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if len(c) == 2:
-        z = np.array([-c[0] / c[1]])
-    else:
-        z = np.roots(c[::-1])
-        z = _aberth(c, z)
-    res = _residuals(c, z)
-    if np.any(res > TOL.root_residual_rtol):
-        raise RootfindingError(
-            f"root refinement left residual {np.max(res):.3e} above {TOL.root_residual_rtol:.1e}"
-        )
-    return _canonical_sort(z)
+    return roots_batch(p.array()[None, :])[0]
 
 
 def _canonical_sort(z: np.ndarray) -> np.ndarray:
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
+    """Each row of z[N, m] ordered by real part, then imaginary part."""
+    return z[np.arange(len(z))[:, None], np.lexsort((z.imag, z.real), axis=1)]
 
 
 def is_real_root(z: complex) -> bool:
@@ -128,6 +216,25 @@ def real_roots_sorted(p: UnivariatePoly) -> np.ndarray:
         if not is_real_root(z):
             raise NonRealRootsError(p, z)
     return np.sort(zs.real)
+
+
+def min_gap(z: np.ndarray) -> np.ndarray:
+    """Smallest distance between two roots in each row of z[..., m]; inf when m = 1."""
+    z = np.asarray(z)
+    m = z.shape[-1]
+    diff = np.abs(z[..., :, None] - z[..., None, :])
+    diff[..., np.arange(m), np.arange(m)] = np.inf
+    return np.min(diff, axis=(-2, -1))
+
+
+def is_confluent(lams: np.ndarray) -> np.ndarray:
+    """Rows of lams[..., m] whose smallest root gap is below confluence_rtol * (1 + max |lambda|).
+
+    There the root-weighted exponential sum loses accuracy and propagation
+    takes the companion matrix exponential instead.
+    """
+    lams = np.asarray(lams)
+    return min_gap(lams) < TOL.confluence_rtol * (1.0 + np.max(np.abs(lams), axis=-1))
 
 
 def root_scale(zs: Sequence[complex]) -> float:
@@ -201,28 +308,33 @@ class RadialRootSolver:
             arr[: len(c)] = c
             self._pieces.append(arr)
 
-    def mu_coeffs(self, rho: float) -> np.ndarray:
-        out = np.zeros(self.m + 1, dtype=complex)
+    def mu_coeffs(self, rho) -> np.ndarray:
+        """Coefficients in mu at one rho, shape (m+1,), or at each of rho[N], shape (N, m+1)."""
+        rho = np.asarray(rho, dtype=float)
+        out = np.zeros(rho.shape + (self.m + 1,), dtype=complex)
         for j, arr in enumerate(self._pieces):
-            out += rho ** (self.ell - j) * arr
+            out += (rho ** (self.ell - j))[..., None] * arr
         return out
 
-    def lambdas(self, rho: float) -> np.ndarray:
-        if rho <= 0:
+    def lambdas_grid(self, rho: np.ndarray) -> np.ndarray:
+        """Roots at every rho of a 1-d grid, shape (N, m), from one kernel call."""
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho <= 0):
             raise ValueError("rho must be positive")
-        return rho * _roots_from_coeffs(self.mu_coeffs(rho))
+        return rho[:, None] * roots_batch(self.mu_coeffs(rho))
+
+    def lambdas(self, rho: float) -> np.ndarray:
+        return self.lambdas_grid(np.array([rho]))[0]
 
     def lambdas_with_noise(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """Roots plus a first-order rounding floor eps * bound(p, z) / |p'(z)| per root."""
         if rho <= 0:
             raise ValueError("rho must be positive")
         c = self.mu_coeffs(rho)
-        mu = _roots_from_coeffs(c)
-        dc = npoly.polyder(c)
-        bound = npoly.polyval(np.abs(mu), np.abs(c))
-        dval = np.abs(npoly.polyval(mu, dc))
-        tinyf = np.finfo(float).tiny
-        noise = np.finfo(float).eps * bound / np.maximum(dval, tinyf)
+        mu = roots_batch(c[None, :])[0]
+        bound = _polyval(np.abs(c), np.abs(mu))
+        dval = np.abs(_polyval(_polyder(c), mu))
+        noise = np.finfo(float).eps * bound / np.maximum(dval, _TINY)
         return rho * mu, rho * noise
 
 
@@ -267,14 +379,6 @@ def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, float, np.nd
     ordered = cand[perm]
     movement = float(np.max(np.abs(prev - ordered)))
     return ordered, movement, perm
-
-
-def _min_gap(zs: np.ndarray) -> float:
-    if len(zs) < 2:
-        return np.inf
-    diff = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(np.min(diff))
 
 
 def _closest_pair(zs: np.ndarray) -> tuple[int, int]:
@@ -324,7 +428,7 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     def advance(prev: np.ndarray, rho_a: float, rho_b: float, depth: int, parent_ratio: float):
         cand, cand_noise = solver.lambdas_with_noise(rho_b)
         ordered, movement, perm = _match(prev, cand)
-        gap = _min_gap(prev)
+        gap = float(min_gap(prev))
         cluster_tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(prev))))
         if movement <= 0.25 * gap or gap < cluster_tol:
             accept(rho_b, ordered, cand_noise, perm)

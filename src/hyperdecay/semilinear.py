@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from .symbols import OperatorStack
-from .tolerances import TOL
+from .rootkit import companion, is_confluent, roots_batch
+from .symbols import OperatorStack, symbol_coeffs
 
 BLOWUP_FACTOR = 1e6
 
@@ -127,38 +127,11 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
     return run
 
 
-def _symbol_coeffs_on_modes(stack: OperatorStack, flat_k: np.ndarray) -> np.ndarray:
-    """Monic full-symbol coefficients for every wave vector; shape (nmodes, m+1)."""
-    m = stack.m
-    nmodes = flat_k.shape[1]
-    coeffs = np.zeros((nmodes, m + 1), dtype=complex)
-    ik = 1j * flat_k
-    for s in stack.symbols:
-        for (kt, alpha), c in s.terms():
-            factor = np.ones(nmodes, dtype=complex)
-            for d, a in enumerate(alpha):
-                if a:
-                    factor = factor * ik[d] ** a
-            coeffs[:, kt] += c * factor
-    return coeffs / coeffs[:, -1:]
-
-
 def _prepare_roots(run: SemilinearRun) -> None:
-    m = run.m
-    flat_k = run._freqs.reshape(run.dim, -1)
-    nmodes = flat_k.shape[1]
-    coeffs = _symbol_coeffs_on_modes(run.stack, flat_k)
-    comp = np.zeros((nmodes, m, m), dtype=complex)
-    comp[:, :-1, 1:] = np.eye(m - 1)
-    comp[:, -1, :] = -coeffs[:, :m]
-    lams = np.linalg.eigvals(comp)
-    run._lams = lams
-    diffs = np.abs(lams[:, :, None] - lams[:, None, :])
-    diffs[:, np.arange(m), np.arange(m)] = np.inf
-    gaps = diffs.min(axis=(1, 2))
-    scale = 1.0 + np.max(np.abs(lams), axis=1)
-    run._confluent = gaps < TOL.confluence_rtol * scale
-    run._coeffs = coeffs
+    coeffs = symbol_coeffs(run.stack, run._freqs.reshape(run.dim, -1).T)
+    run._coeffs = coeffs / coeffs[:, -1:]
+    run._lams = roots_batch(run._coeffs)
+    run._confluent = is_confluent(run._lams)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -180,10 +153,7 @@ def _build_propagator(run: SemilinearRun, dt: float):
     nmodes = lams.shape[0]
     phi = np.zeros((nmodes, m, m), dtype=complex)
     w = np.zeros((nmodes, m), dtype=complex)
-    # companion matrices, vectorized
-    a = np.zeros((nmodes, m, m), dtype=complex)
-    a[:, :-1, 1:] = np.eye(m - 1)
-    a[:, -1, :] = -run._coeffs[:, :m]
+    a = companion(run._coeffs)
     eye = np.eye(m, dtype=complex)
     ok = ~run._confluent
     # spectral projectors for the well-separated modes

@@ -2,7 +2,8 @@
 
 Each mode evolves by the characteristic roots of the full symbol: away from
 confluence the solution is a root-weighted exponential sum whose coefficients
-come from deflated polynomials (one synthetic division per root); near
+come from deflated polynomials (one synthetic division per root, vectorized
+over the modes of a radial grid); near
 confluence the mode falls back to the matrix exponential of its companion
 system.  There is no time stepping, so slope fits probe the operator, not an
 integrator.
@@ -18,9 +19,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .fitting import fit_loglog, last_decades_window
-from .rootkit import RadialRootSolver, _roots_from_coeffs
+from .rootkit import RadialRootSolver, companion, is_confluent, roots_batch
 from .stability import sample_directions
-from .symbols import Direction, OperatorStack, full_symbol_at
+from .symbols import Direction, OperatorStack, symbol_coeffs
 from .tolerances import TOL
 
 DEFAULT_RHO_GRID = (1e-4, 1e2, 4096)
@@ -111,58 +112,49 @@ def gaussian_data(m: int, j: int, amplitude: float = 1.0, width: float = 1.0) ->
 
 
 # ---------------------------------------------------------------------------
-# single-mode propagation (two independent routes)
+# propagation: exponential sums over the roots, companion exponential near confluence
 
 
-def _deflate(coeffs_monic: np.ndarray, root: complex) -> np.ndarray:
-    """Synthetic division of a monic polynomial by (z - root); ascending output."""
-    n = len(coeffs_monic) - 1
-    out = np.zeros(n, dtype=complex)
-    b = coeffs_monic[n]
-    out[n - 1] = b
-    for i in range(n - 1, 0, -1):
-        b = coeffs_monic[i] + root * b
-        out[i - 1] = b
-    return out
-
-
-def _lagrange_coefficients(lams: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Per-root weights of the exponential-sum representation.
+def _weights(lams: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Exponential-sum weights of modes with roots lams[N, m] and data[m, N]; shape (N, m).
 
     The numerator for root j is the deflated monic polynomial's coefficient
     vector dotted with the data (u_hat_0 ... u_hat_{m-1}); the denominator is
     prod_{k != j} (lam_j - lam_k).
     """
-    m = len(lams)
-    # monic polynomial from the roots, by convolution
-    poly = np.array([1.0 + 0j])
-    for lam in lams:
-        poly = np.convolve(poly, np.array([-lam, 1.0]))
-    coefs = np.empty(m, dtype=complex)
+    n, m = lams.shape
+    # monic polynomial from the roots
+    poly = np.zeros((n, m + 1), dtype=complex)
+    poly[:, 0] = 1.0
     for j in range(m):
-        q = _deflate(poly, lams[j])
-        denom = np.prod(lams[j] - np.delete(lams, j))
-        coefs[j] = np.dot(q, data) / denom
-    return coefs
+        # multiply the running polynomial (degree j) by (z - lam_j)
+        new = np.zeros_like(poly)
+        new[:, 1 : j + 2] = poly[:, : j + 1]
+        new[:, : j + 1] -= lams[:, j : j + 1] * poly[:, : j + 1]
+        poly = new
+    weights = np.empty((n, m), dtype=complex)
+    for j in range(m):
+        # synthetic division by (z - lam_j)
+        q = np.zeros((n, m), dtype=complex)
+        b = poly[:, m].copy()
+        q[:, m - 1] = b
+        for i in range(m - 1, 0, -1):
+            b = poly[:, i] + lams[:, j] * b
+            q[:, i - 1] = b
+        diffs = lams[:, j : j + 1] - lams
+        diffs[:, j] = 1.0
+        denom = np.prod(diffs, axis=1)
+        weights[:, j] = np.einsum("nr,rn->n", q, data) / denom
+    return weights
 
 
 def _propagate_lagrange(lams: np.ndarray, data: np.ndarray, t, k: int):
-    coefs = _lagrange_coefficients(lams, data)
+    """Exponential-sum route for one mode with simple roots lams[m]."""
+    coefs = _weights(lams[None, :], np.asarray(data, dtype=complex)[:, None])[0]
     t = np.asarray(t, dtype=float)
     with np.errstate(over="raise", under="ignore"):
         out = np.sum(coefs[None, :] * lams[None, :] ** k * np.exp(lams[None, :] * t[..., None]), axis=-1)
     return out
-
-
-def _companion(coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrix of a polynomial given by ascending coefficients."""
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / c[-1]
-    m = len(c) - 1
-    a = np.zeros((m, m), dtype=complex)
-    a[:-1, 1:] = np.eye(m - 1)
-    a[-1, :] = -c[:-1]
-    return a
 
 
 _SUBSTEP_NORM = 4.0
@@ -187,7 +179,7 @@ def _propagate_companion(coeffs: np.ndarray, data: np.ndarray, t, k: int):
     mags = [abs(c[r]) ** (1.0 / (m - r)) for r in range(m) if c[r] != 0]
     sigma = max(1.0, *mags) if mags else 1.0
     scaled = np.array([c[r] / sigma ** (m - r) for r in range(m + 1)])
-    a = _companion(scaled)
+    a = companion(scaled)
     dvec = sigma ** np.arange(m)
     data_mu = np.asarray(data, dtype=complex) / dvec
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -223,7 +215,7 @@ def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[com
                    t, k: int = 0):
     """d_t^k u_hat(t, xi) for one frequency, with automatic confluence fallback.
 
-    The exponential-sum route is used when the smallest root gap exceeds
+    The exponential-sum route is used when the smallest root gap reaches
     confluence_rtol * (1 + max |lambda|); otherwise the companion matrix
     exponential (scaling and squaring) takes over.
     """
@@ -231,28 +223,19 @@ def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[com
     data = np.asarray(data, dtype=complex)
     if len(data) != stack.m:
         raise ValueError(f"need {stack.m} data values, got {len(data)}")
+    coeffs = symbol_coeffs(stack, xi[None, :])
     rho = float(np.linalg.norm(xi))
-    poly = full_symbol_at(stack, xi)
     if rho > 0:
         lams = RadialRootSolver(stack, Direction.of(xi)).lambdas(rho)
     else:
-        lams = _roots_from_coeffs(poly.array())
-    gap = _min_gap(lams)
+        lams = roots_batch(coeffs)[0]
     scalar = np.isscalar(t) or np.asarray(t).ndim == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    if gap >= TOL.confluence_rtol * (1.0 + float(np.max(np.abs(lams)))):
-        out = _propagate_lagrange(lams, data, tarr, k)
+    if is_confluent(lams):
+        out = _propagate_companion(coeffs[0], data, tarr, k)
     else:
-        out = _propagate_companion(poly.array(), data, tarr, k)
+        out = _propagate_lagrange(lams, data, tarr, k)
     return complex(out[0]) if scalar else out
-
-
-def _min_gap(lams: np.ndarray) -> float:
-    if len(lams) < 2:
-        return np.inf
-    diff = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(np.min(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -266,64 +249,23 @@ class RadialPropagator:
         self.stack = stack
         self.direction = d
         self.rho = np.asarray(rho_grid, dtype=float)
-        solver = RadialRootSolver(stack, d)
-        m = stack.m
-        lams = np.empty((len(self.rho), m), dtype=complex)
-        for i, r in enumerate(self.rho):
-            lams[i] = solver.lambdas(float(r))
-        self.lams = lams
-        gaps = np.array([_min_gap(lams[i]) for i in range(len(self.rho))])
-        scale = 1.0 + np.max(np.abs(lams), axis=1)
-        self.confluent = gaps < TOL.confluence_rtol * scale
-
-    def _weights(self, data: np.ndarray) -> np.ndarray:
-        """Exponential-sum weights per mode, shape (n_modes, m)."""
-        m = self.stack.m
-        n = len(self.rho)
-        lams = self.lams
-        # deflated-polynomial dot products, vectorized over modes
-        poly = np.zeros((n, m + 1), dtype=complex)
-        poly[:, 0] = 1.0
-        deg = 0
-        for j in range(m):
-            # multiply running polynomial by (z - lam_j)
-            new = np.zeros_like(poly)
-            new[:, 1 : deg + 2] = poly[:, : deg + 1]
-            new[:, : deg + 1] -= lams[:, j : j + 1] * poly[:, : deg + 1]
-            poly = new
-            deg += 1
-        weights = np.empty((n, m), dtype=complex)
-        for j in range(m):
-            q = np.zeros((n, m), dtype=complex)
-            b = poly[:, m].copy()
-            q[:, m - 1] = b
-            for i in range(m - 1, 0, -1):
-                b = poly[:, i] + lams[:, j] * b
-                q[:, i - 1] = b
-            diffs = lams[:, j : j + 1] - lams
-            diffs[:, j] = 1.0
-            denom = np.prod(diffs, axis=1)
-            weights[:, j] = np.einsum("nr,rn->n", q, data) / denom
-        return weights
+        self.lams = RadialRootSolver(stack, d).lambdas_grid(self.rho)
+        self.confluent = is_confluent(self.lams)
 
     def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0) -> np.ndarray:
         """d_t^k u_hat on the grid; shape (n_times, n_modes)."""
         times = np.asarray(times, dtype=float)
-        weights = self._weights(data)
+        weights = _weights(self.lams, data)
         lams = self.lams
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             lam_k = lams**k if k else np.ones_like(lams)
             expo = np.exp(lams[None, :, :] * times[:, None, None])
             out = np.einsum("nj,tnj->tn", weights * lam_k, expo)
         bad = np.nonzero(self.confluent)[0]
-        for i in bad:
-            coeffs = self._mode_coeffs(i)
+        xi = self.rho[bad, None] * self.direction.vector()[None, :]
+        for i, coeffs in zip(bad, symbol_coeffs(self.stack, xi)):
             out[:, i] = _propagate_companion(coeffs, data[:, i], times, k)
         return out
-
-    def _mode_coeffs(self, i: int) -> np.ndarray:
-        xi = self.rho[i] * self.direction.vector()
-        return full_symbol_at(self.stack, xi).array()
 
 
 # ---------------------------------------------------------------------------

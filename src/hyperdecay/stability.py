@@ -460,9 +460,5 @@ def abscissa_verdict(stack: OperatorStack, n_samples: int = 64,
         dirs = directions_for(stack)[:: max(1, len(directions_for(stack)) // 8)][:8]
         n_r = max(1, n_samples // len(dirs))
     radii = np.geomspace(rho_range[0], rho_range[1], n_r)
-    worst = -np.inf
-    for d in dirs:
-        solver = RadialRootSolver(stack, d)
-        for rho in radii:
-            worst = max(worst, float(np.max(solver.lambdas(float(rho)).real)))
+    worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
     return worst < -TOL.abscissa_margin, worst

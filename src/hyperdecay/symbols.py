@@ -345,30 +345,30 @@ def restrict_complexified(sym: HomogeneousSymbol, d: Direction) -> UnivariatePol
 
 
 def full_symbol_at(stack: OperatorStack, xi: Sequence[float]) -> UnivariatePoly:
-    """Q(lambda, i*xi) as a complex polynomial of degree exactly m.
-
-    At xi = 0 only the pure-time column survives; otherwise each homogeneous
-    piece contributes |xi|^(order-k) i^(order-k) times its restriction to
-    xi/|xi|.
-    """
+    """Q(lambda, i*xi) as a complex polynomial of degree exactly m (one row of `symbol_coeffs`)."""
     if not stack.normalized:
         raise ValueError("full_symbol_at expects a normalized stack")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (stack.dim,):
         raise DimensionMismatchError(f"xi shape {xi.shape} != ({stack.dim},)")
-    m = stack.m
-    out = np.zeros(m + 1, dtype=complex)
-    rho = float(np.linalg.norm(xi))
-    if rho == 0.0:
-        for s in stack.symbols:
-            out[s.order] += s.pure_time_coeff
-        return UnivariatePoly.of(out)
-    d = Direction.of(xi)
+    return UnivariatePoly.of(symbol_coeffs(stack, xi[None, :])[0])
+
+
+def symbol_coeffs(stack: OperatorStack, xi: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of Q(lambda, i*xi) at every row of xi[N, n]; shape (N, m+1)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != stack.dim:
+        raise DimensionMismatchError(f"xi shape {xi.shape} != (N, {stack.dim})")
+    coeffs = np.zeros((xi.shape[0], stack.m + 1), dtype=complex)
+    ik = 1j * xi
     for s in stack.symbols:
-        p = s.restrict(d).array()
-        for k in range(len(p)):
-            out[k] += p[k] * (1j * rho) ** (s.order - k)
-    return UnivariatePoly.of(out)
+        for (kt, alpha), c in s.terms():
+            factor = np.ones(xi.shape[0], dtype=complex)
+            for d, a in enumerate(alpha):
+                if a:
+                    factor = factor * ik[:, d] ** a
+            coeffs[:, kt] += c * factor
+    return coeffs
 
 
 def check_poly(p: UnivariatePoly, roots: Sequence[complex], deleted: set[int] | frozenset[int],

@@ -110,6 +110,24 @@ def test_semilinear_command_small(tmp_path, capsys):
     assert doc["verdict"] == "decaying"
 
 
+def test_semilinear_readme_line_builds_3d_preset_in_2d(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "5", "--dim", "2",
+               "--amplitude", "1e-3", "--modes", "32", "--T", "1"])
+    assert rc == 0
+    doc = json.loads((tmp_path / "mgt_semilinear.json").read_text())
+    assert doc["verdict"] == "decaying"
+    # a non-isotropic preset keeps its own dimension
+    assert main(["--out", str(tmp_path), "semilinear", "anisotropic_elastic_2d", "--p", "5",
+                 "--dim", "1", "--modes", "32", "--T", "1"]) == 1
+    assert "stack dim 2 != run dim 1" in capsys.readouterr().err
+    # and so does a model file
+    path = tmp_path / "mgt3.json"
+    save_model(mgt_stack(dim=3), path, "mgt3")
+    assert main(["--out", str(tmp_path), "semilinear", str(path), "--p", "5", "--dim", "2",
+                 "--modes", "32", "--T", "1"]) == 1
+    assert "stack dim 3 != run dim 2" in capsys.readouterr().err
+
+
 def test_asymptotics_direction_flag(tmp_path):
     rc = main(["--out", str(tmp_path), "asymptotics", "anisotropic_elastic_2d",
                "--regime", "high", "--direction", "0.70710678118654752,0.70710678118654752"])

@@ -3,8 +3,12 @@ import pytest
 
 from hyperdecay import Direction, connecting_permutation, roots, spectral_abscissa, track_branches
 from hyperdecay.presets import damped_wave_stack
-from hyperdecay.rootkit import RootfindingError, _residuals, is_real_root, real_roots_sorted
-from hyperdecay.symbols import UnivariatePoly, axis_direction, full_symbol_at
+from hyperdecay.rootkit import (BATCH_ROWS, RadialRootSolver, RootfindingError, _companion_eigvals,
+                                _residuals, is_real_root, real_roots_sorted, roots_batch)
+from hyperdecay.solver import RadialPropagator, default_rho_grid
+from hyperdecay.symbols import UnivariatePoly, axis_direction, full_symbol_at, symbol_coeffs
+from hyperdecay.tolerances import TOL
+from tests.test_stability import random_interlaced_stack
 
 
 def _sorted_real(zs):
@@ -161,3 +165,74 @@ def test_real_roots_sorted_rejects_complex():
     from hyperdecay.rootkit import NonRealRootsError
     with pytest.raises(NonRealRootsError):
         real_roots_sorted(UnivariatePoly.of([1.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+
+
+def _random_symbol_rows(rng, n_stacks=40, per_stack=25):
+    """Full-symbol coefficient rows of random interlaced stacks, grouped by degree."""
+    rows = {}
+    for _ in range(n_stacks):
+        m = int(rng.integers(2, 6))
+        ell = 1 if m == 2 else int(rng.integers(1, 3))
+        stack = random_interlaced_stack(rng, m, ell)
+        xi = np.geomspace(1e-3, 1e2, per_stack)[:, None] * rng.choice([-1.0, 1.0])
+        rows.setdefault(m, []).append(symbol_coeffs(stack, xi))
+    return {m: np.concatenate(blocks) for m, blocks in rows.items()}
+
+
+def test_roots_batch_equals_roots_row_for_row(rng):
+    for m, c in _random_symbol_rows(rng).items():
+        got = roots_batch(c)
+        assert got.shape == (len(c), m)
+        for row, z in zip(c, got):
+            assert np.array_equal(z, roots(UnivariatePoly.of(row)))
+
+
+def test_companion_start_equals_np_roots(rng):
+    c = _random_symbol_rows(rng, n_stacks=10)[4]
+    c[::3, :2] = 0.0                       # some rows with a double zero root
+    c[1::3, 0] = 0.0                       # and some with a simple one
+    start = _companion_eigvals(c)
+    for row, z in zip(c, start):
+        assert np.array_equal(z, np.roots(row[::-1]))
+
+
+def test_roots_batch_single_row_equals_row_in_batch(rng):
+    c = _random_symbol_rows(rng)[4]
+    c = np.concatenate([c] * (BATCH_ROWS // len(c) + 2))   # the batch spans several blocks
+    batch = roots_batch(c)
+    for i in range(0, len(c), 17):
+        assert np.array_equal(roots_batch(c[i : i + 1])[0], batch[i])
+
+
+def test_roots_batch_exact_zero_roots():
+    c = np.array([[0.0, 0.0, 1.0, 1.0],     # lambda^2 (lambda + 1)
+                  [0.0, 2.0, 3.0, 1.0],     # lambda (lambda + 1)(lambda + 2)
+                  [6.0, 11.0, 6.0, 1.0]])   # no zero root
+    got = roots_batch(c)
+    assert np.array_equal(got[0], [-1.0, 0.0, 0.0])
+    assert got[1][-1] == 0.0 and np.count_nonzero(got[1] == 0.0) == 1
+    assert np.count_nonzero(got[2] == 0.0) == 0
+    assert np.allclose(got[2], [-3.0, -2.0, -1.0], atol=1e-12)
+
+
+def test_roots_batch_certificate_names_the_row(monkeypatch):
+    c = np.array([[0.0, 0.0, 1.0, 1.0], [6.0, 11.0, 6.0, 1.0]])
+    monkeypatch.setattr(TOL, "root_residual_rtol", 0.0)
+    with pytest.raises(RootfindingError, match="in row 1"):
+        roots_batch(c)
+    with pytest.raises(RootfindingError, match="zero leading coefficient"):
+        roots_batch(np.array([[1.0, 2.0, 0.0]]))
+
+
+def test_propagator_roots_equal_per_rho_roots(stacks):
+    rho = default_rho_grid()
+    for name, stack in stacks.items():
+        d = axis_direction(stack.dim)
+        prop = RadialPropagator(stack, d, rho)
+        solver = RadialRootSolver(stack, d)
+        for i in range(0, len(rho), 7):
+            assert np.array_equal(prop.lams[i], solver.lambdas(rho[i])), (name, rho[i])

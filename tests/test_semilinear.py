@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperdecay.presets import mgt_stack
+from hyperdecay.rootkit import RootfindingError
 from hyperdecay.semilinear import build_run, run_semilinear, step
 from hyperdecay.solver import propagate_mode
 
@@ -22,6 +23,13 @@ def test_linear_consistency_matches_exact_propagation():
     for i in [0, 1, 7, 23, 48]:
         exact = propagate_mode(stack, np.array([k1[i]]), u0[:, i], run.t, 0)
         assert abs(run.state[0, i] - exact) <= 1e-8 * (1.0 + abs(exact))
+
+
+def test_build_run_certifies_roots(monkeypatch):
+    from hyperdecay.tolerances import TOL
+    monkeypatch.setattr(TOL, "root_residual_rtol", 0.0)
+    with pytest.raises(RootfindingError):
+        _gaussian_slot_run(0.1)
 
 
 def test_zero_data_stays_zero():
