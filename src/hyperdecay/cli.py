@@ -255,6 +255,7 @@ def cmd_semilinear(args) -> int:
     verdict["final_l2"] = run.l2_series[-1]
     verdict["initial_l2"] = run.l2_series[0]
     verdict["initial_scale"] = run.initial_scale
+    verdict["rejected_steps"] = run.rejected_steps
     out = Path(args.out)
     _write_csv(out / f"{name}_semilinear.csv", ["t", "l2", "linf_nu"],
                list(zip(run.times, run.l2_series, run.linf_series)))
@@ -344,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="stability, root asymptotics, and decay rates "
                                              "for stacked hyperbolic operators")
     ap.add_argument("--out", default="out", help="output directory (default ./out)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface compatibility; computation is vectorized")
     ap.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                     help="override a named tolerance (repeatable)")
     sub = ap.add_subparsers(dest="command", required=True)

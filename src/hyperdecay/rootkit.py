@@ -230,8 +230,7 @@ def min_gap(z: np.ndarray) -> np.ndarray:
 def is_confluent(lams: np.ndarray) -> np.ndarray:
     """Rows of lams[..., m] whose smallest root gap is below confluence_rtol * (1 + max |lambda|).
 
-    There the root-weighted exponential sum loses accuracy and propagation
-    takes the companion matrix exponential instead.
+    A diagnostic only: propagation serves such modes like any other.
     """
     lams = np.asarray(lams)
     return min_gap(lams) < TOL.confluence_rtol * (1.0 + np.max(np.abs(lams), axis=-1))

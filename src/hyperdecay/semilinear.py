@@ -6,6 +6,12 @@ nonlinearity enters through the exact Duhamel weight of a frozen source,
 
     state <- Phi(dt) state + W(dt) * fhat,   W(dt) = int_0^dt Phi(sigma) e_m dsigma.
 
+Phi(dt) and W(dt) come from one `solver.exp_newton` call on the companion
+system of lambda Q(lambda), whose roots are the mode's roots and 0, so
+confluent modes need no separate route.  A step that moves the L2 norm by
+more than the cap is rejected and retried from the saved state at half the
+step size.
+
 The nonlinearity is evaluated on the physical grid from the requested
 time-derivative coordinate of the state (the companion state carries exact
 derivatives, so no numerical differentiation happens), then dealiased by the
@@ -18,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
-from .rootkit import companion, is_confluent, roots_batch
+from .rootkit import roots_batch
+from .solver import exp_newton
 from .symbols import OperatorStack, symbol_coeffs
 
 BLOWUP_FACTOR = 1e6
@@ -43,13 +49,13 @@ class SemilinearRun:
     linf_series: list = field(default_factory=list)
     blowup_flag: bool = False
     blowup_time: float | None = None
+    rejected_steps: int = 0
     initial_scale: float = 0.0
     _freqs: np.ndarray | None = None
     _dealias: np.ndarray | None = None
     _prop_cache: dict = field(default_factory=dict)
     _lams: np.ndarray | None = None
     _coeffs: np.ndarray | None = None
-    _confluent: np.ndarray | None = None
 
     @property
     def m(self) -> int:
@@ -131,59 +137,23 @@ def _prepare_roots(run: SemilinearRun) -> None:
     coeffs = symbol_coeffs(run.stack, run._freqs.reshape(run.dim, -1).T)
     run._coeffs = coeffs / coeffs[:, -1:]
     run._lams = roots_batch(run._coeffs)
-    run._confluent = is_confluent(run._lams)
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with a stable small-z branch."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
 
 
 def _build_propagator(run: SemilinearRun, dt: float):
-    """Per-mode transition matrix Phi(dt) and Duhamel weight column W(dt)."""
+    """Per-mode transition matrix Phi(dt) and Duhamel weight column W(dt).
+
+    The state (y, f) of y' = A y + f e_m, f' = 0, has e^(B dt) = [[Phi, W], [0, 1]].
+    With z = T (y, f), T = [[I, 0], [-c, 1]] (c the monic coefficients below
+    the top), z is the companion state of lambda Q(lambda), whose roots are 0
+    and the mode's roots; the first m rows of e^(B dt) and of e^(C dt) T agree.
+    """
     m = run.m
-    lams = run._lams
-    nmodes = lams.shape[0]
-    phi = np.zeros((nmodes, m, m), dtype=complex)
-    w = np.zeros((nmodes, m), dtype=complex)
-    a = companion(run._coeffs)
-    eye = np.eye(m, dtype=complex)
-    ok = ~run._confluent
-    # spectral projectors for the well-separated modes
-    lam_ok = lams[ok]
-    a_ok = a[ok]
-    phi_ok = np.zeros((lam_ok.shape[0], m, m), dtype=complex)
-    w_ok = np.zeros((lam_ok.shape[0], m), dtype=complex)
-    for j in range(m):
-        proj = np.broadcast_to(eye, a_ok.shape).copy()
-        denom = np.ones(lam_ok.shape[0], dtype=complex)
-        for r in range(m):
-            if r == j:
-                continue
-            proj = np.matmul(proj, a_ok - lam_ok[:, r, None, None] * eye)
-            denom *= lam_ok[:, j] - lam_ok[:, r]
-        proj /= denom[:, None, None]
-        expo = np.exp(lam_ok[:, j] * dt)
-        phi_ok += expo[:, None, None] * proj
-        w_ok += (dt * _phi1(lam_ok[:, j] * dt))[:, None] * proj[:, :, -1]
-    phi[ok] = phi_ok
-    w[ok] = w_ok
-    # confluent modes: augmented matrix exponential
-    for i in np.nonzero(run._confluent)[0]:
-        big = np.zeros((2 * m, 2 * m), dtype=complex)
-        big[:m, :m] = a[i]
-        big[:m, m:] = np.eye(m)
-        e = expm(big * dt)
-        phi[i] = e[:m, :m]
-        w[i] = e[:m, m:][:, -1]
-    return phi, w
+    n = len(run._lams)
+    zero = np.zeros((n, 1))
+    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
+    tmat[:, m, :m] = -run._coeffs[:, :m]
+    e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt)[0]
+    return e[:, :m, :m].copy(), e[:, :m, m].copy()
 
 
 def _propagator(run: SemilinearRun, dt: float):
@@ -228,8 +198,12 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
                    dt0: float = 0.05, box_halfwidth: float = 60.0, modes_per_axis: int = 128,
                    dim: int = 2, amplitude: float = 1e-3, width: float = 1.0,
                    initial_slot: int | None = None, rel_change_cap: float = 0.1) -> SemilinearRun:
-    """Integrate to time T with adaptive halving when a step moves the norm too much.
+    """Integrate to time T, halving the step when one moves the norm too much.
 
+    A step that changes the L2 norm by more than rel_change_cap times the
+    larger of its previous value and the data scale is rejected: the run goes
+    back to its saved state and retries at half the step size, counted in
+    `rejected_steps`.  At a step size of 1e-4 or less the step is kept.
     Initial data: a centered Gaussian of the given amplitude and width in one
     derivative slot (top slot by default).  The run stops early on blow-up.
     """
@@ -244,6 +218,7 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     while run.t < T and not run.blowup_flag:
         dt = min(run.dt, T - run.t)
         prev = run.l2_series[-1]
+        saved_state, saved_t, kept = run.state, run.t, len(run.times)
         step(run, dt)
         cur = run.l2_series[-1] if not run.blowup_flag else np.inf
         # relative to the larger of the previous value and the data scale, so a
@@ -251,6 +226,10 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
         ref = max(prev, run.initial_scale)
         if ref > 0 and np.isfinite(cur) and abs(cur - prev) > rel_change_cap * ref:
             if run.dt > 1e-4:
+                # step() replaces run.state, so the saved array is untouched
+                run.state, run.t = saved_state, saved_t
+                del run.times[kept:], run.l2_series[kept:], run.linf_series[kept:]
+                run.rejected_steps += 1
                 run.dt = run.dt / 2.0
             elif cur > 100.0 * run.initial_scale and cur > 2.0 * prev:
                 # runaway growth beyond the integrator's resolution

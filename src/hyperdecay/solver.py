@@ -1,12 +1,12 @@
 """Exact per-frequency propagation of the linear Cauchy problem and norm tracking.
 
-Each mode evolves by the characteristic roots of the full symbol: away from
-confluence the solution is a root-weighted exponential sum whose coefficients
-come from deflated polynomials (one synthetic division per root, vectorized
-over the modes of a radial grid); near
-confluence the mode falls back to the matrix exponential of its companion
-system.  There is no time stepping, so slope fits probe the operator, not an
-integrator.
+Each mode evolves by the characteristic roots of the full symbol.  One kernel,
+`exp_newton`, writes d_t^k u_hat in Newton form: divided differences of
+lambda^k e^(lambda t) at the roots, taken by a Taylor series over clusters of
+close roots and by the recurrence elsewhere, times Newton vectors of the
+companion state.  It is batched over modes and times and needs no separate
+route for confluent roots.  There is no time stepping, so slope fits probe the
+operator, not an integrator.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fitting import fit_loglog, last_decades_window
-from .rootkit import RadialRootSolver, companion, is_confluent, roots_batch
+from .rootkit import BATCH_ROWS, RadialRootSolver, is_confluent, roots_batch
 from .stability import sample_directions
 from .symbols import Direction, OperatorStack, symbol_coeffs
 from .tolerances import TOL
@@ -112,112 +111,119 @@ def gaussian_data(m: int, j: int, amplitude: float = 1.0, width: float = 1.0) ->
 
 
 # ---------------------------------------------------------------------------
-# propagation: exponential sums over the roots, companion exponential near confluence
+# propagation: Newton divided differences of lambda^k e^(lambda t) at the roots
 
 
-def _weights(lams: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Exponential-sum weights of modes with roots lams[N, m] and data[m, N]; shape (N, m).
+SERIES_RADIUS = 1.0     # spans with |lambda_a - lambda_i| * t at most this use the Taylor series
+SERIES_TERMS = 18       # series remainder below radius^18 / 18! ~ 2e-16 of the leading term
 
-    The numerator for root j is the deflated monic polynomial's coefficient
-    vector dotted with the data (u_hat_0 ... u_hat_{m-1}); the denominator is
-    prod_{k != j} (lam_j - lam_k).
+
+def _chain(nodes: np.ndarray) -> np.ndarray:
+    """Each row of nodes[N, M] reordered as a nearest-neighbour chain from its first node.
+
+    Each next node is the closest one left, so a cluster of close nodes is
+    contiguous, and the nodes of a span of L + 1 chain nodes lie within
+    (2^L - 1) times the distance between its ends of its first node: a span
+    too wide for the Taylor series is never divided by a tiny end-to-end gap.
     """
-    n, m = lams.shape
-    # monic polynomial from the roots
-    poly = np.zeros((n, m + 1), dtype=complex)
-    poly[:, 0] = 1.0
-    for j in range(m):
-        # multiply the running polynomial (degree j) by (z - lam_j)
-        new = np.zeros_like(poly)
-        new[:, 1 : j + 2] = poly[:, : j + 1]
-        new[:, : j + 1] -= lams[:, j : j + 1] * poly[:, : j + 1]
-        poly = new
-    weights = np.empty((n, m), dtype=complex)
-    for j in range(m):
-        # synthetic division by (z - lam_j)
-        q = np.zeros((n, m), dtype=complex)
-        b = poly[:, m].copy()
-        q[:, m - 1] = b
-        for i in range(m - 1, 0, -1):
-            b = poly[:, i] + lams[:, j] * b
-            q[:, i - 1] = b
-        diffs = lams[:, j : j + 1] - lams
-        diffs[:, j] = 1.0
-        denom = np.prod(diffs, axis=1)
-        weights[:, j] = np.einsum("nr,rn->n", q, data) / denom
-    return weights
-
-
-def _propagate_lagrange(lams: np.ndarray, data: np.ndarray, t, k: int):
-    """Exponential-sum route for one mode with simple roots lams[m]."""
-    coefs = _weights(lams[None, :], np.asarray(data, dtype=complex)[:, None])[0]
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="raise", under="ignore"):
-        out = np.sum(coefs[None, :] * lams[None, :] ** k * np.exp(lams[None, :] * t[..., None]), axis=-1)
+    out = nodes.copy()
+    rows = np.arange(len(out))
+    for s in range(1, out.shape[1]):
+        nxt = s + np.argmin(np.abs(out[:, s:] - out[:, s - 1, None]), axis=1)
+        out[rows, nxt], out[:, s] = out[:, s].copy(), out[rows, nxt]
     return out
 
 
-_SUBSTEP_NORM = 4.0
-_MAX_SUBSTEPS = 2_000
+def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """f[lam, lam + omega_1, ..., lam + omega_L] of f = lambda^k e^(lambda t), by Taylor series about lam.
 
-
-def _propagate_companion(coeffs: np.ndarray, data: np.ndarray, t, k: int):
-    """Companion-system route: scaling-and-squaring exponential of the mode matrix.
-
-    The system is rebalanced by a root-magnitude bound (lambda = sigma * mu) and,
-    when the total phase sigma*t is moderate, advanced by repeated application
-    of one sub-threshold exponential, which avoids compounding the non-normal
-    amplification through repeated squaring.  Very long horizons fall back to
-    one exponential per requested time (accurate for the damped spectra this
-    route serves).
+    f(lam + omega) = e^(lam t) sum_p c_p omega^p with
+    c_p = sum_a C(k, a) lam^(k-a) t^(p-a) / (p-a)!, and the divided difference
+    is e^(lam t) sum_n c_(n+L) h_n(omega), h_n the complete homogeneous
+    polynomial.  lam, t have shape (K,), omega (K, L), and |omega| t <= 1.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / c[-1]
-    m = len(c) - 1
-    if k >= m:
-        raise ValueError(f"companion route reads state coordinate k; need k < {m}")
-    mags = [abs(c[r]) ** (1.0 / (m - r)) for r in range(m) if c[r] != 0]
-    sigma = max(1.0, *mags) if mags else 1.0
-    scaled = np.array([c[r] / sigma ** (m - r) for r in range(m + 1)])
-    a = companion(scaled)
-    dvec = sigma ** np.arange(m)
-    data_mu = np.asarray(data, dtype=complex) / dvec
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    order = np.argsort(t)
-    taus = sigma * t[order]
-    anorm = float(np.linalg.norm(a, 1))
-    out = np.empty(len(t), dtype=complex)
-    total_steps = anorm * (taus[-1] if len(taus) else 0.0) / _SUBSTEP_NORM
-    if total_steps <= _MAX_SUBSTEPS:
-        state = data_mu.copy()
-        prev = 0.0
-        cache: dict[float, np.ndarray] = {}
-        for pos, tau in zip(order, taus):
-            gap = tau - prev
-            if gap > 0:
-                n = max(1, int(np.ceil(anorm * gap / _SUBSTEP_NORM)))
-                h = gap / n
-                e = cache.get(h)
-                if e is None:
-                    e = expm(a * h)
-                    cache = {h: e}
-                for _ in range(n):
-                    state = e @ state
-            prev = tau
-            out[pos] = state[k] * sigma**k
-    else:
-        for pos, tau in zip(order, taus):
-            out[pos] = (expm(a * tau) @ data_mu)[k] * sigma**k
+    span = omega.shape[1]
+    terms = SERIES_TERMS + k
+    h = np.zeros((terms, len(lam)), dtype=complex)
+    h[0] = 1.0
+    for r in range(span):
+        for n in range(1, terms):
+            h[n] += omega[:, r] * h[n - 1]
+    tq = np.zeros((k + span + terms, len(lam)))     # t^q / q! in row k + q, zero rows for q < 0
+    tq[k] = 1.0
+    for q in range(1, span + terms):
+        tq[k + q] = tq[k + q - 1] * t / q
+    total = np.zeros(len(lam), dtype=complex)
+    for a in range(k + 1):
+        q0 = k + span - a
+        total += math.comb(k, a) * lam ** (k - a) * np.einsum("nk,nk->k", tq[q0 : q0 + terms], h)
+    return np.exp(lam * t) * total
+
+
+def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """f[nodes_0 .. nodes_j] of f(lambda) = lambda^k e^(lambda t) for chain-ordered nodes[N, M]; shape (T, N, M).
+
+    The table is built by span length L.  A span i..i+L whose nodes lie
+    within SERIES_RADIUS / t of node i takes the Taylor series about node i
+    (McCurdy, Ng and Parlett 1984); any other span the recurrence
+    (D[i+1, i+L] - D[i, i+L-1]) / (lambda_(i+L) - lambda_i), for all i at once.
+    """
+    m = nodes.shape[1]
+    d = nodes**k * np.exp(t[:, None, None] * nodes)        # D[i, i + L] in column i
+    top = [d[..., 0]]
+    for span in range(1, m):
+        # omega[n, i, r] = nodes[n, i + 1 + r] - nodes[n, i]
+        omega = np.stack([nodes[:, 1 + r : m - span + 1 + r] - nodes[:, : m - span]
+                          for r in range(span)], axis=-1)
+        d = (d[..., 1:] - d[..., :-1]) / omega[..., -1]
+        near = t[:, None, None] * np.max(np.abs(omega), axis=-1) <= SERIES_RADIUS
+        for i in range(m - span):       # one series call per column bounds its temporaries
+            ti, ni = np.nonzero(near[..., i])
+            d[ti, ni, i] = _series(nodes[ni, i], omega[ni, i], t[ti], k)
+        top.append(d[..., 0])
+    return np.stack(top, axis=-1)
+
+
+def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int = 0) -> np.ndarray:
+    """C^k e^(C t) y0 for the companion matrices C of coeffs[N, M+1], whose roots are nodes[N, M].
+
+    The Newton form sum_j f[lambda_0 .. lambda_j] v_j of f(lambda) =
+    lambda^k e^(lambda t), with v_j = prod_(i<j) (C - lambda_i) y0, is exact
+    when the nodes are all the roots with multiplicity, confluent or not.
+    y0 has shape (N, M, R) and the result (T, N, M, R).  Modes go through in
+    blocks of BATCH_ROWS.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty((len(times),) + y0.shape, dtype=complex)
+    for rows in (slice(s, s + BATCH_ROWS) for s in range(0, len(nodes), BATCH_ROWS)):
+        lam = _chain(nodes[rows])
+        tail = coeffs[rows, :-1] / coeffs[rows, -1:]
+        v = [np.asarray(y0[rows], dtype=complex)]
+        for j in range(lam.shape[1] - 1):
+            # C v: coordinates shift up, the last is -sum_r tail_r v_r
+            cv = np.concatenate([v[-1][:, 1:], -np.einsum("nr,nrk->nk", tail, v[-1])[:, None]], axis=1)
+            v.append(cv - lam[:, j, None, None] * v[-1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            dd = _divided_differences(lam, times, k)
+            out[:, rows] = np.einsum("tnj,jnmr->tnmr", dd, np.stack(v))
     return out
+
+
+def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k: int) -> np.ndarray:
+    """d_t^k u_hat for modes with symbol coefficients coeffs[N, m+1], roots lams[N, m], data[m, N]; shape (T, N).
+
+    The mode state (u, d_t u, ..., d_t^(m-1) u) evolves by its companion
+    matrix C, and d_t^k u is coordinate 0 of C^k e^(C t) y0 for every k >= 0.
+    """
+    y0 = np.asarray(data, dtype=complex).T[..., None]
+    return exp_newton(coeffs, lams, y0, times, k)[:, :, 0, 0].copy()
 
 
 def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[complex],
                    t, k: int = 0):
-    """d_t^k u_hat(t, xi) for one frequency, with automatic confluence fallback.
+    """d_t^k u_hat(t, xi) for one frequency; a one-mode call of `exp_newton`.
 
-    The exponential-sum route is used when the smallest root gap reaches
-    confluence_rtol * (1 + max |lambda|); otherwise the companion matrix
-    exponential (scaling and squaring) takes over.
+    Every k >= 0 is served, and confluent roots need no separate route.
     """
     xi = np.asarray(xi, dtype=float)
     data = np.asarray(data, dtype=complex)
@@ -229,13 +235,8 @@ def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[com
         lams = RadialRootSolver(stack, Direction.of(xi)).lambdas(rho)
     else:
         lams = roots_batch(coeffs)[0]
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    if is_confluent(lams):
-        out = _propagate_companion(coeffs[0], data, tarr, k)
-    else:
-        out = _propagate_lagrange(lams, data, tarr, k)
-    return complex(out[0]) if scalar else out
+    out = _propagate(coeffs, lams[None, :], data[:, None], t, k)[:, 0]
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,11 @@ def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[com
 
 
 class RadialPropagator:
-    """Roots and exponential-sum weights for every mode of a radial grid."""
+    """Roots for every mode of a radial grid; `propagate` is one `exp_newton` call.
+
+    `confluent` marks the modes with nearly coincident roots; it is a
+    diagnostic only, since `exp_newton` serves them like any other mode.
+    """
 
     def __init__(self, stack: OperatorStack, d: Direction, rho_grid: np.ndarray):
         self.stack = stack
@@ -254,18 +259,8 @@ class RadialPropagator:
 
     def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0) -> np.ndarray:
         """d_t^k u_hat on the grid; shape (n_times, n_modes)."""
-        times = np.asarray(times, dtype=float)
-        weights = _weights(self.lams, data)
-        lams = self.lams
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            lam_k = lams**k if k else np.ones_like(lams)
-            expo = np.exp(lams[None, :, :] * times[:, None, None])
-            out = np.einsum("nj,tnj->tn", weights * lam_k, expo)
-        bad = np.nonzero(self.confluent)[0]
-        xi = self.rho[bad, None] * self.direction.vector()[None, :]
-        for i, coeffs in zip(bad, symbol_coeffs(self.stack, xi)):
-            out[:, i] = _propagate_companion(coeffs, data[:, i], times, k)
-        return out
+        xi = self.rho[:, None] * self.direction.vector()[None, :]
+        return _propagate(symbol_coeffs(self.stack, xi), self.lams, data, times, k)
 
 
 # ---------------------------------------------------------------------------

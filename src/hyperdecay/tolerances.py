@@ -23,7 +23,7 @@ class Tolerances:
     triple_root_rtol: float = 1e-8       # common-triple-root residual threshold
     # branch tracking / propagation
     cluster_rtol: float = 1e-6
-    confluence_rtol: float = 1e-5
+    confluence_rtol: float = 1e-5        # diagnostic only; selects no route
     path_agreement_rtol: float = 1e-8
     # quadrature and verdicts
     tail_fraction: float = 1e-6

@@ -105,6 +105,19 @@ def test_blowup_flag_terminates():
     assert np.max(run.l2_series) > 10.0 * run.l2_series[0]
 
 
+def test_over_cap_steps_are_rejected():
+    """A step that moves the L2 norm past the cap is retried at half the step size."""
+    cap = 0.1
+    run = run_semilinear(mgt_stack(dim=1), p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
+                         modes_per_axis=128, dim=1, amplitude=1.0, initial_slot=0, rel_change_cap=cap)
+    l2 = np.asarray(run.l2_series)
+    change = np.abs(np.diff(l2))
+    ref = np.maximum(l2[:-1], run.initial_scale)
+    at_floor = np.diff(run.times) <= 1e-4 * (1.0 + 1e-12)
+    assert run.rejected_steps > 0
+    assert np.all((change <= cap * ref) | at_floor)
+
+
 def test_nu_reads_state_coordinate():
     stack = mgt_stack(dim=1)
     run = build_run(stack, p=2.0, sign=1.0, nu=1, box_halfwidth=30.0, modes_per_axis=64,

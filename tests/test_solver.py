@@ -3,9 +3,10 @@ import pytest
 
 import hyperdecay as hd
 from hyperdecay.presets import damped_wave_stack, em_elastic_stack, mgt_stack
-from hyperdecay.solver import (DataSpec, RingProfile, ZeroProfile, _propagate_companion,
-                               _propagate_lagrange, gaussian_data, sobolev_norm)
-from hyperdecay.symbols import full_symbol_at
+from hyperdecay.solver import (DataSpec, RadialPropagator, RingProfile, ZeroProfile, _propagate,
+                               default_rho_grid, gaussian_data, sobolev_norm)
+from hyperdecay.symbols import axis_direction, full_symbol_at, symbol_coeffs
+from tests.oracles import _propagate_companion
 from tests.test_stability import random_interlaced_stack
 
 
@@ -33,7 +34,7 @@ def test_mgt_origin_ode_solution():
 
 
 def test_path_agreement_random(rng):
-    """Exponential-sum vs companion-exponential on 1000 samples away from confluence."""
+    """Divided-difference kernel vs the root-free companion exponential on 1000 samples."""
     checked = 0
     while checked < 1000:
         m = int(rng.integers(2, 6))
@@ -43,16 +44,10 @@ def test_path_agreement_random(rng):
             rho = 10.0 ** rng.uniform(-2, 2)
             xi = np.array([rho if rng.uniform() < 0.5 else -rho])
             poly = full_symbol_at(stack, xi)
-            lams = hd.roots(poly)
-            diff = np.abs(lams[:, None] - lams[None, :])
-            np.fill_diagonal(diff, np.inf)
-            gap = float(np.min(diff))
-            if gap < 1e-3 * (1 + np.max(np.abs(lams))):
-                continue
             data = rng.normal(size=m) + 1j * rng.normal(size=m)
             t = rng.uniform(0.0, 10.0)
             k = int(rng.integers(0, m))
-            a = _propagate_lagrange(lams, data, np.array([t]), k)[0]
+            a = hd.propagate_mode(stack, xi, data, t, k)
             b = _propagate_companion(poly.array(), data, np.array([t]), k)[0]
             denom = max(abs(a), abs(b))
             if denom > 1e-250:
@@ -63,16 +58,44 @@ def test_path_agreement_random(rng):
 
 
 def test_paths_agree_near_confluence_window(rng):
-    # roots separated by a gap in [1e-5, 1e-3] must still agree to 1e-8 relative
-    for _ in range(50):
-        gap = 10.0 ** rng.uniform(-5, -3)
+    # roots separated by a gap in [1e-5, 1e-3] at t <= 5, and by a gap in {0} U [1e-14, 1e-1]
+    # at t in [0.1, 100], must agree with the root-free route to 1e-8 relative
+    gaps = np.concatenate([10.0 ** rng.uniform(-5, -3, 50), [0.0], 10.0 ** rng.uniform(-14, -1, 100)])
+    times = np.concatenate([rng.uniform(0.0, 5.0, 50), 10.0 ** rng.uniform(-1, 2, 101)])
+    for gap, t in zip(gaps, times):
         lams = np.array([-1.0 + 0j, -1.0 + gap + 0j, -0.3 + 0.9j])
         coeffs = np.polynomial.polynomial.polyfromroots(lams)
         data = rng.normal(size=3) + 1j * rng.normal(size=3)
-        t = rng.uniform(0.0, 5.0)
-        a = _propagate_lagrange(lams, data, np.array([t]), 0)[0]
+        a = _propagate(coeffs[None], lams[None], data[:, None], t, 0)[0, 0]
         b = _propagate_companion(coeffs, data, np.array([t]), 0)[0]
         assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-30)
+
+
+def test_derivatives_beyond_the_state_on_a_confluent_ray(stacks, rng):
+    """d_t^k u_hat for k >= m on em_elastic (m = 5), whose low-frequency modes have a double root.
+
+    The oracle gives derivatives 0..m-1; the symbol ODE gives the higher ones.
+    """
+    stack, d = stacks["em_elastic"], axis_direction(3)
+    rho = default_rho_grid()[::64]
+    prop = RadialPropagator(stack, d, rho)
+    assert prop.confluent.any()
+    data = rng.normal(size=(5, len(rho))) + 1j * rng.normal(size=(5, len(rho)))
+    times = np.array([0.5, 3.0, 20.0])
+    coeffs = symbol_coeffs(stack, rho[:, None] * d.vector()[None, :])
+    for k in (5, 6):
+        got = prop.propagate(data, times, k)
+        for i in range(len(rho)):
+            c = coeffs[i]
+            derivs = [_propagate_companion(c, data[:, i], times, r) for r in range(5)]
+            while len(derivs) <= k:
+                derivs.append(-sum(c[r] * derivs[r - 5] for r in range(5)) / c[5])
+            assert np.max(np.abs(got[:, i] - derivs[k])) <= 1e-8 * np.max(np.abs(derivs[k])), (k, i)
+    # a one-mode call gives the grid's value of the same mode
+    one = hd.propagate_mode(stack, rho[3] * d.vector(), data[:, 3], times, 5)
+    assert np.max(np.abs(one - prop.propagate(data, times, 5)[:, 3])) <= 1e-12 * np.max(np.abs(one))
+    series = hd.simulate(stack, gaussian_data(5, 4), np.geomspace(1e2, 1e4, 5), k=5)
+    assert np.all(np.isfinite(series.values)) and np.all(series.values > 0)
 
 
 def test_ode_residual_by_finite_differences(rng):
