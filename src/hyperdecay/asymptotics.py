@@ -81,10 +81,6 @@ class ExpansionRecord:
                 [[p, c.real, c.imag] for p, c in self.terms]]
 
 
-def _deflate_value(p: UnivariatePoly, root_list: np.ndarray, deleted: set[int], at: float) -> complex:
-    return check_poly(p, root_list.tolist(), deleted, at)
-
-
 def _pair_doubles(r: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     """Group sorted roots into runs of equal values within tol; triples are rejected upstream."""
     groups = []
@@ -168,9 +164,9 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
             mid_ix, mid_dist = _closest(anchor, mid)
             if ell == 2 and mid_dist <= tol:
                 # shared simple root: real part only enters at fourth order
-                pcheck = _deflate_value(p_base, base, {j}, anchor)
+                pcheck = check_poly(p_base, base, {j}, anchor)
                 ptop = complex(p_top2(anchor))
-                ptilde = _deflate_value(p_mid, mid, {mid_ix}, anchor)
+                ptilde = check_poly(p_mid, mid, {mid_ix}, anchor)
                 c3 = ptop / pcheck
                 c4 = ptop * ptilde / pcheck**2
                 records.append(ExpansionRecord(
@@ -182,7 +178,7 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
                     f"root {anchor} shared with the next symbol is only handled at depth 2 "
                     f"(stack depth {ell})")
             else:
-                pcheck = _deflate_value(p_base, base, {j}, anchor)
+                pcheck = check_poly(p_base, base, {j}, anchor)
                 c2 = complex(p_mid(anchor)) / pcheck
                 records.append(ExpansionRecord(
                     branch=branch, regime=Regime.LOW, case=ExpansionCase.SIMPLE,
@@ -227,9 +223,9 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
         if len(group) == 1:
             mid_ix, mid_dist = _closest(anchor, b)
             if mid_dist <= tol and stack.ell >= 2:
-                pcheck = _deflate_value(p_top, a, {j}, anchor)
+                pcheck = check_poly(p_top, a, {j}, anchor)
                 plow = complex(p_low(anchor))
-                ptilde = _deflate_value(p_mid, b, {mid_ix}, anchor)
+                ptilde = check_poly(p_mid, b, {mid_ix}, anchor)
                 cm1 = plow / pcheck
                 cm2 = -plow * ptilde / pcheck**2
                 records.append(ExpansionRecord(
@@ -239,7 +235,7 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
             else:
                 # the generic constant: vanishes identically if the root is shared
                 # and there is no second lower symbol to produce the next orders
-                pcheck = _deflate_value(p_top, a, {j}, anchor)
+                pcheck = check_poly(p_top, a, {j}, anchor)
                 c0 = -complex(p_mid(anchor)) / pcheck
                 records.append(ExpansionRecord(
                     branch=branch, regime=Regime.HIGH, case=ExpansionCase.SIMPLE,
@@ -298,8 +294,8 @@ def kappa_solutions(stack: OperatorStack, d: Direction, j: int, regime: Regime) 
         raise UnclassifiableExpansionError(
             f"double root {anchor} is not matched by a middle-symbol root (distance {mid_dist})")
     p_mid = stack.symbol(1).restrict(d)
-    a_coef = _deflate_value(p_anchor, anchor_roots, {j, j + 1}, anchor)
-    b_coef = sign_mid * _deflate_value(p_mid, b, {mid_ix}, anchor)
+    a_coef = check_poly(p_anchor, anchor_roots, {j, j + 1}, anchor)
+    b_coef = sign_mid * check_poly(p_mid, b, {mid_ix}, anchor)
     c_coef = complex(p_other(anchor))
     quad = UnivariatePoly.of([c_coef, b_coef, a_coef])
     kp, km = roots(quad)

@@ -22,7 +22,7 @@ import numpy as np
 from .asymptotics import ExpansionCase, Regime, kappa_solutions, low_freq_expansions
 from .solver import (DataSpec, NormTimeSeries, RadialPropagator, _series_from_values,
                      default_rho_grid, sobolev_norm)
-from .symbols import Direction, OperatorStack, axis_direction
+from .symbols import Direction, OperatorStack, UnivariatePoly, axis_direction, check_poly
 from .tolerances import TOL
 
 
@@ -183,17 +183,13 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
 @dataclass
 class _AnchorData:
     roots: np.ndarray
-    poly_leading: complex
+    poly: UnivariatePoly
     tol: float
 
     def check_value(self, anchor: float) -> complex:
         """Deleted-root product at a simple anchor root."""
         ix = int(np.argmin(np.abs(self.roots - anchor)))
-        out = self.poly_leading
-        for k, r in enumerate(self.roots):
-            if k != ix:
-                out *= anchor - r
-        return out
+        return check_poly(self.poly, self.roots, {ix}, anchor)
 
     def double_index(self, anchor: float) -> int:
         close = np.nonzero(np.abs(self.roots - anchor) <= self.tol)[0]
@@ -203,11 +199,7 @@ class _AnchorData:
 
     def double_check_value(self, anchor: float) -> complex:
         j = self.double_index(anchor)
-        out = self.poly_leading
-        for k, r in enumerate(self.roots):
-            if k not in (j, j + 1):
-                out *= anchor - r
-        return out
+        return check_poly(self.poly, self.roots, {j, j + 1}, anchor)
 
 
 def _anchor_values(stack: OperatorStack, d: Direction) -> _AnchorData:
@@ -215,7 +207,7 @@ def _anchor_values(stack: OperatorStack, d: Direction) -> _AnchorData:
 
     p = stack.symbol(stack.ell).restrict(d)
     r = real_roots_sorted(p)
-    return _AnchorData(r, complex(p.leading), TOL.root_match_rtol * root_scale(r))
+    return _AnchorData(r, p, TOL.root_match_rtol * root_scale(r))
 
 
 # ---------------------------------------------------------------------------

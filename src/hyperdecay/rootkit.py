@@ -370,31 +370,24 @@ class RootBranchSet:
         return self.branches[:, i]
 
 
-def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cost = np.abs(prev[:, None] - cand[None, :])
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(len(cand), dtype=int)
     perm[rows] = cols
-    ordered = cand[perm]
-    movement = float(np.max(np.abs(prev - ordered)))
-    return ordered, movement, perm
-
-
-def _closest_pair(zs: np.ndarray) -> tuple[int, int]:
-    diff = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diff, np.inf)
-    i, j = np.unravel_index(np.argmin(diff), diff.shape)
-    return int(min(i, j)), int(max(i, j))
+    return cand[perm], perm
 
 
 def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float],
                    max_bisections: int = MAX_BISECTIONS) -> RootBranchSet:
     """Continuation of the m root branches along rho * d for ascending rho > 0.
 
-    A step is accepted when the matched movement stays below a quarter of the
-    smallest inter-root gap; otherwise it is bisected (depth-capped).  When
-    bisection stops helping (branches genuinely collide) a cluster event is
-    recorded and the minimum-distance match is kept.
+    A step is accepted when every root whose nearest neighbour in the previous
+    set lies at least the cluster tolerance away moved at most a quarter of
+    that distance; otherwise it is bisected (depth-capped).  Each root is held
+    to its own distance, so a fast pair does not force bisection beside a
+    slow, close one.  When bisection stops helping (branches genuinely
+    collide) a cluster event is recorded and the minimum-distance match is kept.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -426,18 +419,21 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
 
     def advance(prev: np.ndarray, rho_a: float, rho_b: float, depth: int, parent_ratio: float):
         cand, cand_noise = solver.lambdas_with_noise(rho_b)
-        ordered, movement, perm = _match(prev, cand)
-        gap = float(min_gap(prev))
+        ordered, perm = _match(prev, cand)
+        diff = np.abs(prev[:, None] - prev[None, :])
+        np.fill_diagonal(diff, np.inf)
+        own_gap = np.min(diff, axis=1)
+        gap = float(np.min(own_gap))
         cluster_tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(prev))))
-        if movement <= 0.25 * gap or gap < cluster_tol:
+        held = own_gap >= cluster_tol
+        ratio = float(np.max(np.abs(prev - ordered)[held] / own_gap[held], initial=0.0))
+        if ratio <= 0.25:
             accept(rho_b, ordered, cand_noise, perm)
             return ordered
-        ratio = movement / gap
         if depth >= max_bisections:
             if ratio >= 0.8 * parent_ratio:
                 # collision: bisection no longer separates movement from gap
-                i, j = _closest_pair(prev)
-                events.append((rho_b, (i, j), gap))
+                events.append((rho_b, divmod(int(np.argmin(diff)), len(prev)), gap))
                 accept(rho_b, ordered, cand_noise, perm)
                 return ordered
             raise BisectionLimitError(rho_a, rho_b, f"movement/gap ratio {ratio:.3g} after {depth} bisections")

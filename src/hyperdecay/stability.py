@@ -1,8 +1,12 @@
 """Hyperbolicity, interlacing, and strict-stability classification.
 
-The decisive quantities are root gaps and orderings of the per-direction
-restrictions.  Classification is a certification up to the sampled direction
-resolution: every report carries the minimum margin observed (normalized by a
+The decisive quantities are root gaps and orderings of the restrictions
+P_{m-j}(lambda, d).  A classification solves each symbol once over all sampled
+directions (one `roots_batch` call on its `restriction_coeffs` rows) and every
+check reads that table; the depth-3 route builds its even/odd test rows for
+all (direction, radius) pairs at once and shares the row-wise interlacing test.
+Classification is a certification up to the sampled direction resolution:
+every report carries the minimum margin observed (normalized by a
 root-magnitude scale) so callers can judge robustness, and the CLI maps small
 margins to an "inconclusive" exit code.
 """
@@ -10,14 +14,14 @@ margins to an "inconclusive" exit code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .rootkit import (NonRealRootsError, RadialRootSolver, is_real_root, real_roots_sorted,
-                      roots, root_scale)
-from .symbols import Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
+from .rootkit import NonRealRootsError, RadialRootSolver, _residuals, is_real_root, roots_batch
+from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction,
+                      restriction_coeffs)
 from .tolerances import TOL
 
 
@@ -70,25 +74,28 @@ class StabilityReport:
             "ell": self.ell,
             "m": self.m,
             "hyperbolicity": {str(k): v.value for k, v in sorted(self.hyperbolicity.items())},
-            "interlacing_upper": None if self.interlacing_upper is None else {
-                "class": self.interlacing_upper.klass.value,
-                "margin": self.interlacing_upper.margin,
-                "witness": _encode_witness(self.interlacing_upper.witness),
-            },
-            "interlacing_lower": None if self.interlacing_lower is None else {
-                "class": self.interlacing_lower.klass.value,
-                "margin": self.interlacing_lower.margin,
-                "witness": _encode_witness(self.interlacing_lower.witness),
-            },
+            "interlacing_upper": _encode_interlacing(self.interlacing_upper),
+            "interlacing_lower": _encode_interlacing(self.interlacing_lower),
             "no_common_triple_root": self.no_common_triple_root,
             "triple_witness": _encode_witness(self.triple_witness),
             "strictly_stable": self.strictly_stable,
             "scenario_flags": sorted(self.scenario_flags),
-            "min_margin": self.min_margin,
+            "min_margin": _finite_or_none(self.min_margin),
             "n_directions": self.n_directions,
             "inconclusive": self.inconclusive,
             "notes": list(self.notes),
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinity: a non-finite margin (a non-real root) is written as null."""
+    return x if np.isfinite(x) else None
+
+
+def _encode_interlacing(c: InterlacingClass | None):
+    if c is None:
+        return None
+    return {"class": c.klass.value, "margin": _finite_or_none(c.margin), "witness": _encode_witness(c.witness)}
 
 
 def _encode_witness(w):
@@ -130,65 +137,123 @@ def directions_for(stack: OperatorStack) -> list[Direction]:
 
 
 # ---------------------------------------------------------------------------
+# restriction-root tables
+
+
+class _RootTable:
+    """Roots of every row of coeffs[K, w] (ascending) from one `roots_batch` call.
+
+    Trailing columns that are zero in every row stay out of the solve, so one
+    row reads like `UnivariatePoly.of` of it; an all-zero table is the zero
+    polynomial (degree -1, no roots).  `scale` is 1 + max |root| per row.
+    """
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        nonzero = np.flatnonzero(np.any(coeffs != 0, axis=0))
+        self.degree = int(nonzero[-1]) if nonzero.size else -1
+        self.roots = (roots_batch(coeffs[:, : self.degree + 1]) if self.degree >= 0
+                      else np.zeros((len(coeffs), 0), dtype=complex))
+        self.root_is_real = is_real_root(self.roots)
+        self.real = np.all(self.root_is_real, axis=1)
+        self.re = np.sort(self.roots.real, axis=1)
+        self.scale = 1.0 + np.max(np.abs(self.re), axis=1, initial=0.0)
+
+    def nonreal_error(self, row: int) -> NonRealRootsError:
+        """The error naming the row's first non-real root in canonical order."""
+        bad = self.roots[row][np.argmin(self.root_is_real[row])]
+        return NonRealRootsError(UnivariatePoly.of(self.coeffs[row]), bad)
+
+
+def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
+    """(directions[D, n], hyperbolicity by order, root table per symbol) for one classification."""
+    samples = list(samples) if samples is not None else directions_for(stack)
+    dirs = np.array([d.components for d in samples], dtype=float)
+    classes, tables = zip(*(_hyperbolicity(s, dirs) for s in stack.symbols))
+    return dirs, {s.order: c for s, c in zip(stack.symbols, classes)}, tables
+
+
+# ---------------------------------------------------------------------------
 # hyperbolicity and interlacing
 
 
-def classify_hyperbolicity(sym: HomogeneousSymbol, samples: Sequence[Direction]) -> Hyperbolicity:
-    if not samples:
+def _hyperbolicity(sym: HomogeneousSymbol, dirs: np.ndarray) -> tuple[Hyperbolicity, _RootTable | None]:
+    """Class of sym over the rows of dirs[D, n] and the table it was read from (None at order 0)."""
+    if not len(dirs):
         raise ValueError("classify_hyperbolicity needs at least one sample direction")
     if sym.is_zero:
-        return Hyperbolicity.NONE
+        return Hyperbolicity.NONE, _RootTable(restriction_coeffs(sym, dirs))
     if sym.pure_time_coeff <= 0:
         raise ValueError(f"symbol of order {sym.order} has nonpositive pure-time coefficient")
     if sym.order == 0:
-        return Hyperbolicity.STRICT
-    strict = True
-    for d in samples:
-        p = sym.restrict(d)
-        zs = roots(p)
-        if any(not is_real_root(z) for z in zs):
-            return Hyperbolicity.NONE
-        re = np.sort(zs.real)
-        if len(re) > 1:
-            scale = root_scale(re)
-            if np.min(np.diff(re)) <= TOL.strict_gap_rtol * scale:
-                strict = False
-    return Hyperbolicity.STRICT if strict else Hyperbolicity.WEAK
+        return Hyperbolicity.STRICT, None
+    t = _RootTable(restriction_coeffs(sym, dirs))
+    if not t.real.all():
+        return Hyperbolicity.NONE, t
+    if t.degree > 1 and np.any(np.min(np.diff(t.re, axis=1), axis=1) <= TOL.strict_gap_rtol * t.scale):
+        return Hyperbolicity.WEAK, t
+    return Hyperbolicity.STRICT, t
+
+
+def classify_hyperbolicity(sym: HomogeneousSymbol, samples: Sequence[Direction]) -> Hyperbolicity:
+    return _hyperbolicity(sym, np.array([d.components for d in samples], dtype=float))[0]
+
+
+def _degree_mismatch(low_degree: int, high_degree: int) -> str | None:
+    if high_degree != low_degree + 1:
+        return f"degree mismatch: deg high {high_degree} != deg low {low_degree} + 1"
+    return None
+
+
+def _interlacing(low: _RootTable, high: _RootTable) -> InterlacingClass:
+    """Interlacing of the roots of each row of `low` inside the same row of `high`,
+    combined over rows.
+
+    The class is the worst over rows and the margin (min signed gap / scale)
+    the minimum.  The witness is that of the first row at the worst class,
+    prefixed with its row index; within a row the gaps run b[i]-lam[i],
+    lam[i+1]-b[i] and the first minimum is the witness.  A row with a non-real
+    root fails with margin -inf, as does every row when the degrees do not match.
+    """
+    mismatch = _degree_mismatch(low.degree, high.degree)
+    if mismatch is not None:
+        return InterlacingClass(Interlacing.FAIL, -np.inf, (0, mismatch))
+    lam, b = high.re, low.re
+    scale = np.maximum(high.scale, low.scale)
+    gaps = np.empty((len(lam), 2 * b.shape[1]))
+    gaps[:, 0::2] = b - lam[:, :-1]
+    gaps[:, 1::2] = lam[:, 1:] - b
+    at = np.argmin(gaps, axis=1)
+    min_gap = gaps[np.arange(len(gaps)), at]
+    tol = TOL.interlace_margin_rtol * scale
+    nonreal = ~(high.real & low.real)
+    rank = np.where(nonreal | (min_gap < -tol), 2, np.where(min_gap > tol, 0, 1))
+    margin = float(np.min(np.where(nonreal, -np.inf, min_gap / scale)))
+    worst = int(np.max(rank))
+    row = int(np.argmax(rank == worst))
+    if worst == 0:
+        witness = None
+    elif nonreal[row]:
+        witness = (row, str((high if not high.real[row] else low).nonreal_error(row)))
+    else:
+        i = int(at[row]) // 2
+        desc = f"b[{i}]-lam[{i}]" if at[row] % 2 == 0 else f"lam[{i + 1}]-b[{i}]"
+        witness = (row, desc, float(min_gap[row]))
+    return InterlacingClass((Interlacing.STRICT, Interlacing.WEAK, Interlacing.FAIL)[worst], margin, witness)
 
 
 def classify_interlacing(p_low: UnivariatePoly, p_high: UnivariatePoly) -> InterlacingClass:
-    """Interlacing of the roots of p_low (degree d-1) inside those of p_high (degree d)."""
-    if p_high.degree != p_low.degree + 1:
-        raise ValueError(f"degree mismatch: deg high {p_high.degree} != deg low {p_low.degree} + 1")
-    lam = real_roots_sorted(p_high)
-    b = real_roots_sorted(p_low)
-    scale = max(root_scale(lam), root_scale(b))
-    tol = TOL.interlace_margin_rtol * scale
-    min_gap = np.inf
-    witness = None
-    for i in range(len(b)):
-        for gap, desc in ((b[i] - lam[i], f"b[{i}]-lam[{i}]"), (lam[i + 1] - b[i], f"lam[{i + 1}]-b[{i}]")):
-            if gap < min_gap:
-                min_gap = gap
-                witness = (desc, float(gap))
-    margin = float(min_gap / scale)
-    if min_gap > tol:
-        return InterlacingClass(Interlacing.STRICT, margin, None)
-    if min_gap >= -tol:
-        return InterlacingClass(Interlacing.WEAK, margin, witness)
-    return InterlacingClass(Interlacing.FAIL, margin, witness)
-
-
-def _combine(cur: InterlacingClass | None, new: InterlacingClass, d_index: int) -> InterlacingClass:
-    new = InterlacingClass(new.klass, new.margin,
-                           None if new.witness is None else (d_index,) + new.witness)
-    if cur is None:
-        return new
-    rank = {Interlacing.STRICT: 0, Interlacing.WEAK: 1, Interlacing.FAIL: 2}
-    worst = new if rank[new.klass] > rank[cur.klass] else cur
-    margin = min(cur.margin, new.margin)
-    witness = worst.witness if worst.witness is not None else (cur.witness or new.witness)
-    return InterlacingClass(worst.klass, margin, witness)
+    """Interlacing of the roots of p_low (degree d-1) inside those of p_high (degree d):
+    the one-row call of the row-wise test, raising where that test fails a row."""
+    mismatch = _degree_mismatch(p_low.degree, p_high.degree)
+    if mismatch is not None:
+        raise ValueError(mismatch)
+    high, low = (_RootTable(p.array()[None, :]) for p in (p_high, p_low))
+    for t in (high, low):
+        if not t.real[0]:
+            raise t.nonreal_error(0)
+    cls = _interlacing(low, high)
+    return InterlacingClass(cls.klass, cls.margin, None if cls.witness is None else cls.witness[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -206,56 +271,40 @@ class DirectionRootData:
 
 
 def direction_root_data(stack: OperatorStack, d: Direction) -> DirectionRootData:
-    out = []
-    scale = 1.0
-    for s in stack.symbols:
-        if s.is_zero:
-            out.append(np.array([]))
-            continue
-        r = real_roots_sorted(s.restrict(d))
-        out.append(r)
-        if len(r):
-            scale = max(scale, root_scale(r))
-    return DirectionRootData(d, tuple(out), scale)
+    """One row of the classification table: the sorted real restriction roots along d."""
+    tables = [_RootTable(restriction_coeffs(s, d.vector()[None, :])) for s in stack.symbols]
+    for t in tables:
+        if not t.real[0]:
+            raise t.nonreal_error(0)
+    return DirectionRootData(d, tuple(t.re[0] for t in tables), float(max(t.scale[0] for t in tables)))
 
 
-def _multiplicity_pairs(r: np.ndarray, tol: float) -> list[int]:
-    """Indices i with r[i] ~ r[i+1] (adjacent double roots)."""
-    return [i for i in range(len(r) - 1) if r[i + 1] - r[i] <= tol]
-
-
-def _matches(value: float, pool: np.ndarray, tol: float) -> bool:
-    return bool(len(pool)) and bool(np.min(np.abs(pool - value)) <= tol)
+def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> frozenset[str]:
+    """Scenario flags over the rows at which every restriction is real-rooted: a
+    double root of P_m (of P_{m-2}) flags DERIVATIVE_LOSS (DECAY_LOSS), a simple
+    one shared with P_{m-1} flags REG_LOSS_DECAY (SLOW_LOW)."""
+    ok = np.logical_and.reduce([t.real for t in tables])
+    tol = TOL.root_match_rtol * np.max([t.scale for t in tables], axis=0)[ok, None]
+    b = tables[1].re[ok] if stack.ell >= 1 else np.empty((int(ok.sum()), 0))
+    flags: set[str] = set()
+    levels = [(0, SCENARIO_DERIVATIVE_LOSS, SCENARIO_REG_LOSS_DECAY),
+              (2, SCENARIO_DECAY_LOSS, SCENARIO_SLOW_LOW)]
+    for j, double_flag, shared_flag in levels[: 2 if stack.ell >= 2 else 1]:
+        r = tables[j].re[ok]
+        pairs = np.diff(r, axis=1) <= tol
+        in_pair = np.zeros(r.shape, dtype=bool)
+        in_pair[:, :-1] |= pairs
+        in_pair[:, 1:] |= pairs
+        if pairs.any():
+            flags.add(double_flag)
+        if b.shape[1] and np.any(~in_pair & (np.min(np.abs(b[:, None, :] - r[:, :, None]), axis=2) <= tol)):
+            flags.add(shared_flag)
+    return frozenset(flags)
 
 
 def scenario_flags_for(stack: OperatorStack, samples: Sequence[Direction]) -> frozenset[str]:
     """Which weak-interlacing phenomena are present anywhere on the sphere."""
-    flags: set[str] = set()
-    for d in samples:
-        try:
-            data = direction_root_data(stack, d)
-        except NonRealRootsError:
-            continue
-        tol = TOL.root_match_rtol * data.scale
-        a = data.roots(0)
-        b = data.roots(1) if stack.ell >= 1 else np.array([])
-        dd = data.roots(2) if stack.ell >= 2 else np.array([])
-        a_doubles = _multiplicity_pairs(a, tol)
-        if a_doubles:
-            flags.add(SCENARIO_DERIVATIVE_LOSS)
-        double_pos = {i for i in a_doubles} | {i + 1 for i in a_doubles}
-        for i, aj in enumerate(a):
-            if i not in double_pos and _matches(aj, b, tol):
-                flags.add(SCENARIO_REG_LOSS_DECAY)
-        if stack.ell >= 2:
-            d_doubles = _multiplicity_pairs(dd, tol)
-            if d_doubles:
-                flags.add(SCENARIO_DECAY_LOSS)
-            dpos = {i for i in d_doubles} | {i + 1 for i in d_doubles}
-            for i, dj in enumerate(dd):
-                if i not in dpos and _matches(dj, b, tol):
-                    flags.add(SCENARIO_SLOW_LOW)
-    return frozenset(flags)
+    return _scenario_flags(stack, _stack_table(stack, samples)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -279,74 +328,43 @@ def stable_Q1(stack: OperatorStack, samples: Sequence[Direction] | None = None) 
     and strictly interlacing at every sampled direction."""
     if stack.ell != 1:
         raise ValueError(f"stable_Q1 needs ell = 1, got {stack.ell}")
-    samples = list(samples) if samples is not None else directions_for(stack)
-    hyp = {s.order: classify_hyperbolicity(s, samples) for s in stack.symbols}
-    upper = None
-    notes: list[str] = []
-    for di, d in enumerate(samples):
-        try:
-            cls = classify_interlacing(stack.symbol(1).restrict(d), stack.symbol(0).restrict(d))
-        except NonRealRootsError as exc:
-            cls = InterlacingClass(Interlacing.FAIL, -np.inf, (repr(exc.bad_root),))
-        upper = _combine(upper, cls, di)
+    dirs, hyp, tables = _stack_table(stack, samples)
+    upper = _interlacing(tables[1], tables[0])
     stable = (hyp[stack.m] is Hyperbolicity.STRICT and hyp[stack.m - 1] is Hyperbolicity.STRICT
               and upper.klass is Interlacing.STRICT)
-    flags = scenario_flags_for(stack, samples)
     return StabilityReport(
         ell=1, m=stack.m, hyperbolicity=hyp, interlacing_upper=upper, interlacing_lower=None,
         no_common_triple_root=True, triple_witness=None, strictly_stable=stable,
-        scenario_flags=flags, min_margin=upper.margin, n_directions=len(samples),
-        inconclusive=_uncertain_strict(upper.margin), notes=notes)
+        scenario_flags=_scenario_flags(stack, tables), min_margin=upper.margin,
+        n_directions=len(dirs), inconclusive=_uncertain_strict(upper.margin))
 
 
-def _no_common_triple_root(stack: OperatorStack, samples: Sequence[Direction]):
+def _no_common_triple_root(tables: Sequence[_RootTable]):
     """Smallest (over directions and root candidates) of the largest relative
-    residual among the three top symbols; a common triple root drives it to 0."""
-    best = np.inf
-    witness = None
-    for di, d in enumerate(samples):
-        ps = [stack.symbol(j).restrict(d) for j in range(3)]
-        candidates: list[float] = []
-        for p in ps:
-            if p.degree >= 1:
-                try:
-                    candidates.extend(real_roots_sorted(p).tolist())
-                except NonRealRootsError:
-                    continue
-        for lam0 in candidates:
-            worst = 0.0
-            for p in ps:
-                c = np.abs(p.array())
-                scale = float(np.polynomial.polynomial.polyval(abs(lam0), c))
-                val = abs(complex(p(lam0))) / max(scale, np.finfo(float).tiny)
-                worst = max(worst, val)
-            if worst < best:
-                best = worst
-                witness = (di, float(lam0), float(worst))
-    ok = best > TOL.triple_root_rtol
-    return ok, witness, best
+    residual among the three top symbols; a common triple root drives it to 0.
+    Candidates are the roots of each real-rooted restriction, symbol by symbol;
+    the witness is the first (direction, candidate) at the minimum."""
+    cand = np.concatenate([t.re for t in tables], axis=1)
+    usable = np.concatenate([np.broadcast_to(t.real[:, None], t.re.shape) for t in tables], axis=1)
+    worst = np.zeros(cand.shape)
+    for t in tables:
+        worst = np.maximum(worst, _residuals(t.coeffs, cand))
+    worst = np.where(usable, worst, np.inf)
+    first = int(np.argmin(worst))
+    best = float(worst.flat[first])
+    di, ci = divmod(first, cand.shape[1])
+    witness = (di, float(cand[di, ci]), best) if np.isfinite(best) else None
+    return best > TOL.triple_root_rtol, witness, best
 
 
 def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
     """All five strict-stability conditions for a depth-2 stack, plus scenario flags."""
     if stack.ell != 2:
         raise ValueError(f"verify_hypothesis_Q2 needs ell = 2, got {stack.ell}")
-    samples = list(samples) if samples is not None else directions_for(stack)
-    hyp = {s.order: classify_hyperbolicity(s, samples) for s in stack.symbols}
-    upper = None
-    lower = None
-    for di, d in enumerate(samples):
-        for pair, slot in (((1, 0), "upper"), ((2, 1), "lower")):
-            try:
-                cls = classify_interlacing(stack.symbol(pair[0]).restrict(d),
-                                           stack.symbol(pair[1]).restrict(d))
-            except (NonRealRootsError, ValueError) as exc:
-                cls = InterlacingClass(Interlacing.FAIL, -np.inf, (str(exc),))
-            if slot == "upper":
-                upper = _combine(upper, cls, di)
-            else:
-                lower = _combine(lower, cls, di)
-    triple_ok, triple_witness, triple_res = _no_common_triple_root(stack, samples)
+    dirs, hyp, tables = _stack_table(stack, samples)
+    upper = _interlacing(tables[1], tables[0])
+    lower = _interlacing(tables[2], tables[1])
+    triple_ok, triple_witness, triple_res = _no_common_triple_root(tables)
     stable = (
         hyp[stack.m] in (Hyperbolicity.STRICT, Hyperbolicity.WEAK)
         and hyp[stack.m - 2] in (Hyperbolicity.STRICT, Hyperbolicity.WEAK)
@@ -355,24 +373,29 @@ def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | No
         and lower.klass in (Interlacing.STRICT, Interlacing.WEAK)
         and triple_ok
     )
-    flags = scenario_flags_for(stack, samples)
     margin = min(upper.margin, lower.margin)
     uncertain = (_uncertain_weak(upper.margin) or _uncertain_weak(lower.margin)
                  or TOL.triple_root_rtol / 10.0 <= triple_res <= 10.0 * TOL.triple_root_rtol)
     return StabilityReport(
         ell=2, m=stack.m, hyperbolicity=hyp, interlacing_upper=upper, interlacing_lower=lower,
         no_common_triple_root=triple_ok, triple_witness=triple_witness, strictly_stable=stable,
-        scenario_flags=flags, min_margin=margin, n_directions=len(samples), inconclusive=uncertain)
+        scenario_flags=_scenario_flags(stack, tables), min_margin=margin,
+        n_directions=len(dirs), inconclusive=uncertain)
 
 
-def _restrict_at_xi(sym: HomogeneousSymbol, d: Direction, rho: float) -> UnivariatePoly:
-    """P(lambda, rho*d) over the reals: restriction coefficients scaled by rho^(order-k)."""
-    p = sym.restrict(d).array()
-    out = np.zeros(sym.order + 1, dtype=float)
-    out[: len(p)] = p.real
-    for k in range(sym.order + 1):
-        out[k] *= rho ** (sym.order - k)
-    return UnivariatePoly.of(out)
+def _hermite_biehler_rows(stack: OperatorStack, dirs: np.ndarray,
+                          radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even test-polynomial coefficients at xi = rho * d for every row d of
+    dirs[D, n] and radius rho, direction-major: shapes (D*R, m), (D*R, m+1).
+    P(lambda, rho*d) scales the restriction's lambda^k coefficient by rho^(order-k),
+    a Python float power (C `pow`): numpy's vectorized power can differ in the last bit."""
+    m = stack.m
+    rows = np.zeros((2, len(dirs) * len(radii), m + 1))       # [even, odd]
+    for j, s in enumerate(stack.symbols):
+        powers = np.array([[rho ** (s.order - k) for k in range(s.order + 1)] for rho in radii.tolist()])
+        c = (restriction_coeffs(s, dirs)[:, None, :] * powers).reshape(-1, s.order + 1)
+        rows[j % 2, :, : s.order + 1] += c if j < 2 else -c
+    return rows[1, :, :m], rows[0]
 
 
 def hermite_biehler_pair(stack: OperatorStack, xi: Sequence[float]) -> tuple[UnivariatePoly, UnivariatePoly]:
@@ -381,14 +404,8 @@ def hermite_biehler_pair(stack: OperatorStack, xi: Sequence[float]) -> tuple[Uni
     rho = float(np.linalg.norm(xi))
     if rho == 0.0:
         raise ValueError("the interlacing test needs xi != 0")
-    d = Direction.of(xi)
-    even = _restrict_at_xi(stack.symbol(0), d, rho)
-    if stack.ell >= 2:
-        even = even - _restrict_at_xi(stack.symbol(2), d, rho)
-    odd = _restrict_at_xi(stack.symbol(1), d, rho) if stack.ell >= 1 else UnivariatePoly.of([0.0])
-    if stack.ell >= 3:
-        odd = odd - _restrict_at_xi(stack.symbol(3), d, rho)
-    return odd, even
+    odd, even = _hermite_biehler_rows(stack, Direction.of(xi).vector()[None, :], np.array([rho]))
+    return UnivariatePoly.of(odd[0]), UnivariatePoly.of(even[0])
 
 
 def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
@@ -408,24 +425,17 @@ def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | 
                            radii: Sequence[float] | None = None) -> StabilityReport:
     """Depth-3 (or general) verdict: the even/odd pair must strictly interlace
     at every sampled direction and radius."""
-    samples = list(samples) if samples is not None else directions_for(stack)
-    radii = np.asarray(radii if radii is not None else np.geomspace(1e-3, 1e3, 25))
-    hyp = {s.order: classify_hyperbolicity(s, samples) for s in stack.symbols}
-    verdict = None
-    for di, d in enumerate(samples):
-        for rho in radii:
-            try:
-                cls = classify_interlacing(*hermite_biehler_pair(stack, rho * d.vector()))
-            except (NonRealRootsError, ValueError) as exc:
-                cls = InterlacingClass(Interlacing.FAIL, -np.inf, (str(exc),))
-            verdict = _combine(verdict, cls, di)
-    stable = verdict.klass is Interlacing.STRICT
-    flags = scenario_flags_for(stack, samples)
+    dirs, hyp, tables = _stack_table(stack, samples)
+    radii = np.asarray(radii if radii is not None else np.geomspace(1e-3, 1e3, 25), dtype=float)
+    odd, even = _hermite_biehler_rows(stack, dirs, radii)
+    verdict = _interlacing(_RootTable(odd), _RootTable(even))
+    if verdict.witness is not None:  # rows run over the radii of one direction, then the next
+        verdict = replace(verdict, witness=(verdict.witness[0] // len(radii),) + verdict.witness[1:])
     return StabilityReport(
         ell=stack.ell, m=stack.m, hyperbolicity=hyp, interlacing_upper=verdict, interlacing_lower=None,
-        no_common_triple_root=True, triple_witness=None, strictly_stable=stable,
-        scenario_flags=flags, min_margin=verdict.margin, n_directions=len(samples),
-        inconclusive=_uncertain_strict(verdict.margin),
+        no_common_triple_root=True, triple_witness=None, strictly_stable=verdict.klass is Interlacing.STRICT,
+        scenario_flags=_scenario_flags(stack, tables), min_margin=verdict.margin,
+        n_directions=len(dirs), inconclusive=_uncertain_strict(verdict.margin),
         notes=["even/odd pair interlacing sampled over directions and radii"])
 
 

@@ -206,14 +206,11 @@ class HomogeneousSymbol:
         return HomogeneousSymbol(self.order, self.dim, {key: c * factor for key, c in self.coeffs.items()})
 
     def restrict(self, d: Direction) -> UnivariatePoly:
-        """Restriction P(lambda, d) as a real-coefficient polynomial of degree <= order."""
+        """Restriction P(lambda, d) as a real-coefficient polynomial of degree <= order
+        (one row of `restriction_coeffs`)."""
         if d.dim != self.dim:
             raise DimensionMismatchError(f"direction dim {d.dim} != symbol dim {self.dim}")
-        v = d.vector()
-        out = np.zeros(self.order + 1, dtype=float)
-        for (k, alpha), c in self.terms():
-            out[k] += c * float(np.prod(v ** np.asarray(alpha)))
-        return UnivariatePoly.of(out)
+        return UnivariatePoly.of(restriction_coeffs(self, d.vector()[None, :])[0])
 
     def evaluate(self, lam: complex, xi: Sequence[float]) -> complex:
         """Value of the real symbol P(lambda, xi) at a point."""
@@ -310,23 +307,28 @@ def _detect_isotropy(symbols: Sequence[HomogeneousSymbol]) -> bool:
     else:
         rng = np.random.default_rng(181261)
         ds = [Direction.of(rng.normal(size=dim)) for _ in range(8)]
+    dirs = np.array([d.components for d in ds])
     for s in symbols:
-        ref = s.restrict(ds[0]).array()
-        scale = max(1.0, float(np.max(np.abs(ref))) if ref.size else 1.0)
-        for d in ds[1:]:
-            cur = s.restrict(d).array()
-            n = max(len(ref), len(cur))
-            a = np.zeros(n, complex)
-            b = np.zeros(n, complex)
-            a[: len(ref)] = ref
-            b[: len(cur)] = cur
-            if np.max(np.abs(a - b)) > TOL.isotropy_rtol * scale:
-                return False
+        c = restriction_coeffs(s, dirs)
+        scale = max(1.0, float(np.max(np.abs(c[0]))))
+        if np.max(np.abs(c[1:] - c[0])) > TOL.isotropy_rtol * scale:
+            return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # the two polynomial views
+
+
+def restriction_coeffs(sym: HomogeneousSymbol, dirs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of P(lambda, d) at every row d of dirs[D, n]; shape (D, order+1)."""
+    dirs = np.asarray(dirs, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != sym.dim:
+        raise DimensionMismatchError(f"directions shape {dirs.shape} != (D, {sym.dim})")
+    out = np.zeros((dirs.shape[0], sym.order + 1), dtype=float)
+    for (k, alpha), c in sym.terms():
+        out[:, k] += c * np.prod(dirs ** np.asarray(alpha), axis=1)
+    return out
 
 
 def restrict_to_direction(sym: HomogeneousSymbol, d: Direction) -> UnivariatePoly:
@@ -336,9 +338,7 @@ def restrict_to_direction(sym: HomogeneousSymbol, d: Direction) -> UnivariatePol
 def restrict_complexified(sym: HomogeneousSymbol, d: Direction) -> UnivariatePoly:
     """P(lambda, i*d): since |alpha| = order-k per term, this is the real
     restriction with each lambda^k coefficient rotated by i^(order-k)."""
-    p = sym.restrict(d).array()
-    out = np.zeros(sym.order + 1, dtype=complex)
-    out[: len(p)] = p
+    out = restriction_coeffs(sym, d.vector()[None, :])[0].astype(complex)
     for k in range(sym.order + 1):
         out[k] *= 1j ** (sym.order - k)
     return UnivariatePoly.of(out)

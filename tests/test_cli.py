@@ -2,7 +2,7 @@ import json
 
 from hyperdecay.cli import main
 from hyperdecay.presets import mgt_stack
-from hyperdecay.symbols import save_model
+from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, save_model
 
 
 def test_classify_preset_exit_codes(tmp_path, capsys):
@@ -37,6 +37,24 @@ def test_classify_non_hyperbolic_exit_2(tmp_path):
     path = tmp_path / "elliptic.json"
     path.write_text(json.dumps(doc))
     assert main(["--out", str(tmp_path), "classify", str(path)]) == 2
+
+
+def test_classify_json_has_no_infinite_margin(tmp_path):
+    # P_3 = lambda^3 + lambda |xi|^2 has roots 0, +-i|xi|: every interlacing row fails
+    # with margin -inf, which strict JSON cannot carry
+    lam3 = {(3, (0, 0)): 1.0, (1, (2, 0)): 1.0, (1, (0, 2)): 1.0}
+    lam2 = {(2, (0, 0)): 1.0, (0, (2, 0)): 1.0, (0, (0, 2)): 2.0}
+    stack = OperatorStack.build([HomogeneousSymbol(3, 2, lam3), HomogeneousSymbol(2, 2, lam2),
+                                 HomogeneousSymbol(1, 2, {(1, (0, 0)): 1.0})])
+    save_model(stack, tmp_path / "elliptic2d.json", "elliptic2d")
+    assert main(["--out", str(tmp_path), "classify", str(tmp_path / "elliptic2d.json")]) == 2
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads((tmp_path / "elliptic2d_classify.json").read_text(), parse_constant=reject)
+    assert doc["min_margin"] is None
+    assert doc["interlacing_upper"]["margin"] is None
 
 
 def test_missing_model_is_config_error(tmp_path):

@@ -125,6 +125,14 @@ def test_track_damped_wave_collision():
     assert np.any(np.abs(last.imag) > 0.1)
 
 
+def test_track_holds_each_root_to_its_own_gap(stacks):
+    # the two fast high-frequency roots of fourth_order_weak must not force
+    # bisection beside the slow, close pair
+    grid = np.geomspace(1e1, 1e3, 81)
+    bs = track_branches(stacks["fourth_order_weak"], Direction((1.0,)), grid)
+    assert len(bs.rho_grid) == len(grid)
+
+
 def test_track_single_point_equals_roots(stacks):
     stack = stacks["mgt"]
     bs = track_branches(stack, axis_direction(3), [0.7])

@@ -209,3 +209,39 @@ def test_example_ell3_predicate_route():
             want = example_ell3_stable_predicate(a=2.0, b=b, c1=c1, c2=2.0, c3=1.5)
             got = classify_stack(stack).strictly_stable
             assert got == want, (c1, b)
+
+
+def test_classify_solves_each_symbol_once(stacks, monkeypatch):
+    from hyperdecay import rootkit, stability
+
+    rows = []
+    solve = rootkit.roots_batch
+
+    def counting(coeffs):
+        rows.append(len(coeffs))
+        return solve(coeffs)
+
+    monkeypatch.setattr(rootkit, "roots_batch", counting)
+    monkeypatch.setattr(stability, "roots_batch", counting, raising=False)
+    stack = stacks["anisotropic_elastic_2d"]
+    rep = classify_stack(stack)
+    solved = [s for s in stack.symbols if not s.is_zero and s.order >= 1]
+    assert rows == [rep.n_directions] * len(solved)
+
+
+def test_lower_interlacing_witness_is_first_failing_direction():
+    # restrictions: lambda^3 - 4 lambda (roots 0, +-2), lambda^2 - 1 (+-1), and
+    # lambda - 2 sin(theta), which leaves (-1, 1) where |sin(theta)| > 1/2
+    top = HomogeneousSymbol(3, 2, {(3, (0, 0)): 1.0, (1, (2, 0)): -4.0, (1, (0, 2)): -4.0})
+    mid = HomogeneousSymbol(2, 2, {(2, (0, 0)): 1.0, (0, (2, 0)): -1.0, (0, (0, 2)): -1.0})
+    low = HomogeneousSymbol(1, 2, {(1, (0, 0)): 1.0, (0, (0, 1)): -2.0})
+    rep = classify_stack(OperatorStack.build([top, mid, low]))
+    sines = np.sin(2.0 * np.pi * np.arange(256) / 256.0)
+    failing = np.flatnonzero(np.abs(2.0 * sines) > 1.0)
+    assert 0 < len(failing) < 256
+    first = int(failing[0])
+    assert rep.interlacing_upper.klass is Interlacing.STRICT
+    assert rep.interlacing_lower.klass is Interlacing.FAIL
+    assert rep.interlacing_lower.witness[:2] == (first, "lam[1]-b[0]")
+    assert rep.interlacing_lower.witness[2] == pytest.approx(1.0 - 2.0 * sines[first], rel=1e-9)
+    assert not rep.strictly_stable

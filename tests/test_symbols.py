@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from hyperdecay import Direction, HomogeneousSymbol, OperatorStack, check_poly, full_symbol_at, roots
 from hyperdecay.presets import anisotropic_elastic_2d_stack, damped_wave_stack, mgt_stack
-from hyperdecay.symbols import (ModelFormatError, UnivariatePoly, axis_direction,
-                                restrict_complexified, stack_from_dict, stack_to_dict)
+from hyperdecay.stability import sample_directions
+from hyperdecay.symbols import (DimensionMismatchError, ModelFormatError, UnivariatePoly, axis_direction,
+                                restrict_complexified, restriction_coeffs, stack_from_dict, stack_to_dict)
 
 
 def test_mgt_restriction_any_direction():
@@ -89,6 +90,19 @@ def test_homogeneity(lam, rho, comps):
     left = sym.evaluate(rho * lam, rho * d.vector())
     right = rho**sym.order * sym.evaluate(lam, d.vector())
     assert abs(left - right) <= 1e-10 * (1.0 + abs(right))
+
+
+def test_restriction_coeffs_rows_evaluate_the_symbol():
+    stack = anisotropic_elastic_2d_stack()
+    dirs = np.array([d.components for d in sample_directions(2)])
+    for sym in stack.symbols:
+        c = restriction_coeffs(sym, dirs)
+        assert c.shape == (len(dirs), sym.order + 1)
+        for lam in (-0.7, 1.3):
+            want = [sym.evaluate(lam, d) for d in dirs]
+            assert np.allclose(np.polynomial.polynomial.polyval(lam, c.T), want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        restriction_coeffs(stack.symbol(0), np.ones((4, 3)))
 
 
 def test_restrict_complexified_rotation():
