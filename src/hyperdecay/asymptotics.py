@@ -76,10 +76,6 @@ class ExpansionRecord:
             return max(p for p, _ in self.terms)
         return max(-min(p for p, _ in self.terms), 0.0)
 
-    def to_row(self) -> list:
-        return [self.branch, self.regime.value, self.case.value,
-                [[p, c.real, c.imag] for p, c in self.terms]]
-
 
 def _pair_doubles(r: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     """Group sorted roots into runs of equal values within tol; triples are rejected upstream."""

@@ -255,6 +255,7 @@ def cmd_semilinear(args) -> int:
     verdict["final_l2"] = run.l2_series[-1]
     verdict["initial_l2"] = run.l2_series[0]
     verdict["initial_scale"] = run.initial_scale
+    verdict["accepted_steps"] = len(run.times) - 1
     verdict["rejected_steps"] = run.rejected_steps
     out = Path(args.out)
     _write_csv(out / f"{name}_semilinear.csv", ["t", "l2", "linf_nu"],

@@ -8,14 +8,19 @@ nonlinearity enters through the exact Duhamel weight of a frozen source,
 
 Phi(dt) and W(dt) come from one `solver.exp_newton` call on the companion
 system of lambda Q(lambda), whose roots are the mode's roots and 0, so
-confluent modes need no separate route.  A step that moves the L2 norm by
-more than the cap is rejected and retried from the saved state at half the
-step size.
+confluent modes need no separate route.  Roots, Phi and W are solved once per
+distinct symbol-coefficient row and scattered to the modes that share it.  A
+step that moves the L2 norm by more than the cap is rejected and retried from
+the saved state at half the step size.
 
-The nonlinearity is evaluated on the physical grid from the requested
-time-derivative coordinate of the state (the companion state carries exact
-derivatives, so no numerical differentiation happens), then dealiased by the
-two-thirds rule.  Blow-up is a heuristic flag: overflow or 1e6-fold growth.
+The fields are real and Q has real coefficients, so the Fourier state is
+Hermitian and only its `rfftn` half is kept: n // 2 + 1 columns on the last
+axis.  The L2 norm comes from that half by Parseval.  The nonlinearity is
+evaluated on the physical grid from the requested time-derivative coordinate
+of the state (the companion state carries exact derivatives, so no numerical
+differentiation happens), then dealiased by the two-thirds rule; that field is
+transformed once per step and also serves the sup norm.  Blow-up is a
+heuristic flag: overflow or 1e6-fold growth.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ class SemilinearRun:
     dim: int
     t: float = 0.0
     dt: float = 0.05
-    state: np.ndarray | None = None            # (m, N) or (m, N, N), Fourier side
+    # Fourier side in rfftn layout: (m, n // 2 + 1) or (m, n, n // 2 + 1).  Assign a new
+    # array rather than writing into it, so the nu-field below follows.
+    state: np.ndarray | None = None
     times: list = field(default_factory=list)
     l2_series: list = field(default_factory=list)
     linf_series: list = field(default_factory=list)
@@ -54,8 +61,10 @@ class SemilinearRun:
     _freqs: np.ndarray | None = None
     _dealias: np.ndarray | None = None
     _prop_cache: dict = field(default_factory=dict)
-    _lams: np.ndarray | None = None
+    _lams: np.ndarray | None = None            # roots of the distinct monic rows _coeffs
     _coeffs: np.ndarray | None = None
+    _rows: np.ndarray | None = None            # mode -> its row of _coeffs
+    _nu_field: tuple | None = None             # (state, physical(nu) of that state)
 
     @property
     def m(self) -> int:
@@ -71,14 +80,27 @@ class SemilinearRun:
 
     def physical(self, coord: int = 0) -> np.ndarray:
         """Real-space field of the coord-th time derivative."""
-        return np.real(np.fft.ifftn(self.state[coord]))
+        return np.fft.irfftn(self.state[coord], s=(self.modes_per_axis,) * self.dim,
+                             axes=tuple(range(self.dim)))
 
     def l2_norm(self, coord: int = 0) -> float:
-        f = self.physical(coord)
-        return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.dx**self.dim))
+        s = self.state[coord]
+        a = s.real**2 + s.imag**2
+        # Parseval: columns 1 .. (n - 1) // 2 also stand for their conjugate images;
+        # column 0 and, for even n, column n / 2 are their own
+        total = np.sum(a) + np.sum(a[..., 1:(self.modes_per_axis + 1) // 2])
+        return float(np.sqrt(total * (self.dx / self.modes_per_axis) ** self.dim))
 
     def linf_norm(self, coord: int) -> float:
-        return float(np.max(np.abs(self.physical(coord))))
+        return float(np.max(np.abs(self._field(coord))))
+
+    def _field(self, coord: int) -> np.ndarray:
+        """physical(coord); for coord nu, transformed once per state and shared with `step`."""
+        if coord != self.nu:
+            return self.physical(coord)
+        if self._nu_field is None or self._nu_field[0] is not self.state:
+            self._nu_field = (self.state, self.physical(coord))
+        return self._nu_field[1]
 
 
 def _wavenumbers(n: int, halfwidth: float) -> np.ndarray:
@@ -103,8 +125,8 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dim=dim, dt=float(dt))
     n = run.modes_per_axis
-    shape = (stack.m,) + (n,) * dim
-    run.state = np.zeros(shape, dtype=complex)
+    half = n // 2 + 1
+    run.state = np.zeros((stack.m,) + (n,) * (dim - 1) + (half,), dtype=complex)
     if initial is not None:
         ax = run.grid_axes()
         if dim == 1:
@@ -113,16 +135,15 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
             xx, yy = np.meshgrid(ax, ax, indexing="ij")
             vals = initial(xx, yy)
         slot = stack.m - 1 if initial_slot is None else int(initial_slot)
-        run.state[slot] = np.fft.fftn(np.asarray(vals, dtype=float))
+        run.state[slot] = np.fft.rfftn(np.asarray(vals, dtype=float), axes=tuple(range(dim)))
     k1 = _wavenumbers(n, run.box_halfwidth)
+    kmax = np.max(np.abs(k1))
     if dim == 1:
-        run._freqs = k1[None, :]
-        keep = np.abs(k1) <= (2.0 / 3.0) * np.max(np.abs(k1))
-        run._dealias = keep
+        run._freqs = k1[None, :half]
+        run._dealias = np.abs(k1[:half]) <= (2.0 / 3.0) * kmax
     else:
-        kx, ky = np.meshgrid(k1, k1, indexing="ij")
+        kx, ky = np.meshgrid(k1, k1[:half], indexing="ij")
         run._freqs = np.stack([kx, ky])
-        kmax = np.max(np.abs(k1))
         run._dealias = (np.abs(kx) <= (2.0 / 3.0) * kmax) & (np.abs(ky) <= (2.0 / 3.0) * kmax)
     _prepare_roots(run)
     run.times.append(0.0)
@@ -134,18 +155,26 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
 
 
 def _prepare_roots(run: SemilinearRun) -> None:
+    """Roots of each distinct monic symbol row; modes sharing a row share its solve.
+
+    A row gets the same roots from `roots_batch` inside any batch, so every
+    mode's roots are those of its own row.
+    """
     coeffs = symbol_coeffs(run.stack, run._freqs.reshape(run.dim, -1).T)
-    run._coeffs = coeffs / coeffs[:, -1:]
+    run._coeffs, rows = np.unique(coeffs / coeffs[:, -1:], axis=0, return_inverse=True)
+    run._rows = rows.reshape(-1)
     run._lams = roots_batch(run._coeffs)
 
 
 def _build_propagator(run: SemilinearRun, dt: float):
-    """Per-mode transition matrix Phi(dt) and Duhamel weight column W(dt).
+    """Transition matrices Phi(dt) as (m, m, modes) and Duhamel weights W(dt) as (m, modes).
 
     The state (y, f) of y' = A y + f e_m, f' = 0, has e^(B dt) = [[Phi, W], [0, 1]].
     With z = T (y, f), T = [[I, 0], [-c, 1]] (c the monic coefficients below
     the top), z is the companion state of lambda Q(lambda), whose roots are 0
     and the mode's roots; the first m rows of e^(B dt) and of e^(C dt) T agree.
+    Solved once per distinct row, then scattered to the modes; W is zero at the
+    modes the two-thirds rule removes from the source.
     """
     m = run.m
     n = len(run._lams)
@@ -153,7 +182,9 @@ def _build_propagator(run: SemilinearRun, dt: float):
     tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
     tmat[:, m, :m] = -run._coeffs[:, :m]
     e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt)[0]
-    return e[:, :m, :m].copy(), e[:, :m, m].copy()
+    e = e[:, :m].transpose(1, 2, 0)
+    w = np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1)
+    return np.take(e[:, :m], run._rows, axis=-1), w
 
 
 def _propagator(run: SemilinearRun, dt: float):
@@ -169,17 +200,14 @@ def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
         return run
     dt = run.dt if dt is None else float(dt)
     phi, w = _propagator(run, dt)
-    m = run.m
-    grid_shape = run.state.shape[1:]
-    flat = run.state.reshape(m, -1)
-    new = np.einsum("nij,jn->in", phi, flat)
-    if run.p > 0:
-        field_nu = np.real(np.fft.ifftn(run.state[run.nu]))
-        fval = run.sign * np.abs(field_nu) ** run.p
-        fhat = np.fft.fftn(fval)
-        fhat_flat = (fhat * run._dealias).reshape(-1)
-        new = new + w.T * fhat_flat[None, :]
-    run.state = new.reshape((m,) + grid_shape)
+    flat = run.state.reshape(run.m, -1)
+    new = phi[:, 0] * flat[0]
+    for j in range(1, run.m):
+        new += phi[:, j] * flat[j]
+    if run.p > 0 and run.sign != 0:
+        fval = run.sign * np.abs(run._field(run.nu)) ** run.p
+        new += w * np.fft.rfftn(fval, axes=tuple(range(run.dim))).reshape(-1)
+    run.state = new.reshape(run.state.shape)
     run.t += dt
     if not np.all(np.isfinite(run.state)):
         run.blowup_flag = True
@@ -226,7 +254,8 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
         ref = max(prev, run.initial_scale)
         if ref > 0 and np.isfinite(cur) and abs(cur - prev) > rel_change_cap * ref:
             if run.dt > 1e-4:
-                # step() replaces run.state, so the saved array is untouched
+                # step() replaces run.state, so the saved array is untouched;
+                # its nu-field is transformed again when next read
                 run.state, run.t = saved_state, saved_t
                 del run.times[kept:], run.l2_series[kept:], run.linf_series[kept:]
                 run.rejected_steps += 1

@@ -302,11 +302,6 @@ def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> froze
     return frozenset(flags)
 
 
-def scenario_flags_for(stack: OperatorStack, samples: Sequence[Direction]) -> frozenset[str]:
-    """Which weak-interlacing phenomena are present anywhere on the sphere."""
-    return _scenario_flags(stack, _stack_table(stack, samples)[2])
-
-
 # ---------------------------------------------------------------------------
 # stability verdicts
 

@@ -69,10 +69,6 @@ class UnivariatePoly:
     def leading(self) -> complex:
         return self.coeffs[-1]
 
-    @property
-    def is_real(self) -> bool:
-        return all(not isinstance(c, complex) or c.imag == 0 for c in self.coeffs)
-
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
 

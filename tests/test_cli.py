@@ -126,6 +126,8 @@ def test_semilinear_command_small(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((tmp_path / "fourth_order_weak_semilinear.json").read_text())
     assert doc["verdict"] == "decaying"
+    rows = (tmp_path / "fourth_order_weak_semilinear.csv").read_text().splitlines()
+    assert doc["accepted_steps"] == len(rows) - 2  # header and t = 0
 
 
 def test_semilinear_readme_line_builds_3d_preset_in_2d(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from hyperdecay import semilinear
 from hyperdecay.presets import mgt_stack
-from hyperdecay.rootkit import RootfindingError
+from hyperdecay.rootkit import RootfindingError, roots_batch
 from hyperdecay.semilinear import build_run, run_semilinear, step
 from hyperdecay.solver import propagate_mode
+from hyperdecay.symbols import symbol_coeffs
 
 
 def _gaussian_slot_run(amplitude, p=3.0, sign=1.0, dt=0.1, n=96, box=30.0, slot=None):
@@ -23,6 +25,55 @@ def test_linear_consistency_matches_exact_propagation():
     for i in [0, 1, 7, 23, 48]:
         exact = propagate_mode(stack, np.array([k1[i]]), u0[:, i], run.t, 0)
         assert abs(run.state[0, i] - exact) <= 1e-8 * (1.0 + abs(exact))
+
+
+def test_linear_2d_run_matches_exact_propagation():
+    """The half spectrum covers kx < 0 and the self-conjugate n/2 column."""
+    stack = mgt_stack(dim=2)
+    n = 32
+    run = build_run(stack, p=3.0, sign=0.0, nu=0, box_halfwidth=10.0, modes_per_axis=n, dim=2,
+                    initial=lambda x, y: 0.1 * np.exp(-0.5 * ((x - 1.0) ** 2 + y**2)), dt=0.25)
+    u0 = run.state.copy()
+    while run.t < 5.0 - 1e-12:
+        step(run)
+    kx, ky = run._freqs
+    for i, j in [(0, 0), (n - 3, 5), (7, n // 2)]:
+        for c in range(stack.m):
+            exact = propagate_mode(stack, np.array([kx[i, j], ky[i, j]]), u0[:, i, j], run.t, c)
+            assert abs(run.state[c, i, j] - exact) <= 1e-8 * (1.0 + abs(exact))
+    assert kx[n - 3, 5] < 0 and run.state.shape[-1] == n // 2 + 1
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 63), (2, 32), (2, 31)])
+def test_parseval_l2_matches_grid_sum(dim, n):
+    """Odd n has no self-conjugate last column; even n has one."""
+    stack = mgt_stack(dim=dim)
+    bump = (lambda x: np.exp(-0.5 * (x - 0.7) ** 2)) if dim == 1 else \
+        (lambda x, y: np.exp(-0.5 * ((x - 0.7) ** 2 + (y + 1.3) ** 2)))
+    run = build_run(stack, p=2.0, sign=1.0, nu=0, box_halfwidth=8.0, modes_per_axis=n, dim=dim,
+                    initial=bump, initial_slot=0, dt=0.1)
+    for _ in range(5):
+        step(run)
+    for c in range(stack.m):
+        grid = np.sqrt(np.sum(run.physical(c) ** 2) * run.dx**dim)
+        assert run.l2_norm(c) == pytest.approx(grid, rel=1e-13)
+
+
+def test_build_run_solves_each_distinct_row_once(monkeypatch):
+    seen = []
+
+    def counting(coeffs):
+        seen.append(np.array(coeffs))
+        return roots_batch(coeffs)
+
+    monkeypatch.setattr(semilinear, "roots_batch", counting)
+    stack, n = mgt_stack(dim=2), 64
+    run = build_run(stack, p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=n, dim=2)
+    rows = np.concatenate(seen)
+    assert len(np.unique(rows, axis=0)) == len(rows) < n * (n // 2 + 1)
+    # every mode gets the roots it would get from its own row
+    full = symbol_coeffs(stack, run._freqs.reshape(2, -1).T)
+    assert np.array_equal(run._lams[run._rows], roots_batch(full / full[:, -1:]))
 
 
 def test_build_run_certifies_roots(monkeypatch):
