@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .fitting import fit_loglog
-from .rootkit import RootBranchSet, roots
+from .rootkit import RootBranchSet, root_groups, roots
 from .stability import direction_root_data
 from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly
 from .tolerances import TOL
@@ -75,19 +75,6 @@ class ExpansionRecord:
         if self.regime is Regime.LOW:
             return max(p for p, _ in self.terms)
         return max(-min(p for p, _ in self.terms), 0.0)
-
-
-def _pair_doubles(r: np.ndarray, tol: float) -> list[tuple[int, ...]]:
-    """Group sorted roots into runs of equal values within tol; triples are rejected upstream."""
-    groups = []
-    i = 0
-    while i < len(r):
-        j = i
-        while j + 1 < len(r) and r[j + 1] - r[j] <= tol:
-            j += 1
-        groups.append(tuple(range(i, j + 1)))
-        i = j + 1
-    return groups
 
 
 def _closest(value: float, pool: np.ndarray) -> tuple[int, float]:
@@ -151,12 +138,11 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
     p_top2 = stack.symbol(ell - 2).restrict(d) if ell >= 2 else None
 
     records: list[ExpansionRecord] = []
-    groups = _pair_doubles(base, tol)
     branch = 0
-    for group in groups:
-        j = group[0]
+    for j, size in zip(*np.unique(root_groups(base, tol), return_counts=True)):
+        j = int(j)
         anchor = float(base[j])
-        if len(group) == 1:
+        if size == 1:
             mid_ix, mid_dist = _closest(anchor, mid)
             if ell == 2 and mid_dist <= tol:
                 # shared simple root: real part only enters at fourth order
@@ -181,7 +167,7 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
                     terms=((1.0, 1j * anchor), (2.0, complex(c2))),
                     predicted_remainder_order=3.0, classification_margin=mid_dist))
             branch += 1
-        elif len(group) == 2:
+        elif size == 2:
             if ell != 2:
                 raise UnclassifiableExpansionError(
                     f"double root {anchor} of the lowest symbol is only handled at depth 2")
@@ -194,7 +180,7 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
                 branch += 1
         else:
             raise UnclassifiableExpansionError(
-                f"root {anchor} of the lowest symbol has multiplicity {len(group)} > 2")
+                f"root {anchor} of the lowest symbol has multiplicity {size} > 2")
     records.extend(_constant_records(stack, Regime.LOW))
     return records
 
@@ -213,10 +199,10 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
 
     records: list[ExpansionRecord] = []
     branch = 0
-    for group in _pair_doubles(a, tol):
-        j = group[0]
+    for j, size in zip(*np.unique(root_groups(a, tol), return_counts=True)):
+        j = int(j)
         anchor = float(a[j])
-        if len(group) == 1:
+        if size == 1:
             mid_ix, mid_dist = _closest(anchor, b)
             if mid_dist <= tol and stack.ell >= 2:
                 pcheck = check_poly(p_top, a, {j}, anchor)
@@ -238,7 +224,7 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
                     terms=((1.0, 1j * anchor), (0.0, complex(c0))),
                     predicted_remainder_order=1.0, classification_margin=mid_dist))
             branch += 1
-        elif len(group) == 2:
+        elif size == 2:
             if stack.ell < 2:
                 raise UnclassifiableExpansionError(
                     f"double root {anchor} of the leading symbol needs a depth-2 stack "
@@ -252,7 +238,7 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
                 branch += 1
         else:
             raise UnclassifiableExpansionError(
-                f"root {anchor} of the leading symbol has multiplicity {len(group)} > 2")
+                f"root {anchor} of the leading symbol has multiplicity {size} > 2")
     return records
 
 

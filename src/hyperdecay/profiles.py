@@ -22,7 +22,8 @@ import numpy as np
 from .asymptotics import ExpansionCase, Regime, kappa_solutions, low_freq_expansions
 from .solver import (DataSpec, NormTimeSeries, RadialPropagator, _series_from_values,
                      default_rho_grid, sobolev_norm)
-from .symbols import Direction, OperatorStack, UnivariatePoly, axis_direction, check_poly
+from .stability import real_root_table
+from .symbols import Direction, OperatorStack, UnivariatePoly, axis_direction, check_poly, restriction_coeffs
 from .tolerances import TOL
 
 
@@ -203,11 +204,9 @@ class _AnchorData:
 
 
 def _anchor_values(stack: OperatorStack, d: Direction) -> _AnchorData:
-    from .rootkit import real_roots_sorted, root_scale
-
-    p = stack.symbol(stack.ell).restrict(d)
-    r = real_roots_sorted(p)
-    return _AnchorData(r, p, TOL.root_match_rtol * root_scale(r))
+    sym = stack.symbol(stack.ell)
+    t = real_root_table(restriction_coeffs(sym, d.vector()[None, :]))
+    return _AnchorData(t.re[0], sym.restrict(d), TOL.root_match_rtol * float(t.scale[0]))
 
 
 # ---------------------------------------------------------------------------

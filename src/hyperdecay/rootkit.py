@@ -3,13 +3,16 @@
 Roots come from companion-matrix eigenvalues refined by Aberth-Ehrlich sweeps;
 the guarantee is a residual bound |p(z)| <= 1e-10 * sum_i |c_i||z|^i per root.
 Branch tracking solves the scaled polynomial in mu = lambda/rho (well
-conditioned at both ends of the ray) and matches consecutive root sets by a
-minimum-total-distance assignment.
+conditioned at both ends of the ray), bisects level by level with one kernel
+call per level, and matches consecutive root sets by a minimum-total-distance
+assignment.  `root_groups` is the one grouping of nearby roots: cluster events
+in tracking, double roots in the asymptotics and the scenario flags read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -171,6 +174,9 @@ def roots_batch(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 2:
         raise RootfindingError(f"need coefficient rows of degree >= 1, got shape {c.shape}")
+    nonfinite = np.nonzero(~np.all(np.isfinite(c), axis=1))[0]
+    if nonfinite.size:
+        raise RootfindingError(f"row {nonfinite[0]} has a non-finite coefficient")
     lead = np.nonzero(c[:, -1] == 0)[0]
     if lead.size:
         raise RootfindingError(f"row {lead[0]} has a zero leading coefficient")
@@ -209,22 +215,12 @@ def is_real_root(z: complex) -> bool:
     return abs(z.imag) <= TOL.realness_rtol * (1.0 + abs(z))
 
 
-def real_roots_sorted(p: UnivariatePoly) -> np.ndarray:
-    """Real parts of the roots, sorted ascending; raises if any root is not real."""
-    zs = roots(p)
-    for z in zs:
-        if not is_real_root(z):
-            raise NonRealRootsError(p, z)
-    return np.sort(zs.real)
-
-
-def min_gap(z: np.ndarray) -> np.ndarray:
-    """Smallest distance between two roots in each row of z[..., m]; inf when m = 1."""
-    z = np.asarray(z)
+def _gaps(z: np.ndarray) -> np.ndarray:
+    """Distances |z_i - z_j| between the roots of each row of z[..., m]; inf on the diagonal."""
     m = z.shape[-1]
     diff = np.abs(z[..., :, None] - z[..., None, :])
     diff[..., np.arange(m), np.arange(m)] = np.inf
-    return np.min(diff, axis=(-2, -1))
+    return diff
 
 
 def is_confluent(lams: np.ndarray) -> np.ndarray:
@@ -233,15 +229,27 @@ def is_confluent(lams: np.ndarray) -> np.ndarray:
     A diagnostic only: propagation serves such modes like any other.
     """
     lams = np.asarray(lams)
-    return min_gap(lams) < TOL.confluence_rtol * (1.0 + np.max(np.abs(lams), axis=-1))
-
-
-def root_scale(zs: Sequence[complex]) -> float:
-    return 1.0 + float(np.max(np.abs(zs))) if len(zs) else 1.0
+    return np.min(_gaps(lams), axis=(-2, -1)) < TOL.confluence_rtol * (1.0 + np.max(np.abs(lams), axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # clusters
+
+
+def root_groups(z: np.ndarray, tol) -> np.ndarray:
+    """Group label of every root in each row of z[..., m], with tolerances tol[...].
+
+    Roots within the row's tolerance of each other, directly or through a chain
+    of such roots, form one group; its label is the smallest index in it.  On
+    sorted real roots the groups are the runs with consecutive gaps <= tol.
+    """
+    z = np.asarray(z)
+    m = z.shape[-1]
+    near = np.abs(z[..., :, None] - z[..., None, :]) <= np.asarray(tol)[..., None, None]
+    labels = np.broadcast_to(np.arange(m), z.shape)
+    for _ in range(m - 1):   # a chain reaches at most m - 1 roots further
+        labels = np.min(np.where(near, labels[..., None, :], m), axis=-1)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -250,35 +258,11 @@ class RootCluster:
     center: complex
     radius: float
 
-
-def find_clusters(zs: Sequence[complex], tol: float) -> list[RootCluster]:
-    """Greedy union of roots within `tol` of each other."""
-    zs = np.asarray(zs)
-    n = len(zs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        pts = zs[members]
-        center = complex(np.mean(pts))
-        radius = float(np.max(np.abs(pts - center)))
-        out.append(RootCluster(frozenset(members), center, radius))
-    return out
+    @classmethod
+    def of(cls, zs: np.ndarray, members: np.ndarray) -> "RootCluster":
+        """The cluster of zs[members]: their mean and largest distance from it."""
+        center = complex(np.mean(zs[members]))
+        return cls(frozenset(members.tolist()), center, float(np.max(np.abs(zs[members] - center))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +299,30 @@ class RadialRootSolver:
             out += (rho ** (self.ell - j))[..., None] * arr
         return out
 
+    def _mu_roots(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho[N], coefficients[N, m+1], mu roots[N, m]) for a 1-d grid, from one kernel call."""
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim != 1 or not np.all((rho > 0) & np.isfinite(rho)):
+            raise ValueError("rho must be a 1-d array of positive finite values")
+        c = self.mu_coeffs(rho)
+        return rho, c, roots_batch(c)
+
     def lambdas_grid(self, rho: np.ndarray) -> np.ndarray:
         """Roots at every rho of a 1-d grid, shape (N, m), from one kernel call."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0):
-            raise ValueError("rho must be positive")
-        return rho[:, None] * roots_batch(self.mu_coeffs(rho))
+        rho, _, mu = self._mu_roots(rho)
+        return rho[:, None] * mu
 
     def lambdas(self, rho: float) -> np.ndarray:
         return self.lambdas_grid(np.array([rho]))[0]
 
-    def lambdas_with_noise(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """Roots plus a first-order rounding floor eps * bound(p, z) / |p'(z)| per root."""
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        c = self.mu_coeffs(rho)
-        mu = roots_batch(c[None, :])[0]
+    def lambdas_with_noise(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Roots at every rho of a 1-d grid plus a first-order rounding floor
+        eps * bound(p, z) / |p'(z)| per root; both (N, m), from one kernel call."""
+        rho, c, mu = self._mu_roots(rho)
         bound = _polyval(np.abs(c), np.abs(mu))
         dval = np.abs(_polyval(_polyder(c), mu))
         noise = np.finfo(float).eps * bound / np.maximum(dval, _TINY)
-        return rho * mu, rho * noise
+        return rho[:, None] * mu, rho[:, None] * noise
 
 
 def spectral_abscissa(stack: OperatorStack, xi: Sequence[float]) -> float:
@@ -378,77 +366,102 @@ def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cand[perm], perm
 
 
+def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Movement/gap ratio of each step from the roots prev[K, m] to cand[K, m].
+
+    Roots are matched at minimum total distance; a root of prev whose nearest
+    neighbour lies at least the cluster tolerance away is held to that distance
+    (ratio 0 when none is).  Only a tie of two matchings, such as a pair moving
+    along a line by more than its gap, makes the ratio depend on root order.
+    """
+    perm = np.array([_match(p, c)[1] for p, c in zip(prev, cand)], dtype=int).reshape(prev.shape)
+    moved = np.abs(prev - np.take_along_axis(cand, perm, axis=1))
+    own_gap = np.min(_gaps(prev), axis=2)
+    held = own_gap >= TOL.cluster_rtol * (1.0 + np.max(np.abs(prev), axis=1, keepdims=True))
+    ratio = np.divide(moved, own_gap, out=np.zeros(moved.shape), where=held)
+    return np.max(ratio, axis=1, initial=0.0)
+
+
+def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
+    """Every solved point as (rho[P], lam[P, m], noise[P, m]), roots in canonical
+    order, and the right ends b[S] of the accepted steps in ascending rho with a
+    flag for collisions; each level's new points come from one solve."""
+    rho, (lam, noise) = grid, solver.lambdas_with_noise(grid)
+    a, b = np.arange(len(grid) - 1), np.arange(1, len(grid))
+    parent_ratio = np.full(len(a), np.inf)
+    accepted = []
+    for depth in count():
+        ratio = _step_ratios(lam[a], lam[b])
+        ok = ratio <= 0.25
+        # at the depth cap, a step whose ratio bisection no longer reduces is a collision
+        collide = ~ok & (ratio >= 0.8 * parent_ratio) & (depth >= max_bisections)
+        keep = ok | collide
+        accepted.append((a[keep], b[keep], collide[keep]))
+        if keep.all():
+            break
+        if depth >= max_bisections:
+            i = np.argmin(keep)
+            raise BisectionLimitError(float(rho[a[i]]), float(rho[b[i]]),
+                                      f"movement/gap ratio {ratio[i]:.3g} after {depth} bisections")
+        a, b, parent_ratio = a[~keep], b[~keep], np.repeat(ratio[~keep], 2)
+        mid = 0.5 * (rho[a] + rho[b])
+        lam_mid, noise_mid = solver.lambdas_with_noise(mid)
+        new = np.arange(len(rho), len(rho) + len(mid))
+        rho, lam, noise = (np.concatenate(x) for x in ((rho, mid), (lam, lam_mid), (noise, noise_mid)))
+        a, b = np.stack([a, new], axis=1).ravel(), np.stack([new, b], axis=1).ravel()
+    a, b, collide = (np.concatenate(x) for x in zip(*accepted))
+    order = np.lexsort((rho[b], rho[a]))
+    return rho, lam, noise, b[order], collide[order]
+
+
 def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float],
                    max_bisections: int = MAX_BISECTIONS) -> RootBranchSet:
     """Continuation of the m root branches along rho * d for ascending rho > 0.
 
     A step is accepted when every root whose nearest neighbour in the previous
     set lies at least the cluster tolerance away moved at most a quarter of
-    that distance; otherwise it is bisected (depth-capped).  Each root is held
-    to its own distance, so a fast pair does not force bisection beside a
-    slow, close one.  When bisection stops helping (branches genuinely
-    collide) a cluster event is recorded and the minimum-distance match is kept.
+    that distance (`_step_ratios`); otherwise it is bisected.  Each root is held
+    to its own distance, so a fast pair does not force bisection beside a slow,
+    close one.  The test reads the two root sets, not their labels, so
+    bisection runs level by level with one `lambdas_with_noise` call per level.
+    At depth `max_bisections` a failing step whose ratio kept 0.8 of its
+    parent's is a collision (branches genuinely meet) and is accepted with a
+    cluster event; any other raises BisectionLimitError.  The accepted grid is
+    then labelled by the minimum-distance match of each root set to the
+    previous one, and each group of roots within the cluster tolerance
+    (`root_groups`) is logged as a cluster event.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("rho_grid must be a nonempty 1-d ascending array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("rho_grid must be positive and strictly ascending")
+    if not np.all(np.isfinite(grid) & (grid > 0)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("rho_grid must be finite, positive and strictly ascending")
 
-    solver = RadialRootSolver(stack, d)
-    rhos: list[float] = [float(grid[0])]
-    lam0, noise0 = solver.lambdas_with_noise(grid[0])
-    order0 = np.lexsort((lam0.imag, lam0.real))
-    current = lam0[order0]
-    cols: list[np.ndarray] = [current]
-    noises: list[np.ndarray] = [noise0[order0]]
-    events: list[tuple[float, tuple[int, ...], float]] = []
-
-    def note_clusters(rho: float, zs: np.ndarray):
-        tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(zs))))
-        for cl in find_clusters(zs, tol):
-            events.append((rho, tuple(sorted(cl.indices)), cl.radius * 2.0))
-
-    note_clusters(rhos[0], current)
-
-    def accept(rho_b: float, ordered: np.ndarray, cand_noise: np.ndarray, perm: np.ndarray):
-        rhos.append(rho_b)
+    rho, lam, noise, b, collide = _bisect(RadialRootSolver(stack, d), grid, max_bisections)
+    first = np.lexsort((lam[0].imag, lam[0].real))
+    cols, noises = [lam[0][first]], [noise[0][first]]
+    events: list[tuple[int, tuple[float, tuple[int, ...], float]]] = []
+    for k, (j, hit) in enumerate(zip(b, collide), 1):
+        prev = cols[-1]
+        ordered, perm = _match(prev, lam[j])
+        if hit:
+            gaps = _gaps(prev)
+            events.append((k, (float(rho[j]), divmod(int(np.argmin(gaps)), len(prev)), float(np.min(gaps)))))
         cols.append(ordered)
-        noises.append(cand_noise[perm])
-        note_clusters(rho_b, ordered)
-
-    def advance(prev: np.ndarray, rho_a: float, rho_b: float, depth: int, parent_ratio: float):
-        cand, cand_noise = solver.lambdas_with_noise(rho_b)
-        ordered, perm = _match(prev, cand)
-        diff = np.abs(prev[:, None] - prev[None, :])
-        np.fill_diagonal(diff, np.inf)
-        own_gap = np.min(diff, axis=1)
-        gap = float(np.min(own_gap))
-        cluster_tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(prev))))
-        held = own_gap >= cluster_tol
-        ratio = float(np.max(np.abs(prev - ordered)[held] / own_gap[held], initial=0.0))
-        if ratio <= 0.25:
-            accept(rho_b, ordered, cand_noise, perm)
-            return ordered
-        if depth >= max_bisections:
-            if ratio >= 0.8 * parent_ratio:
-                # collision: bisection no longer separates movement from gap
-                events.append((rho_b, divmod(int(np.argmin(diff)), len(prev)), gap))
-                accept(rho_b, ordered, cand_noise, perm)
-                return ordered
-            raise BisectionLimitError(rho_a, rho_b, f"movement/gap ratio {ratio:.3g} after {depth} bisections")
-        mid = 0.5 * (rho_a + rho_b)
-        half = advance(prev, rho_a, mid, depth + 1, ratio)
-        return advance(half, mid, rho_b, depth + 1, ratio)
-
-    current_state = current
-    for rho_b in grid[1:]:
-        current_state = advance(current_state, rhos[-1], float(rho_b), 0, np.inf)
-
+        noises.append(noise[j][perm])
     branches = np.stack(cols, axis=1)
-    noise = np.stack(noises, axis=1)
-    return RootBranchSet(direction=d, rho_grid=np.asarray(rhos), branches=branches,
-                         cluster_events=events, noise=noise)
+    rho_out = rho[np.concatenate([[0], b])]      # the accepted steps tile the grid from its first point
+
+    # cluster events follow any collision event at the same point
+    zs = branches.T
+    labels = root_groups(zs, TOL.cluster_rtol * (1.0 + np.max(np.abs(zs), axis=1)))
+    members = np.count_nonzero(labels[:, :, None] == np.arange(zs.shape[1]), axis=1)
+    for k, label in zip(*np.nonzero(members >= 2)):
+        cl = RootCluster.of(zs[k], np.flatnonzero(labels[k] == label))
+        events.append((int(k), (float(rho_out[k]), tuple(sorted(cl.indices)), cl.radius * 2.0)))
+    events.sort(key=lambda e: e[0])
+    return RootBranchSet(direction=d, rho_grid=rho_out, branches=branches,
+                         cluster_events=[e for _, e in events], noise=np.stack(noises, axis=1))
 
 
 def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float, rho_high: float,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootkit import NonRealRootsError, RadialRootSolver, _residuals, is_real_root, roots_batch
+from .rootkit import NonRealRootsError, RadialRootSolver, _residuals, is_real_root, root_groups, roots_batch
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction,
                       restriction_coeffs)
 from .tolerances import TOL
@@ -165,6 +165,14 @@ class _RootTable:
         return NonRealRootsError(UnivariatePoly.of(self.coeffs[row]), bad)
 
 
+def real_root_table(coeffs: np.ndarray) -> _RootTable:
+    """The table of one coefficient row coeffs[1, w]; raises NonRealRootsError on a non-real root."""
+    t = _RootTable(coeffs)
+    if not t.real[0]:
+        raise t.nonreal_error(0)
+    return t
+
+
 def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
     """(directions[D, n], hyperbolicity by order, root table per symbol) for one classification."""
     samples = list(samples) if samples is not None else directions_for(stack)
@@ -248,10 +256,7 @@ def classify_interlacing(p_low: UnivariatePoly, p_high: UnivariatePoly) -> Inter
     mismatch = _degree_mismatch(p_low.degree, p_high.degree)
     if mismatch is not None:
         raise ValueError(mismatch)
-    high, low = (_RootTable(p.array()[None, :]) for p in (p_high, p_low))
-    for t in (high, low):
-        if not t.real[0]:
-            raise t.nonreal_error(0)
+    high, low = (real_root_table(p.array()[None, :]) for p in (p_high, p_low))
     cls = _interlacing(low, high)
     return InterlacingClass(cls.klass, cls.margin, None if cls.witness is None else cls.witness[1:])
 
@@ -272,10 +277,7 @@ class DirectionRootData:
 
 def direction_root_data(stack: OperatorStack, d: Direction) -> DirectionRootData:
     """One row of the classification table: the sorted real restriction roots along d."""
-    tables = [_RootTable(restriction_coeffs(s, d.vector()[None, :])) for s in stack.symbols]
-    for t in tables:
-        if not t.real[0]:
-            raise t.nonreal_error(0)
+    tables = [real_root_table(restriction_coeffs(s, d.vector()[None, :])) for s in stack.symbols]
     return DirectionRootData(d, tuple(t.re[0] for t in tables), float(max(t.scale[0] for t in tables)))
 
 
@@ -291,11 +293,9 @@ def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> froze
               (2, SCENARIO_DECAY_LOSS, SCENARIO_SLOW_LOW)]
     for j, double_flag, shared_flag in levels[: 2 if stack.ell >= 2 else 1]:
         r = tables[j].re[ok]
-        pairs = np.diff(r, axis=1) <= tol
-        in_pair = np.zeros(r.shape, dtype=bool)
-        in_pair[:, :-1] |= pairs
-        in_pair[:, 1:] |= pairs
-        if pairs.any():
+        labels = root_groups(r, tol[:, 0])
+        in_pair = np.count_nonzero(labels[:, :, None] == labels[:, None, :], axis=2) >= 2
+        if in_pair.any():
             flags.add(double_flag)
         if b.shape[1] and np.any(~in_pair & (np.min(np.abs(b[:, None, :] - r[:, :, None]), axis=2) <= tol)):
             flags.add(shared_flag)

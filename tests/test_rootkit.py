@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from hyperdecay import Direction, connecting_permutation, roots, spectral_abscissa, track_branches
-from hyperdecay.presets import damped_wave_stack
-from hyperdecay.rootkit import (BATCH_ROWS, RadialRootSolver, RootfindingError, _companion_eigvals,
-                                _residuals, is_real_root, real_roots_sorted, roots_batch)
+from hyperdecay import rootkit
+from hyperdecay.presets import PRESETS, damped_wave_stack
+from hyperdecay.rootkit import (BATCH_ROWS, BisectionLimitError, NonRealRootsError, RadialRootSolver,
+                                RootfindingError, _companion_eigvals, _residuals, is_real_root, root_groups,
+                                roots_batch)
 from hyperdecay.solver import RadialPropagator, default_rho_grid
+from hyperdecay.stability import real_root_table
 from hyperdecay.symbols import UnivariatePoly, axis_direction, full_symbol_at, symbol_coeffs
 from hyperdecay.tolerances import TOL
+from tests.oracles import track_branches_recursive
 from tests.test_stability import random_interlaced_stack
 
 
@@ -169,10 +173,92 @@ def test_connecting_permutation_mgt(stacks):
     assert sorted(perm.tolist()) == [0, 1, 2]
 
 
-def test_real_roots_sorted_rejects_complex():
-    from hyperdecay.rootkit import NonRealRootsError
+def test_real_root_table_rejects_complex():
     with pytest.raises(NonRealRootsError):
-        real_roots_sorted(UnivariatePoly.of([1.0, 0.0, 1.0]))
+        real_root_table(np.array([[1.0, 0.0, 1.0]]))
+    t = real_root_table(np.array([[-4.0, 0.0, 1.0, 0.0]]))    # trailing zero column: degree 2
+    assert np.array_equal(t.re[0], [-2.0, 2.0]) and t.scale[0] == 3.0
+
+
+def test_root_groups_follow_chains():
+    z = np.array([[0.0, 0.9, 1.8, 5.0], [0.0, 2.0, 4.0, 4.5]])
+    assert root_groups(z, np.array([1.0, 1.0])).tolist() == [[0, 0, 0, 3], [0, 1, 2, 2]]
+    # root 1 reaches root 0 only through roots 2 and 3; complex roots group by distance
+    assert root_groups(np.array([0.0, 3.0, 2.0, 1.0]), 1.1).tolist() == [0, 0, 0, 0]
+    assert root_groups(np.array([1.0, 1.0 + 1.0j, 1.0 + 2.5j]), 1.0).tolist() == [0, 0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the level-wise tracker against the depth-first reference
+
+
+def _reference_rays():
+    low, high = np.geomspace(1e-4, 1e-1, 121), np.geomspace(1e1, 1e4, 121)
+    rays = []
+    for name, pm in PRESETS.items():
+        d = axis_direction(pm.dim)
+        rays.append(pytest.param(pm.build, d, low, 20, id=f"{name}-low"))
+        if "high" in pm.expected or "high_at" in pm.expected:
+            rays.append(pytest.param(pm.build, d, high, 20, id=f"{name}-high"))
+    rays.append(pytest.param(PRESETS["anisotropic_elastic_2d"].build, Direction.of((1.0, 1.0)), low, 20,
+                             id="anisotropic_elastic_2d-diagonal-low"))
+    for cap in (2, 20):
+        rays.append(pytest.param(damped_wave_stack, Direction((1.0,)), np.linspace(0.3, 0.7, 21), cap,
+                                 id=f"damped_wave-collision-cap{cap}"))
+    return rays
+
+
+@pytest.mark.parametrize("build, d, grid, cap", _reference_rays())
+def test_track_equals_recursive_reference(build, d, grid, cap):
+    stack = build()
+    got = track_branches(stack, d, grid, max_bisections=cap)
+    ref = track_branches_recursive(stack, d, grid, max_bisections=cap)
+    assert np.array_equal(got.rho_grid, ref.rho_grid)
+    assert np.array_equal(got.branches, ref.branches)
+    assert np.array_equal(got.noise, ref.noise)
+    assert got.cluster_events == ref.cluster_events
+    assert all(type(e[0]) is float and type(e[2]) is float for e in got.cluster_events)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 8])
+def test_bisection_limit_names_the_reference_interval(cap):
+    stack, grid = PRESETS["anisotropic_elastic_2d"].build(), np.geomspace(1e-4, 1e-1, 121)
+    with pytest.raises(BisectionLimitError) as ref:
+        track_branches_recursive(stack, axis_direction(2), grid, max_bisections=cap)
+    with pytest.raises(BisectionLimitError) as got:
+        track_branches(stack, axis_direction(2), grid, max_bisections=cap)
+    assert got.value.interval == ref.value.interval
+    assert all(type(r) is float for r in got.value.interval)
+    assert "np.float64" not in str(got.value)
+
+
+def test_track_solves_each_bisection_level_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return roots_batch(coeffs)
+
+    monkeypatch.setattr(rootkit, "roots_batch", counting)
+    grid = np.geomspace(1e-4, 1e-1, 121)
+    bs = track_branches(PRESETS["anisotropic_elastic_2d"].build(), axis_direction(2), grid)
+    # depth of each accepted step below the input step that holds it
+    outer = np.diff(grid)[np.searchsorted(grid, bs.rho_grid[1:]) - 1]
+    depth = int(np.max(np.round(np.log2(outer / np.diff(bs.rho_grid)))))
+    assert len(calls) <= depth + 1 <= 12
+    assert calls[0] == len(grid) and sum(calls) == len(bs.rho_grid)
+
+
+def test_nonfinite_rho_is_rejected(stacks):
+    stack, d = stacks["mgt"], axis_direction(3)
+    solver = RadialRootSolver(stack, d)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            track_branches(stack, d, [1e-3, bad])
+        with pytest.raises(ValueError, match="finite"):
+            solver.lambdas_grid(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            solver.lambdas_with_noise(np.array([bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +320,14 @@ def test_roots_batch_certificate_names_the_row(monkeypatch):
         roots_batch(c)
     with pytest.raises(RootfindingError, match="zero leading coefficient"):
         roots_batch(np.array([[1.0, 2.0, 0.0]]))
+
+
+def test_roots_batch_names_a_nonfinite_row():
+    c = np.array([[6.0, 11.0, 6.0, 1.0], [1.0, np.nan, 0.0, 1.0], [np.inf, 1.0, 0.0, 1.0]])
+    with pytest.raises(RootfindingError, match="row 1 has a non-finite coefficient"):
+        roots_batch(c)
+    with pytest.raises(RootfindingError, match="row 0 has a non-finite coefficient"):
+        roots_batch(c[2:])
 
 
 def test_propagator_roots_equal_per_rho_roots(stacks):

@@ -11,7 +11,7 @@ from hyperdecay.presets import (blackstock_crighton_stack, damped_wave_stack,
                                 em_elastic_stack, example_ell3_stack,
                                 example_ell3_stable_predicate, mgt_stack)
 from hyperdecay.rootkit import NonRealRootsError
-from hyperdecay.stability import abscissa_verdict
+from hyperdecay.stability import abscissa_verdict, direction_root_data
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
 from hyperdecay.tolerances import TOL
 
@@ -155,13 +155,9 @@ def random_interlaced_stack(rng, m, ell):
 
 def break_interlacing(rng, stack):
     """Move one root of a lower symbol decisively outside its bracket."""
-    from hyperdecay.rootkit import real_roots_sorted
-
     d = axis_direction(1)
     level = 1 if stack.ell == 1 else int(rng.integers(1, 3))
-    sets = []
-    for j in range(stack.ell + 1):
-        sets.append(real_roots_sorted(stack.symbol(j).restrict(d)))
+    sets = list(direction_root_data(stack, d).roots_by_level)
     upper = sets[level - 1]
     target = sets[level].copy()
     i = int(rng.integers(0, len(target)))
