@@ -12,6 +12,13 @@ given direction:
 * DOUBLE        - the anchor root is a double root; the pair splits with the two
                   solutions of a quadratic built from deleted-root values.
 
+One routine serves both regimes.  Put lambda = i rho mu and let p_k be the
+real restriction of P_k along d.  Then Q(lambda, i rho d) = 0 exactly when
+sum_n (sigma i eps)^n R_n(mu) = 0, where eps = rho, R_n = p_{m-ell+n} and
+sigma = +1 at low frequency, and eps = 1/rho, R_n = p_{m-n} and sigma = -1 at
+high frequency.  Level 0 is the anchor symbol, and a term eps^n of mu is the
+power rho^(1 + sigma n) of lambda.
+
 verify_expansion fits the remainder order on a tracked branch and reports the
 relative error at the regime boundary.
 """
@@ -118,6 +125,95 @@ def _constant_records(stack: OperatorStack, regime: Regime) -> list[ExpansionRec
     return recs
 
 
+@dataclass(frozen=True)
+class _Levels:
+    """The restrictions R_0, R_1, ... along one direction (see the module
+    docstring), with their sorted real roots."""
+
+    sigma: float
+    roots: tuple[np.ndarray, ...]
+    polys: tuple[UnivariatePoly, ...]
+    tol: float
+
+
+def _levels(stack: OperatorStack, d: Direction, regime: Regime) -> _Levels:
+    data = direction_root_data(stack, d)
+    order = range(stack.ell, -1, -1) if regime is Regime.LOW else range(stack.ell + 1)
+    return _Levels(1.0 if regime is Regime.LOW else -1.0, tuple(data.roots(k) for k in order),
+                   tuple(stack.symbol(k).restrict(d) for k in order), TOL.root_match_rtol * data.scale)
+
+
+def _signed(z: complex, sigma: float) -> complex:
+    """sigma * z as an exact negation, so a zero part keeps its sign."""
+    return z if sigma > 0 else -z
+
+
+def _expansions(stack: OperatorStack, d: Direction, regime: Regime) -> list[tuple[ExpansionRecord, complex]]:
+    """The records of the branches anchored at the level-0 roots a, each paired
+    with the deleted-root product of a in the level-0 symbol (p0'(a) at a
+    simple anchor; both members deleted at a double one).
+
+    At low frequency a shared or double anchor is handled only at depth 2; at
+    high frequency a double anchor needs depth >= 2, and a shared anchor at
+    depth 1 keeps the SIMPLE record, whose constant then vanishes identically.
+    """
+    low = regime is Regime.LOW
+    if stack.ell < 1:
+        raise UnclassifiableExpansionError(
+            f"{regime.value.lower()}-frequency expansions need stack depth >= 1")
+    t = _levels(stack, d, regime)
+    s = t.sigma
+    base, mid = t.roots[0], t.roots[1]
+    out: list[tuple[ExpansionRecord, complex]] = []
+    for j, size in zip(*np.unique(root_groups(base, t.tol), return_counts=True)):
+        j = int(j)
+        anchor = float(base[j])
+        head = (1.0, 1j * anchor)
+        if size == 1:
+            mid_ix, mid_dist = _closest(anchor, mid)
+            shared = mid_dist <= t.tol
+            if shared and low and stack.ell != 2:
+                raise UnclassifiableExpansionError(
+                    f"root {anchor} shared with the next symbol is only handled at depth 2 "
+                    f"(stack depth {stack.ell})")
+            pcheck = check_poly(t.polys[0], base, {j}, anchor)
+            if shared and stack.ell >= 2:
+                # the real part only enters two orders later
+                p2 = complex(t.polys[2](anchor))
+                ptilde = check_poly(t.polys[1], mid, {mid_ix}, anchor)
+                c3 = _signed(p2, s) * ptilde / pcheck**2
+                if len(t.polys) > 3:  # R_3 enters mu_3 as well
+                    c3 = c3 - _signed(complex(t.polys[3](anchor)), s) / pcheck
+                rec = ExpansionRecord(
+                    branch=len(out), regime=regime, case=ExpansionCase.SHARED_SIMPLE,
+                    terms=(head, (1.0 + 2 * s, 1j * (p2 / pcheck)), (1.0 + 3 * s, complex(c3))),
+                    predicted_remainder_order=4.0 + s, classification_margin=mid_dist)
+            else:
+                c1 = _signed(complex(t.polys[1](anchor)), s) / pcheck
+                rec = ExpansionRecord(
+                    branch=len(out), regime=regime, case=ExpansionCase.SIMPLE,
+                    terms=(head, (1.0 + s, complex(c1))),
+                    predicted_remainder_order=2.0 + s, classification_margin=mid_dist)
+            out.append((rec, pcheck))
+        elif size == 2:
+            if low and stack.ell != 2:
+                raise UnclassifiableExpansionError(
+                    f"double root {anchor} of the lowest symbol is only handled at depth 2")
+            if stack.ell < 2:
+                raise UnclassifiableExpansionError(
+                    f"double root {anchor} of the leading symbol needs a depth-2 stack "
+                    "(otherwise the stack is not strictly stable)")
+            pcheck = check_poly(t.polys[0], base, {j, j + 1}, anchor)
+            for kappa in _kappa_pair(t, j):
+                out.append((ExpansionRecord(
+                    branch=len(out), regime=regime, case=ExpansionCase.DOUBLE,
+                    terms=(head, (1.0 + s, complex(kappa))), predicted_remainder_order=2.0 + s), pcheck))
+        else:
+            raise UnclassifiableExpansionError(
+                f"root {anchor} of the {'lowest' if low else 'leading'} symbol has multiplicity {size} > 2")
+    return out
+
+
 def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRecord]:
     """Expansion records for all m branches as |xi| -> 0 along d.
 
@@ -126,120 +222,12 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
     depth-2 stacks, where the degenerate formulas are available); the
     remaining ell branches are the CONSTANT ones.
     """
-    if stack.ell < 1:
-        raise UnclassifiableExpansionError("low-frequency expansions need stack depth >= 1")
-    data = direction_root_data(stack, d)
-    tol = TOL.root_match_rtol * data.scale
-    ell = stack.ell
-    base = data.roots(ell)                       # anchors: roots of P_{m-ell}
-    mid = data.roots(ell - 1) if ell >= 1 else np.array([])
-    p_base = stack.symbol(ell).restrict(d)
-    p_mid = stack.symbol(ell - 1).restrict(d)
-    p_top2 = stack.symbol(ell - 2).restrict(d) if ell >= 2 else None
-
-    records: list[ExpansionRecord] = []
-    branch = 0
-    for j, size in zip(*np.unique(root_groups(base, tol), return_counts=True)):
-        j = int(j)
-        anchor = float(base[j])
-        if size == 1:
-            mid_ix, mid_dist = _closest(anchor, mid)
-            if ell == 2 and mid_dist <= tol:
-                # shared simple root: real part only enters at fourth order
-                pcheck = check_poly(p_base, base, {j}, anchor)
-                ptop = complex(p_top2(anchor))
-                ptilde = check_poly(p_mid, mid, {mid_ix}, anchor)
-                c3 = ptop / pcheck
-                c4 = ptop * ptilde / pcheck**2
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.LOW, case=ExpansionCase.SHARED_SIMPLE,
-                    terms=((1.0, 1j * anchor), (3.0, 1j * c3), (4.0, complex(c4))),
-                    predicted_remainder_order=5.0, classification_margin=mid_dist))
-            elif ell != 2 and mid_dist <= tol:
-                raise UnclassifiableExpansionError(
-                    f"root {anchor} shared with the next symbol is only handled at depth 2 "
-                    f"(stack depth {ell})")
-            else:
-                pcheck = check_poly(p_base, base, {j}, anchor)
-                c2 = complex(p_mid(anchor)) / pcheck
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.LOW, case=ExpansionCase.SIMPLE,
-                    terms=((1.0, 1j * anchor), (2.0, complex(c2))),
-                    predicted_remainder_order=3.0, classification_margin=mid_dist))
-            branch += 1
-        elif size == 2:
-            if ell != 2:
-                raise UnclassifiableExpansionError(
-                    f"double root {anchor} of the lowest symbol is only handled at depth 2")
-            kp, km = kappa_solutions(stack, d, j, Regime.LOW)
-            for kappa in (kp, km):
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.LOW, case=ExpansionCase.DOUBLE,
-                    terms=((1.0, 1j * anchor), (2.0, complex(kappa))),
-                    predicted_remainder_order=3.0))
-                branch += 1
-        else:
-            raise UnclassifiableExpansionError(
-                f"root {anchor} of the lowest symbol has multiplicity {size} > 2")
-    records.extend(_constant_records(stack, Regime.LOW))
-    return records
+    return [r for r, _ in _expansions(stack, d, Regime.LOW)] + _constant_records(stack, Regime.LOW)
 
 
 def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRecord]:
     """Expansion records for all m branches as |xi| -> infinity along d."""
-    if stack.ell < 1:
-        raise UnclassifiableExpansionError("high-frequency expansions need stack depth >= 1")
-    data = direction_root_data(stack, d)
-    tol = TOL.root_match_rtol * data.scale
-    a = data.roots(0)
-    b = data.roots(1)
-    p_top = stack.symbol(0).restrict(d)
-    p_mid = stack.symbol(1).restrict(d)
-    p_low = stack.symbol(2).restrict(d) if stack.ell >= 2 else UnivariatePoly.of([0.0])
-
-    records: list[ExpansionRecord] = []
-    branch = 0
-    for j, size in zip(*np.unique(root_groups(a, tol), return_counts=True)):
-        j = int(j)
-        anchor = float(a[j])
-        if size == 1:
-            mid_ix, mid_dist = _closest(anchor, b)
-            if mid_dist <= tol and stack.ell >= 2:
-                pcheck = check_poly(p_top, a, {j}, anchor)
-                plow = complex(p_low(anchor))
-                ptilde = check_poly(p_mid, b, {mid_ix}, anchor)
-                cm1 = plow / pcheck
-                cm2 = -plow * ptilde / pcheck**2
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.HIGH, case=ExpansionCase.SHARED_SIMPLE,
-                    terms=((1.0, 1j * anchor), (-1.0, 1j * cm1), (-2.0, complex(cm2))),
-                    predicted_remainder_order=3.0, classification_margin=mid_dist))
-            else:
-                # the generic constant: vanishes identically if the root is shared
-                # and there is no second lower symbol to produce the next orders
-                pcheck = check_poly(p_top, a, {j}, anchor)
-                c0 = -complex(p_mid(anchor)) / pcheck
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.HIGH, case=ExpansionCase.SIMPLE,
-                    terms=((1.0, 1j * anchor), (0.0, complex(c0))),
-                    predicted_remainder_order=1.0, classification_margin=mid_dist))
-            branch += 1
-        elif size == 2:
-            if stack.ell < 2:
-                raise UnclassifiableExpansionError(
-                    f"double root {anchor} of the leading symbol needs a depth-2 stack "
-                    "(otherwise the stack is not strictly stable)")
-            kp, km = kappa_solutions(stack, d, j, Regime.HIGH)
-            for kappa in (kp, km):
-                records.append(ExpansionRecord(
-                    branch=branch, regime=Regime.HIGH, case=ExpansionCase.DOUBLE,
-                    terms=((1.0, 1j * anchor), (0.0, complex(kappa))),
-                    predicted_remainder_order=1.0))
-                branch += 1
-        else:
-            raise UnclassifiableExpansionError(
-                f"root {anchor} of the leading symbol has multiplicity {size} > 2")
-    return records
+    return [r for r, _ in _expansions(stack, d, Regime.HIGH)]
 
 
 def kappa_solutions(stack: OperatorStack, d: Direction, j: int, regime: Regime) -> tuple[complex, complex]:
@@ -252,33 +240,26 @@ def kappa_solutions(stack: OperatorStack, d: Direction, j: int, regime: Regime) 
     """
     if stack.ell < 2:
         raise UnclassifiableExpansionError("the double-root quadratic needs a depth-2 stack")
-    data = direction_root_data(stack, d)
-    tol = TOL.root_match_rtol * data.scale
-    if regime is Regime.LOW:
-        anchor_roots = data.roots(2)
-        p_anchor = stack.symbol(2).restrict(d)
-        p_other = stack.symbol(0).restrict(d)
-        sign_mid = -1.0
-    else:
-        anchor_roots = data.roots(0)
-        p_anchor = stack.symbol(0).restrict(d)
-        p_other = stack.symbol(2).restrict(d)
-        sign_mid = 1.0
-    if j < 0 or j + 1 >= len(anchor_roots):
+    return _kappa_pair(_levels(stack, d, regime), j)
+
+
+def _kappa_pair(t: _Levels, j: int) -> tuple[complex, complex]:
+    """kappa_solutions on a level table: the roots of
+    p0''(a)/2 kappa^2 - sigma p1'(a) kappa + p2(a), largest real part first."""
+    base, mid = t.roots[0], t.roots[1]
+    if j < 0 or j + 1 >= len(base):
         raise UnclassifiableExpansionError(f"index {j} does not start a double root")
-    if anchor_roots[j + 1] - anchor_roots[j] > tol:
+    if base[j + 1] - base[j] > t.tol:
         raise UnclassifiableExpansionError(
-            f"roots {anchor_roots[j]}, {anchor_roots[j + 1]} are not a double pair within {tol}")
-    anchor = float(0.5 * (anchor_roots[j] + anchor_roots[j + 1]))
-    b = data.roots(1)
-    mid_ix, mid_dist = _closest(anchor, b)
-    if mid_dist > tol:
+            f"roots {base[j]}, {base[j + 1]} are not a double pair within {t.tol}")
+    anchor = float(0.5 * (base[j] + base[j + 1]))
+    mid_ix, mid_dist = _closest(anchor, mid)
+    if mid_dist > t.tol:
         raise UnclassifiableExpansionError(
             f"double root {anchor} is not matched by a middle-symbol root (distance {mid_dist})")
-    p_mid = stack.symbol(1).restrict(d)
-    a_coef = check_poly(p_anchor, anchor_roots, {j, j + 1}, anchor)
-    b_coef = sign_mid * check_poly(p_mid, b, {mid_ix}, anchor)
-    c_coef = complex(p_other(anchor))
+    a_coef = check_poly(t.polys[0], base, {j, j + 1}, anchor)
+    b_coef = -t.sigma * check_poly(t.polys[1], mid, {mid_ix}, anchor)
+    c_coef = complex(t.polys[2](anchor))
     quad = UnivariatePoly.of([c_coef, b_coef, a_coef])
     kp, km = roots(quad)
     pair = sorted((complex(kp), complex(km)), key=lambda z: (z.real, z.imag), reverse=True)

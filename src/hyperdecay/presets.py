@@ -314,6 +314,20 @@ def example_ell3_low_expected(a: float, b: float, c1: float, c2: float, c3: floa
     return out
 
 
+def example_ell3_high_expected(a: float, b: float, c1: float, c2: float, c3: float) -> list[TermList]:
+    """Shared simple roots +-a of P_4 and P_3, whose rho^-2 term carries P_1, and
+    the double root 0 split by a^2 kappa^2 + c3 a^2 kappa + c2 b^2 = 0."""
+    shift = c2 * (a**2 - b**2) / (2.0 * a**3)
+    damp = -c2 * c3 * (a**2 - b**2) / (2.0 * a**4) + c1 / (2.0 * a**2)
+    root = np.sqrt(complex(c3**2 * a**4 - 4.0 * a**2 * c2 * b**2))
+    return [
+        [(1.0, 1j * a), (-1.0, 1j * shift), (-2.0, complex(damp))],
+        [(1.0, -1j * a), (-1.0, -1j * shift), (-2.0, complex(damp))],
+        [(1.0, 0j), (0.0, complex((-c3 * a**2 + root) / (2.0 * a**2)))],
+        [(1.0, 0j), (0.0, complex((-c3 * a**2 - root) / (2.0 * a**2)))],
+    ]
+
+
 def example_ell3_stable_predicate(a: float, b: float, c1: float, c2: float, c3: float) -> bool:
     return (c1 < c2 * c3) and (b**2 < (1.0 - c1 / (c2 * c3)) * a**2)
 
@@ -435,6 +449,7 @@ def _make_presets() -> dict[str, PresetModel]:
         expected={
             "strictly_stable": example_ell3_stable_predicate(**params),
             "low": example_ell3_low_expected(**params),
+            "high": example_ell3_high_expected(**params),
         })
     return presets
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ExpansionCase, Regime, kappa_solutions, low_freq_expansions
+from .asymptotics import ExpansionCase, Regime, _expansions
 from .solver import (DataSpec, NormTimeSeries, RadialPropagator, _series_from_values,
                      default_rho_grid, sobolev_norm)
-from .stability import real_root_table
-from .symbols import Direction, OperatorStack, UnivariatePoly, axis_direction, check_poly, restriction_coeffs
+from .symbols import Direction, OperatorStack, axis_direction
 from .tolerances import TOL
 
 
@@ -117,9 +116,8 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
     if stack.ell < 1:
         raise ValueError("profiles need at least one dissipative symbol")
     d = d if d is not None else axis_direction(stack.dim)
-    records = low_freq_expansions(stack, d)
-    slow = [r for r in records if r.case is not ExpansionCase.CONSTANT]
-    cases = {r.case for r in slow}
+    slow = _expansions(stack, d, Regime.LOW)
+    cases = {r.case for r, _ in slow}
     if kind is None:
         if ExpansionCase.SHARED_SIMPLE in cases:
             kind = ProfileKind.W_WEAK
@@ -128,26 +126,24 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
         else:
             kind = ProfileKind.W if stack.ell >= 2 else ProfileKind.V
     m, ell = stack.m, stack.ell
-    data = _anchor_values(stack, d)
     if kind in (ProfileKind.V, ProfileKind.W):
         if any(c is not ExpansionCase.SIMPLE for c in cases):
             raise ValueError(f"the strict profile needs simple anchor roots, found {sorted(c.value for c in cases)}")
         terms = []
-        for rec in slow:
+        for rec, pcheck in slow:
             anchor = rec.terms[0][1].imag
             rate2 = rec.terms[1][1]
-            amp = 1.0 / (1j ** (m - ell - 1) * data.check_value(anchor))
+            amp = 1.0 / (1j ** (m - ell - 1) * pcheck)
             terms.append(ProfileTerm(complex(amp), ((1.0, 1j * anchor), (2.0, complex(rate2)))))
         return ProfileSpec(kind, M, m - ell - 1, tuple(terms))
     if kind is ProfileKind.W_WEAK:
         if ell != 2:
             raise ValueError("the quartic-phase profile needs a depth-2 stack")
         terms = []
-        for rec in slow:
+        for rec, pcheck in slow:
             if rec.case is not ExpansionCase.SHARED_SIMPLE:
                 continue
-            anchor = rec.terms[0][1].imag
-            amp = 1.0 / (1j ** (m - 3) * data.check_value(anchor))
+            amp = 1.0 / (1j ** (m - 3) * pcheck)
             terms.append(ProfileTerm(complex(amp), tuple(rec.terms)))
         if not terms:
             raise ValueError("no shared simple anchor roots; the quartic-phase profile is empty")
@@ -155,21 +151,14 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
     if kind is ProfileKind.V_WEAK:
         if ell != 2:
             raise ValueError("the split-pair profile needs a depth-2 stack")
+        # the two records of a double anchor are adjacent, kappa+ first
+        doubles = [(rec, pcheck) for rec, pcheck in slow if rec.case is ExpansionCase.DOUBLE]
         terms = []
-        used = set()
-        for rec in slow:
-            if rec.case is not ExpansionCase.DOUBLE:
-                continue
+        for (rec, denom), (rec_minus, _) in zip(doubles[::2], doubles[1::2]):
             anchor = rec.terms[0][1].imag
-            key = round(anchor, 12)
-            if key in used:
-                continue
-            used.add(key)
-            j = data.double_index(anchor)
-            kp, km = kappa_solutions(stack, d, j, Regime.LOW)
+            kp, km = rec.terms[1][1], rec_minus.terms[1][1]
             if abs(kp - km) <= TOL.root_match_rtol * (1.0 + max(abs(kp), abs(km))):
                 raise ValueError("the split-pair profile needs distinct quadratic solutions")
-            denom = data.double_check_value(anchor)
             # difference quotient (e^(k+ t) - e^(k- t)) / (k+ - k-): symmetric in
             # the pair labeling, matching the split of the double branch
             pref = 1.0 / (1j ** (m - 4) * denom) / (kp - km)
@@ -179,34 +168,6 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
             raise ValueError("no double anchor roots; the split-pair profile is empty")
         return ProfileSpec(kind, M, m - 2, tuple(terms))
     raise ValueError(f"cannot build profile kind {kind}")
-
-
-@dataclass
-class _AnchorData:
-    roots: np.ndarray
-    poly: UnivariatePoly
-    tol: float
-
-    def check_value(self, anchor: float) -> complex:
-        """Deleted-root product at a simple anchor root."""
-        ix = int(np.argmin(np.abs(self.roots - anchor)))
-        return check_poly(self.poly, self.roots, {ix}, anchor)
-
-    def double_index(self, anchor: float) -> int:
-        close = np.nonzero(np.abs(self.roots - anchor) <= self.tol)[0]
-        if len(close) < 2:
-            raise ValueError(f"anchor {anchor} is not a double root")
-        return int(close[0])
-
-    def double_check_value(self, anchor: float) -> complex:
-        j = self.double_index(anchor)
-        return check_poly(self.poly, self.roots, {j, j + 1}, anchor)
-
-
-def _anchor_values(stack: OperatorStack, d: Direction) -> _AnchorData:
-    sym = stack.symbol(stack.ell)
-    t = real_root_table(restriction_coeffs(sym, d.vector()[None, :]))
-    return _AnchorData(t.re[0], sym.restrict(d), TOL.root_match_rtol * float(t.scale[0]))
 
 
 # ---------------------------------------------------------------------------

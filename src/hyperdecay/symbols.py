@@ -81,20 +81,6 @@ class UnivariatePoly:
         c = self.array()
         return UnivariatePoly.of(c[1:] * np.arange(1, len(c)))
 
-    def scaled(self, factor: complex) -> "UnivariatePoly":
-        return UnivariatePoly.of(self.array() * factor)
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        a, b = self.array(), other.array()
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=complex)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return UnivariatePoly.of(out)
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return self + other.scaled(-1.0)
-
 
 # ---------------------------------------------------------------------------
 # directions
@@ -291,9 +277,6 @@ class OperatorStack:
     def pure_time_coeffs(self) -> list[float]:
         """[c_{m,0}, c_{m-1,0}, ..., c_{m-ell,0}] after normalization."""
         return [s.pure_time_coeff for s in self.symbols]
-
-    def restrictions(self, d: Direction) -> list[UnivariatePoly]:
-        return [s.restrict(d) for s in self.symbols]
 
 
 def _detect_isotropy(symbols: Sequence[HomogeneousSymbol]) -> bool:

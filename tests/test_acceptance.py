@@ -90,7 +90,7 @@ def test_criterion_2_cross_validation():
 def test_criterion_3_root_asymptotics():
     t0 = time.monotonic()
     names = ["mgt", "blackstock_crighton", "em_elastic", "em_elastic_dissipative",
-             "mgt_classical_damping", "fourth_order_weak", "anisotropic_elastic_2d"]
+             "mgt_classical_damping", "fourth_order_weak", "anisotropic_elastic_2d", "example_ell3"]
     problems = []
     for name in names:
         pm = PRESETS[name]
@@ -120,7 +120,7 @@ def test_criterion_3_root_asymptotics():
                 if not (np.isinf(order) or order >= rec.last_power + 0.4):
                     problems.append((name, regime.value, rec.case.value, order))
     elapsed = time.monotonic() - t0
-    _report("criterion 3 (expansion coefficients + remainder orders, 7 presets)",
+    _report("criterion 3 (expansion coefficients + remainder orders, 8 presets)",
             not problems and elapsed < 30.0, f"problems={problems[:4]}, {elapsed:.1f}s")
 
 
