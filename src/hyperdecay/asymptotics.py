@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fitting import fit_loglog
-from .rootkit import RootBranchSet, root_groups, roots
-from .stability import direction_root_data
-from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly
+from .rootkit import RootBranchSet, _match, root_groups, roots
+from .stability import real_root_table
+from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly, stack_rows
 from .tolerances import TOL
 
 
@@ -59,6 +58,15 @@ class UnclassifiableExpansionError(ValueError):
     pass
 
 
+def _power_sum(terms: Sequence[tuple[float, complex]], rho):
+    """sum of coeff * rho^power over the (power, coeff) terms, at rho (scalar or array)."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros(rho.shape, dtype=complex)
+    for power, coeff in terms:
+        out = out + coeff * rho**power
+    return out
+
+
 @dataclass(frozen=True)
 class ExpansionRecord:
     branch: int
@@ -69,11 +77,7 @@ class ExpansionRecord:
     classification_margin: float = np.inf
 
     def evaluate(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros(rho.shape, dtype=complex)
-        for power, coeff in self.terms:
-            out = out + coeff * rho**power
-        return out
+        return _power_sum(self.terms, rho)
 
     @property
     def last_power(self) -> float:
@@ -137,10 +141,12 @@ class _Levels:
 
 
 def _levels(stack: OperatorStack, d: Direction, regime: Regime) -> _Levels:
-    data = direction_root_data(stack, d)
+    rows = stack_rows(stack, d.vector()[None, :])[0]
+    tables = [real_root_table(r[None, :]) for r in rows]
     order = range(stack.ell, -1, -1) if regime is Regime.LOW else range(stack.ell + 1)
-    return _Levels(1.0 if regime is Regime.LOW else -1.0, tuple(data.roots(k) for k in order),
-                   tuple(stack.symbol(k).restrict(d) for k in order), TOL.root_match_rtol * data.scale)
+    return _Levels(1.0 if regime is Regime.LOW else -1.0, tuple(tables[k].re[0] for k in order),
+                   tuple(UnivariatePoly.of(rows[k]) for k in order),
+                   TOL.root_match_rtol * float(max(t.scale[0] for t in tables)))
 
 
 def _signed(z: complex, sigma: float) -> complex:
@@ -283,11 +289,8 @@ def match_records_to_branches(branchset: RootBranchSet, records: Sequence[Expans
     """
     anchor_i = 0 if regime is Regime.LOW else len(branchset.rho_grid) - 1
     rho = float(branchset.rho_grid[anchor_i])
-    preds = np.array([r.evaluate(rho) for r in records])
-    vals = branchset.values_at(anchor_i)
-    cost = np.abs(preds[:, None] - vals[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
+    _, perm = _match(np.array([r.evaluate(rho) for r in records]), branchset.values_at(anchor_i))
+    return {i: int(c) for i, c in enumerate(perm)}
 
 
 def verify_expansion(branchset: RootBranchSet, record: ExpansionRecord,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ExpansionCase, Regime, _expansions
+from .asymptotics import ExpansionCase, Regime, _expansions, _power_sum
 from .solver import (DataSpec, NormTimeSeries, RadialPropagator, _series_from_values,
                      default_rho_grid, sobolev_norm)
 from .symbols import Direction, OperatorStack, axis_direction
@@ -31,7 +31,6 @@ class ProfileKind(enum.Enum):
     W = "W"                    # depth-2 anchor roots
     V_WEAK = "V_WEAK"          # split pair of a double anchor root
     W_WEAK = "W_WEAK"          # shared simple anchor roots (quartic damping)
-    PRESET_CLOSED_FORM = "PRESET_CLOSED_FORM"
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,7 @@ class ProfileTerm:
     rate_terms: tuple[tuple[float, complex], ...]   # z(rho) = sum coef * rho^power
 
     def rate(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        z = np.zeros(rho.shape, dtype=complex)
-        for power, coef in self.rate_terms:
-            z = z + coef * rho**power
-        return z
+        return _power_sum(self.rate_terms, rho)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .symbols import Direction, OperatorStack, UnivariatePoly, full_symbol_at, restrict_complexified
+from .symbols import Direction, OperatorStack, UnivariatePoly, full_symbol_at, stack_rows, turned
 from .tolerances import TOL
 
 ABERTH_MAX_SWEEPS = 100
@@ -284,12 +284,8 @@ class RadialRootSolver:
         self.direction = d
         self.m = stack.m
         self.ell = stack.ell
-        self._pieces = []
-        for s in stack.symbols:
-            arr = np.zeros(self.m + 1, dtype=complex)
-            c = restrict_complexified(s, d).array()
-            arr[: len(c)] = c
-            self._pieces.append(arr)
+        # row j: P_{m-j}(mu, i d)
+        self._pieces = turned(stack_rows(stack, d.vector()[None, :])[0], self.m - np.arange(self.ell + 1))
 
     def mu_coeffs(self, rho) -> np.ndarray:
         """Coefficients in mu at one rho, shape (m+1,), or at each of rho[N], shape (N, m+1)."""
@@ -359,9 +355,11 @@ class RootBranchSet:
 
 
 def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cand[perm], perm): cand[perm[i]] is matched to prev[i] at minimum total
+    distance; prev may be shorter than cand."""
     cost = np.abs(prev[:, None] - cand[None, :])
     rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(cand), dtype=int)
+    perm = np.empty(len(prev), dtype=int)
     perm[rows] = cols
     return cand[perm], perm
 

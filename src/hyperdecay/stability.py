@@ -3,8 +3,9 @@
 The decisive quantities are root gaps and orderings of the restrictions
 P_{m-j}(lambda, d).  A classification solves each symbol once over all sampled
 directions (one `roots_batch` call on its `restriction_coeffs` rows) and every
-check reads that table; the depth-3 route builds its even/odd test rows for
-all (direction, radius) pairs at once and shares the row-wise interlacing test.
+check reads that table; the depth-3 route reads its even/odd test rows for
+all (direction, radius) points off one `stack_rows` call and shares the
+row-wise interlacing test.
 Classification is a certification up to the sampled direction resolution:
 every report carries the minimum margin observed (normalized by a
 root-magnitude scale) so callers can judge robustness, and the CLI maps small
@@ -21,7 +22,7 @@ import numpy as np
 
 from .rootkit import NonRealRootsError, RadialRootSolver, _residuals, is_real_root, root_groups, roots_batch
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction,
-                      restriction_coeffs)
+                      restriction_coeffs, stack_rows)
 from .tolerances import TOL
 
 
@@ -261,26 +262,6 @@ def classify_interlacing(p_low: UnivariatePoly, p_high: UnivariatePoly) -> Inter
     return InterlacingClass(cls.klass, cls.margin, None if cls.witness is None else cls.witness[1:])
 
 
-# ---------------------------------------------------------------------------
-# root structure along a direction (shared with the asymptotics module)
-
-
-@dataclass(frozen=True)
-class DirectionRootData:
-    direction: Direction
-    roots_by_level: tuple[np.ndarray, ...]  # sorted real roots of P_{m-j} restriction, j = 0..ell
-    scale: float
-
-    def roots(self, j: int) -> np.ndarray:
-        return self.roots_by_level[j]
-
-
-def direction_root_data(stack: OperatorStack, d: Direction) -> DirectionRootData:
-    """One row of the classification table: the sorted real restriction roots along d."""
-    tables = [real_root_table(restriction_coeffs(s, d.vector()[None, :])) for s in stack.symbols]
-    return DirectionRootData(d, tuple(t.re[0] for t in tables), float(max(t.scale[0] for t in tables)))
-
-
 def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> frozenset[str]:
     """Scenario flags over the rows at which every restriction is real-rooted: a
     double root of P_m (of P_{m-2}) flags DERIVATIVE_LOSS (DECAY_LOSS), a simple
@@ -378,42 +359,24 @@ def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | No
         n_directions=len(dirs), inconclusive=uncertain)
 
 
-def _hermite_biehler_rows(stack: OperatorStack, dirs: np.ndarray,
-                          radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd and even test-polynomial coefficients at xi = rho * d for every row d of
-    dirs[D, n] and radius rho, direction-major: shapes (D*R, m), (D*R, m+1).
-    P(lambda, rho*d) scales the restriction's lambda^k coefficient by rho^(order-k),
-    a Python float power (C `pow`): numpy's vectorized power can differ in the last bit."""
-    m = stack.m
-    rows = np.zeros((2, len(dirs) * len(radii), m + 1))       # [even, odd]
-    for j, s in enumerate(stack.symbols):
-        powers = np.array([[rho ** (s.order - k) for k in range(s.order + 1)] for rho in radii.tolist()])
-        c = (restriction_coeffs(s, dirs)[:, None, :] * powers).reshape(-1, s.order + 1)
-        rows[j % 2, :, : s.order + 1] += c if j < 2 else -c
-    return rows[1, :, :m], rows[0]
-
-
-def hermite_biehler_pair(stack: OperatorStack, xi: Sequence[float]) -> tuple[UnivariatePoly, UnivariatePoly]:
-    """(odd, even) test polynomials at real xi: O = P_{m-1}-P_{m-3}, E = P_m-P_{m-2}."""
-    xi = np.asarray(xi, dtype=float)
-    rho = float(np.linalg.norm(xi))
-    if rho == 0.0:
-        raise ValueError("the interlacing test needs xi != 0")
-    odd, even = _hermite_biehler_rows(stack, Direction.of(xi).vector()[None, :], np.array([rho]))
-    return UnivariatePoly.of(odd[0]), UnivariatePoly.of(even[0])
+def _hermite_biehler_rows(stack: OperatorStack, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Odd and even test-polynomial coefficients O = P_{m-1} - P_{m-3} and
+    E = P_m - P_{m-2} at every row of xi[N, n], from its `stack_rows` row;
+    shapes (N, m) and (N, m+1)."""
+    r = np.pad(stack_rows(stack, xi), ((0, 0), (0, 3 - stack.ell), (0, 0)))
+    return (r[:, 1] - r[:, 3])[:, : stack.m], r[:, 0] - r[:, 2]
 
 
 def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
-    """Strict stability of the full symbol at one xi via strict interlacing of
-    the even/odd test pair; non-real-rooted pairs count as not stable."""
+    """Strict stability of the full symbol at one xi != 0: one row of
+    `hermite_biehler_report`'s test; non-real-rooted pairs count as not stable."""
     if stack.ell < 1 or stack.ell > 3:
         raise ValueError("the interlacing stability test supports depths 1..3")
-    odd, even = hermite_biehler_pair(stack, xi)
-    try:
-        cls = classify_interlacing(odd, even)
-    except (NonRealRootsError, ValueError):
-        return False
-    return cls.klass is Interlacing.STRICT
+    xi = np.asarray(xi, dtype=float)
+    if not np.any(xi):
+        raise ValueError("the interlacing test needs xi != 0")
+    odd, even = _hermite_biehler_rows(stack, xi[None, :])
+    return _interlacing(_RootTable(odd), _RootTable(even)).klass is Interlacing.STRICT
 
 
 def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | None = None,
@@ -422,7 +385,8 @@ def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | 
     at every sampled direction and radius."""
     dirs, hyp, tables = _stack_table(stack, samples)
     radii = np.asarray(radii if radii is not None else np.geomspace(1e-3, 1e3, 25), dtype=float)
-    odd, even = _hermite_biehler_rows(stack, dirs, radii)
+    xi = (dirs[:, None, :] * radii[:, None]).reshape(-1, stack.dim)  # direction-major
+    odd, even = _hermite_biehler_rows(stack, xi)
     verdict = _interlacing(_RootTable(odd), _RootTable(even))
     if verdict.witness is not None:  # rows run over the radii of one direction, then the next
         verdict = replace(verdict, witness=(verdict.witness[0] // len(radii),) + verdict.witness[1:])

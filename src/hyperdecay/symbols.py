@@ -3,9 +3,14 @@
 A homogeneous symbol of order ``r`` in dimension ``n`` is a coefficient table
 ``c[(k, alpha)]`` with ``k + |alpha| = r``.  Stacks are ordered lists of such
 symbols with consecutive decreasing orders ``m, m-1, ..., m-ell``; the leading
-pure-time coefficient is normalized to 1 at construction.  Restrictions to a
-direction and the full symbol evaluated on the imaginary spatial axis are the
-two polynomial views everything downstream consumes.
+pure-time coefficient is normalized to 1 at construction.
+
+`restriction_coeffs` is the one loop over a symbol's terms: the real
+coefficients of P(lambda, xi) at many real xi at once.  Every other
+coefficient view is read from it: `stack_rows` holds every symbol's row,
+padded to degree m, and by homogeneity P(lambda, i*xi) is the row with its
+lambda^k coefficient turned by i^(order-k) (`turned`); `symbol_coeffs` sums
+those turned rows into the full symbol Q(lambda, i*xi).
 """
 
 from __future__ import annotations
@@ -296,17 +301,27 @@ def _detect_isotropy(symbols: Sequence[HomogeneousSymbol]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the two polynomial views
+# the coefficient views
+
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-def restriction_coeffs(sym: HomogeneousSymbol, dirs: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of P(lambda, d) at every row d of dirs[D, n]; shape (D, order+1)."""
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != sym.dim:
-        raise DimensionMismatchError(f"directions shape {dirs.shape} != (D, {sym.dim})")
-    out = np.zeros((dirs.shape[0], sym.order + 1), dtype=float)
+def restriction_coeffs(sym: HomogeneousSymbol, xi: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of P(lambda, xi) at every row of xi[N, n]; shape (N, order+1).
+
+    The one loop over a symbol's terms.  Each monomial is a product of
+    per-coordinate powers with a scalar exponent.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != sym.dim:
+        raise DimensionMismatchError(f"xi shape {xi.shape} != (N, {sym.dim})")
+    out = np.zeros((xi.shape[0], sym.order + 1), dtype=float)
     for (k, alpha), c in sym.terms():
-        out[:, k] += c * np.prod(dirs ** np.asarray(alpha), axis=1)
+        mono = np.ones(xi.shape[0])
+        for i, a in enumerate(alpha):
+            if a:
+                mono = mono * xi[:, i] ** a
+        out[:, k] += c * mono
     return out
 
 
@@ -314,13 +329,21 @@ def restrict_to_direction(sym: HomogeneousSymbol, d: Direction) -> UnivariatePol
     return sym.restrict(d)
 
 
-def restrict_complexified(sym: HomogeneousSymbol, d: Direction) -> UnivariatePoly:
-    """P(lambda, i*d): since |alpha| = order-k per term, this is the real
-    restriction with each lambda^k coefficient rotated by i^(order-k)."""
-    out = restriction_coeffs(sym, d.vector()[None, :])[0].astype(complex)
-    for k in range(sym.order + 1):
-        out[k] *= 1j ** (sym.order - k)
-    return UnivariatePoly.of(out)
+def stack_rows(stack: OperatorStack, xi: np.ndarray) -> np.ndarray:
+    """Real restriction coefficients of every symbol at every row of xi[N, n],
+    zero-padded to degree m; shape (N, ell+1, m+1), [:, j] holding P_{m-j}."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(xi.shape[:1] + (stack.ell + 1, stack.m + 1))
+    for j, s in enumerate(stack.symbols):
+        out[:, j, : s.order + 1] = restriction_coeffs(s, xi)
+    return out
+
+
+def turned(rows: np.ndarray, order) -> np.ndarray:
+    """Coefficients of P(lambda, i*xi) from those of P(lambda, xi) in rows[..., k]:
+    by homogeneity the lambda^k one gains i^(order-k).  `order` is an int or,
+    for `stack_rows` output, the orders m - arange(ell+1)."""
+    return rows * _I_POWERS[np.subtract.outer(order, np.arange(rows.shape[-1])) % 4]
 
 
 def full_symbol_at(stack: OperatorStack, xi: Sequence[float]) -> UnivariatePoly:
@@ -334,19 +357,13 @@ def full_symbol_at(stack: OperatorStack, xi: Sequence[float]) -> UnivariatePoly:
 
 
 def symbol_coeffs(stack: OperatorStack, xi: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of Q(lambda, i*xi) at every row of xi[N, n]; shape (N, m+1)."""
+    """Ascending coefficients of Q(lambda, i*xi) = sum_j P_{m-j}(lambda, i*xi) at
+    every row of xi[N, n]; shape (N, m+1).  Summed symbol by symbol from the
+    turned `restriction_coeffs` rows."""
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != stack.dim:
-        raise DimensionMismatchError(f"xi shape {xi.shape} != (N, {stack.dim})")
-    coeffs = np.zeros((xi.shape[0], stack.m + 1), dtype=complex)
-    ik = 1j * xi
+    coeffs = np.zeros(xi.shape[:1] + (stack.m + 1,), dtype=complex)
     for s in stack.symbols:
-        for (kt, alpha), c in s.terms():
-            factor = np.ones(xi.shape[0], dtype=complex)
-            for d, a in enumerate(alpha):
-                if a:
-                    factor = factor * ik[:, d] ** a
-            coeffs[:, kt] += c * factor
+        coeffs[:, : s.order + 1] += turned(restriction_coeffs(s, xi), s.order)
     return coeffs
 
 

@@ -24,7 +24,6 @@ class Tolerances:
     # branch tracking / propagation
     cluster_rtol: float = 1e-6
     confluence_rtol: float = 1e-5        # diagnostic only; selects no route
-    path_agreement_rtol: float = 1e-8
     # quadrature and verdicts
     tail_fraction: float = 1e-6
     abscissa_margin: float = 1e-10

@@ -95,7 +95,8 @@ def test_tolerance_override(tmp_path):
 
 
 def test_bad_tolerance_is_config_error(tmp_path):
-    assert main(["--out", str(tmp_path), "--tol", "nope=1", "classify", "mgt"]) == 1
+    for name in ("nope", "path_agreement_rtol"):
+        assert main(["--out", str(tmp_path), "--tol", f"{name}=1", "classify", "mgt"]) == 1
 
 
 def test_simulate_command_small(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hyperdecay.presets import (blackstock_crighton_stack, damped_wave_stack,
                                 em_elastic_stack, example_ell3_stack,
                                 example_ell3_stable_predicate, mgt_stack)
 from hyperdecay.rootkit import NonRealRootsError
-from hyperdecay.stability import abscissa_verdict, direction_root_data
+from hyperdecay.stability import abscissa_verdict
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
 from hyperdecay.tolerances import TOL
 
@@ -83,6 +83,25 @@ def test_hermite_biehler_examples(stacks):
     # depth-1 reduction agrees with the direct abscissa
     assert hermite_biehler_stable(stacks["mgt"], np.array([1.0, 0.0, 0.0]))
     assert hd.spectral_abscissa(stacks["mgt"], np.array([1.0, 0.0, 0.0])) < 0
+
+
+def test_hermite_biehler_report_anisotropic_depth3():
+    """example_ell3 in 2-d with P_{m-2} = c2 (lambda^2 - xi_x^2 - 3.5 xi_y^2): the
+    report's witness is a direction index (its rows run direction-major), and
+    the one-point test agrees with it and with the spectral abscissa."""
+    base = example_ell3_stack(a=2.0, c1=1.0, c2=2.0, c3=1.0, dim=2)
+    p2 = HomogeneousSymbol(2, 2, {(2, (0, 0)): 2.0, (0, (2, 0)): -2.0, (0, (0, 2)): -7.0})
+    stack = OperatorStack.build([base.symbol(0), base.symbol(1), p2, base.symbol(3)])
+    rep = classify_stack(stack)
+    assert rep.n_directions == 256 and not rep.strictly_stable
+    assert rep.interlacing_upper.klass is Interlacing.FAIL
+    assert rep.interlacing_upper.witness[0] == 28
+    dirs = sample_directions(2)
+    bad, good = 10.0 * dirs[28].vector(), 10.0 * dirs[0].vector()
+    assert not hermite_biehler_stable(stack, bad) and hd.spectral_abscissa(stack, bad) > 0
+    assert hermite_biehler_stable(stack, good) and hd.spectral_abscissa(stack, good) < 0
+    with pytest.raises(ValueError):
+        hermite_biehler_stable(stack, np.zeros(2))
 
 
 def test_hermite_biehler_agrees_with_abscissa_on_presets(stacks):
@@ -157,7 +176,7 @@ def break_interlacing(rng, stack):
     """Move one root of a lower symbol decisively outside its bracket."""
     d = axis_direction(1)
     level = 1 if stack.ell == 1 else int(rng.integers(1, 3))
-    sets = list(direction_root_data(stack, d).roots_by_level)
+    sets = [np.sort(hd.roots(s.restrict(d)).real) for s in stack.symbols]
     upper = sets[level - 1]
     target = sets[level].copy()
     i = int(rng.integers(0, len(target)))

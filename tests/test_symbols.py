@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hyperdecay import Direction, HomogeneousSymbol, OperatorStack, check_poly, full_symbol_at, roots
 from hyperdecay.presets import anisotropic_elastic_2d_stack, damped_wave_stack, mgt_stack
 from hyperdecay.stability import sample_directions
+from hyperdecay.rootkit import RadialRootSolver
 from hyperdecay.symbols import (DimensionMismatchError, ModelFormatError, UnivariatePoly, axis_direction,
-                                restrict_complexified, restriction_coeffs, stack_from_dict, stack_to_dict)
+                                restriction_coeffs, stack_from_dict, stack_to_dict, symbol_coeffs)
 
 
 def test_mgt_restriction_any_direction():
@@ -103,15 +104,25 @@ def test_restriction_coeffs_rows_evaluate_the_symbol():
             assert np.allclose(np.polynomial.polynomial.polyval(lam, c.T), want, rtol=1e-12, atol=1e-12)
     with pytest.raises(DimensionMismatchError):
         restriction_coeffs(stack.symbol(0), np.ones((4, 3)))
+    # the full symbol at non-unit xi: P(lam, i xi) = i^r P(-i lam, xi) per symbol
+    xi = np.random.default_rng(7).normal(scale=3.0, size=(16, 2))
+    q = symbol_coeffs(stack, xi)
+    assert q.shape == (len(xi), stack.m + 1)
+    for lam in (-0.7 + 0.2j, 1.3j):
+        want = [sum(1j**s.order * s.evaluate(-1j * lam, x) for s in stack.symbols) for x in xi]
+        assert np.allclose(np.polynomial.polynomial.polyval(lam, q.T), want, rtol=1e-12, atol=1e-12)
 
 
-def test_restrict_complexified_rotation():
-    sym = mgt_stack().symbol(1)
-    d = axis_direction(3)
-    pc = restrict_complexified(sym, d).array()
-    pr = sym.restrict(d).array()
-    for k in range(len(pr)):
-        assert pc[k] == pytest.approx(pr[k] * 1j ** (sym.order - k))
+def test_mu_coeffs_are_scaled_symbol_coeffs():
+    """mu_coeffs(rho)[k] = rho^(k-m+ell) * Q's lambda^k coefficient at rho*d."""
+    for stack, d in [(mgt_stack(), axis_direction(3)),
+                     (anisotropic_elastic_2d_stack(), Direction.of((0.6, -1.3)))]:
+        solver = RadialRootSolver(stack, d)
+        for rho in (1e-3, 0.37, 42.0):
+            q = symbol_coeffs(stack, rho * d.vector()[None, :])[0]
+            want = rho ** (np.arange(stack.m + 1) - stack.m + stack.ell) * q
+            got = solver.mu_coeffs(rho)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_normalization_divides_leading():
