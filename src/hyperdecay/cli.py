@@ -22,7 +22,7 @@ from .profiles import moment, profile_gap_series
 from .rootkit import branch_dump_rows, track_branches
 from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
-                     simulate)
+                     gaussian_data, simulate)
 from .stability import classify_stack
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, axis_direction, load_model,
                       save_model)
@@ -66,6 +66,21 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
+def _write_series(path: Path, series) -> None:
+    """The `t,value` CSV of a norm time series."""
+    _write_csv(path, ["t", "value"], [(float(t), float(v)) for t, v in zip(series.times, series.values)])
+
+
+def _write_expansions(path: Path, records) -> None:
+    _write_csv(path, ["branch", "power", "re_coeff", "im_coeff"],
+               [(r.branch, p, c.real, c.imag) for r in records for p, c in r.terms])
+
+
+def _write_simulate(out: Path, name: str, series) -> None:
+    _write_series(out / f"{name}_simulate.csv", series)
+    _write_json(out / f"{name}_simulate_fit.json", series.to_dict())
+
+
 def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
     """A preset or a model file; `dim` rebuilds an isotropic preset in that dimension."""
     if spec.startswith("preset:"):
@@ -92,9 +107,7 @@ def _isotropic_at_dim(stack: OperatorStack, dim: int) -> OperatorStack:
 
 def _load_data(spec: str | None, m: int) -> DataSpec:
     if spec is None:
-        profiles = [ZeroProfile()] * m
-        profiles[m - 1] = GaussianProfile(1.0, 1.0)
-        return DataSpec(tuple(profiles))
+        return gaussian_data(m, m - 1)
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     entries = doc["profiles"]
@@ -126,8 +139,11 @@ def _parse_direction(text: str | None, dim: int) -> Direction:
     return Direction.of(parts)
 
 
-def _series_rows(series):
-    return [(float(t), float(v)) for t, v in zip(series.times, series.values)]
+def _records(stack: OperatorStack, d: Direction, regime: str):
+    """The expansion records of the "low" or "high" regime along d."""
+    if regime == "low":
+        return asy.low_freq_expansions(stack, d)
+    return asy.high_freq_expansions(stack, d)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +174,18 @@ def cmd_asymptotics(args) -> int:
     stack, name = _load_stack(args.model)
     d = _parse_direction(args.direction, stack.dim)
     regime = asy.Regime.LOW if args.regime == "low" else asy.Regime.HIGH
-    if regime is asy.Regime.LOW:
-        records = asy.low_freq_expansions(stack, d)
-        grid = np.geomspace(1e-4, 1e-1, 121)
-    else:
-        records = asy.high_freq_expansions(stack, d)
-        grid = np.geomspace(1e1, 1e4, 121)
+    records = _records(stack, d, args.regime)
+    grid = np.geomspace(1e-4, 1e-1, 121) if regime is asy.Regime.LOW else np.geomspace(1e1, 1e4, 121)
     bs = track_branches(stack, d, grid)
     assign = asy.match_records_to_branches(bs, records, regime)
-    rows = []
     fits = []
     for i, rec in enumerate(records):
-        for power, coef in rec.terms:
-            rows.append((rec.branch, power, coef.real, coef.imag))
         order, rel = asy.verify_expansion(bs, rec, branch_index=assign[i])
         fits.append({"branch": rec.branch, "case": rec.case.value,
                      "fitted_remainder_order": order, "boundary_rel_err": rel,
                      "threshold": rec.last_power + 0.4})
     out = Path(args.out)
-    _write_csv(out / f"{name}_asymptotics_{args.regime}.csv",
-               ["branch", "power", "re_coeff", "im_coeff"], rows)
+    _write_expansions(out / f"{name}_asymptotics_{args.regime}.csv", records)
     _write_json(out / f"{name}_asymptotics_{args.regime}_fit.json", {"records": fits})
     _write_csv(out / f"{name}_branches_{args.regime}.csv",
                ["ray_id", "rho", "branch", "re", "im"], branch_dump_rows(bs))
@@ -212,9 +220,7 @@ def cmd_simulate(args) -> int:
     data = _load_data(args.data, stack.m)
     times = np.geomspace(args.tmin, args.tmax, args.points)
     series = simulate(stack, data, times, k=args.k, s=args.s)
-    out = Path(args.out)
-    _write_csv(out / f"{name}_simulate.csv", ["t", "value"], _series_rows(series))
-    _write_json(out / f"{name}_simulate_fit.json", series.to_dict())
+    _write_simulate(Path(args.out), name, series)
     print(f"{name}: fitted slope {series.fitted_slope:+.4f} +- {series.slope_stderr:.4f} "
           f"on t in [{series.fit_window[0]:.3g}, {series.fit_window[1]:.3g}]")
     return EXIT_OK
@@ -224,12 +230,13 @@ def cmd_profile(args) -> int:
     stack, name = _load_stack(args.model)
     data = _load_data(args.data, stack.m)
     times = np.geomspace(args.tmin, args.tmax, args.points)
-    sol = simulate(stack, data, times, k=args.k, s=args.s)
+    # the moment and the gap series reject their inputs before the longer solution run
     M = moment(data, stack)
     gap = profile_gap_series(stack, data, times, k=args.k, s=args.s)
+    sol = simulate(stack, data, times, k=args.k, s=args.s)
     out = Path(args.out)
-    _write_csv(out / f"{name}_profile_solution.csv", ["t", "value"], _series_rows(sol))
-    _write_csv(out / f"{name}_profile_gap.csv", ["t", "value"], _series_rows(gap))
+    _write_series(out / f"{name}_profile_solution.csv", sol)
+    _write_series(out / f"{name}_profile_gap.csv", gap)
     _write_json(out / f"{name}_profile_fit.json", {
         "moment": M,
         "solution": sol.to_dict(),
@@ -288,34 +295,25 @@ def cmd_reproduce(args) -> int:
                        f"got {sorted(report.scenario_flags)}"))
 
     d = axis_direction(stack.dim)
-    if "low" in exp:
-        records = asy.low_freq_expansions(stack, d)
-        ok, problems = preset_mod.compare_expansions(records, exp["low"])
-        checks.append(("low_expansions", ok, "; ".join(problems)))
-        _write_csv(out / f"{pm.name}_asymptotics_low.csv",
-                   ["branch", "power", "re_coeff", "im_coeff"],
-                   [(r.branch, p, c.real, c.imag) for r in records for p, c in r.terms])
-    if "high" in exp:
-        records = asy.high_freq_expansions(stack, d)
-        ok, problems = preset_mod.compare_expansions(records, exp["high"])
-        checks.append(("high_expansions", ok, "; ".join(problems)))
-        _write_csv(out / f"{pm.name}_asymptotics_high.csv",
-                   ["branch", "power", "re_coeff", "im_coeff"],
-                   [(r.branch, p, c.real, c.imag) for r in records for p, c in r.terms])
+    for regime in ("low", "high"):
+        if regime in exp:
+            records = _records(stack, d, regime)
+            ok, problems = preset_mod.compare_expansions(records, exp[regime])
+            checks.append((f"{regime}_expansions", ok, "; ".join(problems)))
+            _write_expansions(out / f"{pm.name}_asymptotics_{regime}.csv", records)
 
     if "sim" in exp:
         cfg = exp["sim"]
-        data = _slot_data(stack.m, cfg["slot"])
+        data = gaussian_data(stack.m, cfg["slot"])
         times = np.geomspace(cfg["t_range"][0], cfg["t_range"][1], cfg["t_range"][2])
         series = simulate(stack, data, times, k=cfg["k"], s=cfg["s"])
-        _write_csv(out / f"{pm.name}_simulate.csv", ["t", "value"], _series_rows(series))
-        _write_json(out / f"{pm.name}_simulate_fit.json", series.to_dict())
+        _write_simulate(out, pm.name, series)
         ok = abs(series.fitted_slope - cfg["slope"]) <= cfg["tol"]
         checks.append(("decay_slope", ok,
                        f"fitted {series.fitted_slope:+.4f}, expected {cfg['slope']:+.4f} +- {cfg['tol']}"))
         if "profile_gap_band" in exp:
             gap = profile_gap_series(stack, data, times, k=cfg["k"], s=cfg["s"])
-            _write_csv(out / f"{pm.name}_profile_gap.csv", ["t", "value"], _series_rows(gap))
+            _write_series(out / f"{pm.name}_profile_gap.csv", gap)
             imp = gap.fitted_slope - series.fitted_slope
             lo, hi = exp["profile_gap_band"]
             checks.append(("profile_gap_improvement", lo <= imp <= hi,
@@ -329,12 +327,6 @@ def cmd_reproduce(args) -> int:
     for n, okc, detail in checks:
         print(f"[{'PASS' if okc else 'FAIL'}] {n}" + ("" if okc else f": {detail}"))
     return EXIT_OK if doc["all_passed"] else EXIT_NEGATIVE
-
-
-def _slot_data(m: int, slot: int) -> DataSpec:
-    profiles = [ZeroProfile()] * m
-    profiles[slot] = GaussianProfile(1.0, 1.0)
-    return DataSpec(tuple(profiles))
 
 
 # ---------------------------------------------------------------------------

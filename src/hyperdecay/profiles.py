@@ -1,15 +1,19 @@
 """Asymptotic Fourier profiles, moment functional, and profile-gap norms.
 
-Every profile is a sum of weighted exponentials with mode-dependent rates
+A profile is one sum over the slow branches, those anchored at the roots of
+the lowest symbol:
 
-    profile_hat(t, rho) = M * sum_j amp_j * exp(z_j(rho) * t),
+    profile_hat(t, rho) = M * rho^(-a) * sum_j amp_j * exp(z_j(rho) * t),
     z_j(rho) = sum over (power, coef) of coef * rho^power,
 
-optionally multiplied by the inverse-power Fourier multiplier rho^(-a) of a
-smoothing potential of order a.  The generic builder covers the strict cases
-(oscillation at the anchor roots, quadratic-in-rho damping); the weak variants
-add the cubic/quartic phases of shared roots and the split pair of a double
-root.  Time derivatives act term by term through z_j^k.
+where z_j is branch j's low-frequency expansion, amp_j comes from the
+deleted-root product of its anchor, and rho^(-a) is the Fourier multiplier of
+a smoothing potential of order a.  One builder serves every kind; each kind
+keeps the records of one expansion case: simple anchors for the strict kinds,
+shared simple anchors for the quartic-phase weak kind, and the split pair of
+a double anchor for the other weak kind.  Time derivatives act term by term
+through z_j^k.  The gap to the solution is measured by the solver's norm
+routine on the solution's own radial grid.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import ExpansionCase, Regime, _expansions, _power_sum
-from .solver import (DataSpec, NormTimeSeries, RadialPropagator, _series_from_values,
-                     default_rho_grid, sobolev_norm)
+from .solver import DataSpec, NormTimeSeries, _field, _norm_series, default_rho_grid
 from .symbols import Direction, OperatorStack, axis_direction
 from .tolerances import TOL
 
@@ -92,12 +95,23 @@ def moment(data: DataSpec, stack: OperatorStack) -> float:
         idx = stack.m - 1 - j
         if idx < 0:
             break
+        if not np.isfinite(zeros[idx]):
+            raise ValueError(f"data slot {idx} has no finite value at xi = 0, which the moment needs")
         total += c * zeros[idx]
     return float(total)
 
 
 # ---------------------------------------------------------------------------
 # builders
+
+
+# the low-frequency case whose records each kind keeps, and the kind's name in errors
+_KIND_CASES = {
+    ProfileKind.V: (ExpansionCase.SIMPLE, "strict"),
+    ProfileKind.W: (ExpansionCase.SIMPLE, "strict"),
+    ProfileKind.W_WEAK: (ExpansionCase.SHARED_SIMPLE, "quartic-phase"),
+    ProfileKind.V_WEAK: (ExpansionCase.DOUBLE, "split-pair"),
+}
 
 
 def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
@@ -107,6 +121,9 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
     Kind selection when not forced: shared simple anchor roots give the
     quartic-phase weak profile, a double anchor root gives the split-pair
     profile, otherwise the generic strict profile of the stack's depth.
+    Each kind keeps the records of one case: a term per record, with the
+    record's own rate and amplitude 1 / (i^(m-ell-1-delta) p), p the
+    deleted-root product of its anchor and delta = 1 at a double anchor.
     """
     if stack.ell < 1:
         raise ValueError("profiles need at least one dissipative symbol")
@@ -120,49 +137,33 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
             kind = ProfileKind.V_WEAK
         else:
             kind = ProfileKind.W if stack.ell >= 2 else ProfileKind.V
+    if kind not in _KIND_CASES:
+        raise ValueError(f"cannot build profile kind {kind}")
+    case, label = _KIND_CASES[kind]
     m, ell = stack.m, stack.ell
-    if kind in (ProfileKind.V, ProfileKind.W):
+    if case is ExpansionCase.SIMPLE:
         if any(c is not ExpansionCase.SIMPLE for c in cases):
             raise ValueError(f"the strict profile needs simple anchor roots, found {sorted(c.value for c in cases)}")
-        terms = []
-        for rec, pcheck in slow:
-            anchor = rec.terms[0][1].imag
-            rate2 = rec.terms[1][1]
-            amp = 1.0 / (1j ** (m - ell - 1) * pcheck)
-            terms.append(ProfileTerm(complex(amp), ((1.0, 1j * anchor), (2.0, complex(rate2)))))
-        return ProfileSpec(kind, M, m - ell - 1, tuple(terms))
-    if kind is ProfileKind.W_WEAK:
-        if ell != 2:
-            raise ValueError("the quartic-phase profile needs a depth-2 stack")
-        terms = []
-        for rec, pcheck in slow:
-            if rec.case is not ExpansionCase.SHARED_SIMPLE:
-                continue
-            amp = 1.0 / (1j ** (m - 3) * pcheck)
-            terms.append(ProfileTerm(complex(amp), tuple(rec.terms)))
-        if not terms:
-            raise ValueError("no shared simple anchor roots; the quartic-phase profile is empty")
-        return ProfileSpec(kind, M, m - 3, tuple(terms))
-    if kind is ProfileKind.V_WEAK:
-        if ell != 2:
-            raise ValueError("the split-pair profile needs a depth-2 stack")
-        # the two records of a double anchor are adjacent, kappa+ first
-        doubles = [(rec, pcheck) for rec, pcheck in slow if rec.case is ExpansionCase.DOUBLE]
-        terms = []
-        for (rec, denom), (rec_minus, _) in zip(doubles[::2], doubles[1::2]):
-            anchor = rec.terms[0][1].imag
-            kp, km = rec.terms[1][1], rec_minus.terms[1][1]
+    elif ell != 2:
+        raise ValueError(f"the {label} profile needs a depth-2 stack")
+    delta = 1 if case is ExpansionCase.DOUBLE else 0
+    terms = [ProfileTerm(complex(1.0 / (1j ** (m - ell - 1 - delta) * p)), rec.terms)
+             for rec, p in slow if rec.case is case]
+    if delta:
+        # the two records of a double anchor are adjacent, kappa+ first; the
+        # difference quotient (e^(k+ t) - e^(k- t)) / (k+ - k-) is symmetric in
+        # the pair labeling, matching the split of the double branch
+        split = []
+        for plus, minus in zip(terms[::2], terms[1::2]):
+            kp, km = plus.rate_terms[1][1], minus.rate_terms[1][1]
             if abs(kp - km) <= TOL.root_match_rtol * (1.0 + max(abs(kp), abs(km))):
                 raise ValueError("the split-pair profile needs distinct quadratic solutions")
-            # difference quotient (e^(k+ t) - e^(k- t)) / (k+ - k-): symmetric in
-            # the pair labeling, matching the split of the double branch
-            pref = 1.0 / (1j ** (m - 4) * denom) / (kp - km)
-            terms.append(ProfileTerm(complex(pref), ((1.0, 1j * anchor), (2.0, complex(kp)))))
-            terms.append(ProfileTerm(complex(-pref), ((1.0, 1j * anchor), (2.0, complex(km)))))
-        if not terms:
-            raise ValueError("no double anchor roots; the split-pair profile is empty")
-        return ProfileSpec(kind, M, m - 2, tuple(terms))
-    raise ValueError(f"cannot build profile kind {kind}")
+            pref = plus.amplitude / (kp - km)
+            split += [ProfileTerm(pref, plus.rate_terms), ProfileTerm(-pref, minus.rate_terms)]
+        terms = split
+    if not terms:
+        raise ValueError(f"no {case.value.lower().replace('_', ' ')} anchor roots; the {label} profile is empty")
+    return ProfileSpec(kind, M, m - ell - 1 + delta, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +184,9 @@ def profile_gap_series(stack: OperatorStack, data: DataSpec, times, k: int = 0, 
     times = np.asarray(times, dtype=float)
     if spec is None:
         spec = build_profile(stack, moment(data, stack))
-    d = axis_direction(stack.dim)
-    prop = RadialPropagator(stack, d, rho)
-    sol = prop.propagate(data.values(rho, stack.dim), times, k)
+    sol = _field(stack, data, rho, times, k, [axis_direction(stack.dim)])[:, 0]
     prof = np.stack([spec.fourier_value(t, rho, k=k, apply_riesz=True) for t in times])
-    gap = sol - prof
-    values = np.array([sobolev_norm(stack.dim, rho, gap[i], s) for i in range(len(times))])
-    return _series_from_values(times, values, k, s, fit_window_decades)
+    return _norm_series(stack.dim, rho, sol - prof, times, k, s, fit_window_decades)
 
 
 # ---------------------------------------------------------------------------

@@ -480,9 +480,9 @@ def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float, r
     return perm
 
 
-def branch_dump_rows(bs: RootBranchSet, ray_id: int = 0):
-    """Rows (ray_id, rho, branch, re, im) for CSV export."""
+def branch_dump_rows(bs: RootBranchSet):
+    """Rows (ray_id, rho, branch, re, im) for CSV export; ray_id is 0 for the one ray."""
     for i, rho in enumerate(bs.rho_grid):
         for j in range(bs.m):
             z = bs.branches[j, i]
-            yield (ray_id, float(rho), j, float(z.real), float(z.imag))
+            yield (0, float(rho), j, float(z.real), float(z.imag))

@@ -112,7 +112,7 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
               initial_slot: int | None = None, dt: float = 0.05) -> SemilinearRun:
     """Assemble a run with physical initial data placed in one derivative slot.
 
-    `initial` maps the coordinate grid (x, or (x, y) meshes) to real values;
+    `initial` maps the coordinate meshes, one per axis, to real values;
     by default data go into the top slot m-1.
     """
     if dim not in (1, 2):
@@ -128,23 +128,13 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
     half = n // 2 + 1
     run.state = np.zeros((stack.m,) + (n,) * (dim - 1) + (half,), dtype=complex)
     if initial is not None:
-        ax = run.grid_axes()
-        if dim == 1:
-            vals = initial(ax)
-        else:
-            xx, yy = np.meshgrid(ax, ax, indexing="ij")
-            vals = initial(xx, yy)
+        vals = initial(*np.meshgrid(*[run.grid_axes()] * dim, indexing="ij"))
         slot = stack.m - 1 if initial_slot is None else int(initial_slot)
         run.state[slot] = np.fft.rfftn(np.asarray(vals, dtype=float), axes=tuple(range(dim)))
     k1 = _wavenumbers(n, run.box_halfwidth)
-    kmax = np.max(np.abs(k1))
-    if dim == 1:
-        run._freqs = k1[None, :half]
-        run._dealias = np.abs(k1[:half]) <= (2.0 / 3.0) * kmax
-    else:
-        kx, ky = np.meshgrid(k1, k1[:half], indexing="ij")
-        run._freqs = np.stack([kx, ky])
-        run._dealias = (np.abs(kx) <= (2.0 / 3.0) * kmax) & (np.abs(ky) <= (2.0 / 3.0) * kmax)
+    # the last axis keeps the rfftn half
+    run._freqs = np.stack(np.meshgrid(*[k1] * (dim - 1), k1[:half], indexing="ij"))
+    run._dealias = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * np.max(np.abs(k1)), axis=0)
     _prepare_roots(run)
     run.times.append(0.0)
     run.l2_series.append(run.l2_norm(0))
@@ -235,14 +225,11 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     Initial data: a centered Gaussian of the given amplitude and width in one
     derivative slot (top slot by default).  The run stops early on blow-up.
     """
-    def gauss1(x):
-        return amplitude * np.exp(-0.5 * (x / width) ** 2)
-
-    def gauss2(x, y):
-        return amplitude * np.exp(-0.5 * ((x**2 + y**2) / width**2))
+    def gauss(*x):
+        return amplitude * np.exp(-0.5 * (sum(c**2 for c in x) / width**2))
 
     run = build_run(stack, p, sign, nu, box_halfwidth, modes_per_axis, dim,
-                    initial=gauss1 if dim == 1 else gauss2, initial_slot=initial_slot, dt=dt0)
+                    initial=gauss, initial_slot=initial_slot, dt=dt0)
     while run.t < T and not run.blowup_flag:
         dt = min(run.dt, T - run.t)
         prev = run.l2_series[-1]

@@ -337,9 +337,19 @@ def default_rho_grid() -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _series_from_values(times, values, k, s, fit_window_decades):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+def _field(stack: OperatorStack, data: DataSpec, rho: np.ndarray, times: np.ndarray, k: int,
+           directions: Sequence[Direction]) -> np.ndarray:
+    """d_t^k u_hat on the radial grid along each direction; shape (T, D, N)."""
+    dvals = data.values(rho, stack.dim)
+    return np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, k) for d in directions],
+                    axis=1)
+
+
+def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.ndarray, k: int,
+                 s: float, fit_window_decades: float, check_tail: bool = True) -> NormTimeSeries:
+    """The s-norm of field_vals[i] at each time, cut at the first underflow, with its slope fit."""
+    values = np.array([sobolev_norm(dim, rho, field_vals[i], s, check_tail=check_tail)
+                       for i in range(len(times))])
     flags = []
     truncated = False
     alive = values >= UNDERFLOW_FLOOR
@@ -374,14 +384,5 @@ def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float =
         directions = sample_directions(stack.dim, stack.isotropic)
         if not stack.isotropic and stack.dim == 2:
             directions = directions[::4]  # 64 angles suffice for the norm average
-    dvals = data.values(rho, stack.dim)
-    per_dir = []
-    for d in directions:
-        prop = RadialPropagator(stack, d, rho)
-        per_dir.append(prop.propagate(dvals, times, k))
-    field_vals = np.stack(per_dir, axis=1)  # (t, dirs, modes)
-    values = np.array([
-        sobolev_norm(stack.dim, rho, field_vals[i], s, check_tail=check_tail)
-        for i in range(len(times))
-    ])
-    return _series_from_values(times, values, k, s, fit_window_decades)
+    return _norm_series(stack.dim, rho, _field(stack, data, rho, times, k, directions), times, k, s,
+                        fit_window_decades, check_tail)

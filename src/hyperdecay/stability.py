@@ -133,10 +133,6 @@ def sample_directions(dim: int, isotropic: bool = False) -> list[Direction]:
     return [Direction.of(rng.normal(size=dim)) for _ in range(512)]
 
 
-def directions_for(stack: OperatorStack) -> list[Direction]:
-    return sample_directions(stack.dim, stack.isotropic)
-
-
 # ---------------------------------------------------------------------------
 # restriction-root tables
 
@@ -176,7 +172,7 @@ def real_root_table(coeffs: np.ndarray) -> _RootTable:
 
 def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
     """(directions[D, n], hyperbolicity by order, root table per symbol) for one classification."""
-    samples = list(samples) if samples is not None else directions_for(stack)
+    samples = list(samples) if samples is not None else sample_directions(stack.dim, stack.isotropic)
     dirs = np.array([d.components for d in samples], dtype=float)
     classes, tables = zip(*(_hyperbolicity(s, dirs) for s in stack.symbols))
     return dirs, {s.order: c for s, c in zip(stack.symbols, classes)}, tables
@@ -379,12 +375,11 @@ def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
     return _interlacing(_RootTable(odd), _RootTable(even)).klass is Interlacing.STRICT
 
 
-def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | None = None,
-                           radii: Sequence[float] | None = None) -> StabilityReport:
+def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
     """Depth-3 (or general) verdict: the even/odd pair must strictly interlace
-    at every sampled direction and radius."""
+    at every sampled direction and at 25 radii in [1e-3, 1e3]."""
     dirs, hyp, tables = _stack_table(stack, samples)
-    radii = np.asarray(radii if radii is not None else np.geomspace(1e-3, 1e3, 25), dtype=float)
+    radii = np.geomspace(1e-3, 1e3, 25)
     xi = (dirs[:, None, :] * radii[:, None]).reshape(-1, stack.dim)  # direction-major
     odd, even = _hermite_biehler_rows(stack, xi)
     verdict = _interlacing(_RootTable(odd), _RootTable(even))
@@ -415,19 +410,15 @@ def routh_hurwitz_cubic(a2: float, a1: float, a0: float) -> bool:
     return a0 < a1 * a2
 
 
-def abscissa_verdict(stack: OperatorStack, n_samples: int = 64,
-                     rho_range: tuple[float, float] = (1e-2, 1e2)) -> tuple[bool, float]:
+def abscissa_verdict(stack: OperatorStack) -> tuple[bool, float]:
     """Direct check max Re lambda < -abscissa_margin over sampled xi != 0.
 
-    Returns (verdict, worst_abscissa).  Sampling: all radii on one direction
-    for isotropic stacks, radii x directions otherwise.
+    Returns (verdict, worst_abscissa).  Sampling: about 64 points with radii
+    in [1e-2, 1e2], on the first two sampled directions of isotropic or 1-d
+    stacks and on 8 spread directions otherwise.
     """
-    if stack.isotropic or stack.dim == 1:
-        dirs = sample_directions(stack.dim, isotropic=stack.isotropic)[: 2]
-        n_r = max(1, n_samples // len(dirs))
-    else:
-        dirs = directions_for(stack)[:: max(1, len(directions_for(stack)) // 8)][:8]
-        n_r = max(1, n_samples // len(dirs))
-    radii = np.geomspace(rho_range[0], rho_range[1], n_r)
+    dirs = sample_directions(stack.dim, stack.isotropic)
+    dirs = dirs[:2] if stack.isotropic or stack.dim == 1 else dirs[:: max(1, len(dirs) // 8)][:8]
+    radii = np.geomspace(1e-2, 1e2, max(1, 64 // len(dirs)))
     worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
     return worst < -TOL.abscissa_margin, worst

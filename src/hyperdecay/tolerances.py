@@ -5,6 +5,7 @@ so the CLI can override them uniformly (``--tol name=value``) and tests can
 reference the same numbers the library uses.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -33,8 +34,12 @@ TOL = Tolerances()
 
 
 def set_tolerance(name: str, value: float) -> None:
-    """Override one tolerance by name; raises on unknown names."""
+    """Override one tolerance by name; raises on unknown names and on values
+    that are not finite and >= 0."""
     valid = {f.name for f in fields(Tolerances)}
     if name not in valid:
         raise KeyError(f"unknown tolerance {name!r}; valid names: {sorted(valid)}")
-    setattr(TOL, name, float(value))
+    value = float(value)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"tolerance {name} must be finite and >= 0, got {value}")
+    setattr(TOL, name, value)

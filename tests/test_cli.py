@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
+
 from hyperdecay.cli import main
 from hyperdecay.presets import mgt_stack
+from hyperdecay.solver import default_rho_grid
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, save_model
 
 
@@ -95,8 +98,15 @@ def test_tolerance_override(tmp_path):
 
 
 def test_bad_tolerance_is_config_error(tmp_path):
-    for name in ("nope", "path_agreement_rtol"):
-        assert main(["--out", str(tmp_path), "--tol", f"{name}=1", "classify", "mgt"]) == 1
+    from hyperdecay.tolerances import TOL
+    saved = dict(vars(TOL))
+    try:
+        for override in ("nope=1", "path_agreement_rtol=1", "interlace_margin_rtol=nan",
+                         "tail_fraction=nan", "cluster_rtol=inf", "root_residual_rtol=-1"):
+            assert main(["--out", str(tmp_path), "--tol", override, "classify", "mgt"]) == 1, override
+        assert vars(TOL) == saved
+    finally:
+        vars(TOL).update(saved)
 
 
 def test_simulate_command_small(tmp_path, capsys):
@@ -163,7 +173,7 @@ def test_reproduce_second_preset(tmp_path):
     assert main(["--out", str(tmp_path), "reproduce", "not_a_preset"]) == 1
 
 
-def test_data_file_parsing(tmp_path):
+def test_data_file_parsing(tmp_path, capsys):
     data = {"profiles": [{"kind": "zero"}, {"kind": "ring", "r0": 1.0, "sigma": 0.2},
                          {"kind": "gaussian", "amplitude": 2.0, "width": 0.5}]}
     dpath = tmp_path / "data.json"
@@ -174,3 +184,29 @@ def test_data_file_parsing(tmp_path):
     bad = {"profiles": [{"kind": "zero"}]}
     dpath.write_text(json.dumps(bad))
     assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
+    # a grid profile without zero_value leaves the moment undefined
+    rho = default_rho_grid()
+    grid = {"profiles": [{"kind": "zero"}, {"kind": "zero"},
+                         {"kind": "grid", "values": list(np.exp(-0.5 * rho**2))}]}
+    dpath.write_text(json.dumps(grid))
+    out = tmp_path / "grid"
+    assert main(["--out", str(out), "profile", "mgt", "--data", str(dpath),
+                 "--tmin", "10", "--tmax", "100", "--points", "5"]) == 1
+    assert "slot 2" in capsys.readouterr().err
+    assert not (out / "mgt_profile_fit.json").exists()
+
+
+def test_reproduce_writes_what_the_subcommands_write(tmp_path):
+    """`reproduce` and the single subcommands share one writer per output."""
+    assert main(["--out", str(tmp_path / "all"), "reproduce", "mgt"]) == 0
+    runs = {"classify": ["classify", "mgt"],
+            "low": ["asymptotics", "mgt", "--regime", "low"],
+            "high": ["asymptotics", "mgt", "--regime", "high"],
+            "simulate": ["simulate", "mgt"],
+            "profile": ["profile", "mgt"]}
+    for label, argv in runs.items():
+        assert main(["--out", str(tmp_path / label)] + argv) == 0
+    for label, fname in [("classify", "mgt_classify.json"), ("low", "mgt_asymptotics_low.csv"),
+                         ("high", "mgt_asymptotics_high.csv"), ("simulate", "mgt_simulate.csv"),
+                         ("simulate", "mgt_simulate_fit.json"), ("profile", "mgt_profile_gap.csv")]:
+        assert (tmp_path / label / fname).read_bytes() == (tmp_path / "all" / fname).read_bytes(), fname

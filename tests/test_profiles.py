@@ -6,6 +6,7 @@ from hyperdecay.presets import PRESETS
 from hyperdecay.profiles import (ProfileKind, build_profile, closed_form_profile, moment,
                                  profile_gap_series, profile_value)
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
+from hyperdecay.symbols import axis_direction
 
 
 def test_moment_mgt_gaussian(stacks):
@@ -54,10 +55,15 @@ def test_profile_matches_closed_form(name, stacks, rng):
 
 
 def test_profile_kinds(stacks):
-    assert build_profile(stacks["mgt"], 1.0).kind is ProfileKind.V
-    assert build_profile(stacks["em_elastic"], 1.0).kind is ProfileKind.W
-    assert build_profile(stacks["em_elastic_dissipative"], 1.0).kind is ProfileKind.V_WEAK
-    assert build_profile(stacks["fourth_order_weak"], 1.0).kind is ProfileKind.W_WEAK
+    for name, kind in [("mgt", ProfileKind.V), ("em_elastic", ProfileKind.W),
+                       ("em_elastic_dissipative", ProfileKind.V_WEAK),
+                       ("fourth_order_weak", ProfileKind.W_WEAK)]:
+        stack = stacks[name]
+        spec = build_profile(stack, 1.0)
+        assert spec.kind is kind, name
+        # every term runs at the rate of one low-frequency record
+        rates = {rec.terms for rec in hd.low_freq_expansions(stack, axis_direction(stack.dim))}
+        assert spec.terms and all(term.rate_terms in rates for term in spec.terms), name
 
 
 def test_profile_riesz_orders(stacks):
