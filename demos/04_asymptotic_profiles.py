@@ -9,7 +9,7 @@ transfers that gain to the solution itself.
 
 import numpy as np
 
-from hyperdecay import build_profile, moment, profile_gap_series, simulate
+from hyperdecay import build_profile, moment, simulate, solution_and_gap
 from hyperdecay.presets import PRESETS
 from hyperdecay.profiles import closed_form_profile
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
@@ -29,8 +29,7 @@ print("\n=== gap improvement with nonzero moment ===")
 for name, slot, k, s in [("mgt", 2, 0, 0.0), ("blackstock_crighton", 3, 0, 1.0)]:
     stack = PRESETS[name].build()
     data = gaussian_data(stack.m, slot)
-    sol = simulate(stack, data, times, k, s)
-    gap = profile_gap_series(stack, data, times, k, s)
+    sol, gap = solution_and_gap(stack, data, times, k, s)
     print(f"{name:22s} M = {moment(data, stack):8.3f}  solution slope {sol.fitted_slope:+.3f}  "
           f"gap slope {gap.fitted_slope:+.3f}  improvement {gap.fitted_slope - sol.fitted_slope:+.3f}")
 

@@ -7,7 +7,7 @@ from .asymptotics import (ExpansionCase, ExpansionRecord, Regime, high_freq_expa
                           kappa_solutions, low_freq_expansions, verify_expansion)
 from .decay import CriticalExponentReport, DecayPrediction, critical_exponent, predict_decay
 from .profiles import (ProfileKind, ProfileSpec, build_profile, closed_form_profile, moment,
-                       profile_gap_series, profile_value)
+                       profile_gap_series, profile_value, solution_and_gap)
 from .rootkit import (RootBranchSet, RootCluster, connecting_permutation, roots, roots_batch,
                       spectral_abscissa, track_branches)
 from .semilinear import SemilinearRun, build_run, run_semilinear, step
@@ -35,7 +35,6 @@ __all__ = [
     "low_freq_expansions", "moment", "predict_decay", "profile_gap_series", "profile_value",
     "propagate_mode", "restrict_to_direction", "roots", "roots_batch", "routh_hurwitz_cubic",
     "run_semilinear", "sample_directions", "save_model", "set_tolerance", "simulate",
-    "sobolev_norm", "spectral_abscissa", "stable_Q1", "step", "symbol_coeffs", "track_branches",
-    "verify_expansion",
-    "verify_hypothesis_Q2",
+    "solution_and_gap", "sobolev_norm", "spectral_abscissa", "stable_Q1", "step", "symbol_coeffs",
+    "track_branches", "verify_expansion", "verify_hypothesis_Q2",
 ]

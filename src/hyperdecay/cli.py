@@ -2,7 +2,8 @@
 semilinear, and fixture-checked preset reproduction.
 
 Numbers are serialized with 17 significant digits so reruns are byte
-identical; nothing time- or host-dependent enters the outputs.
+identical; nothing time- or host-dependent enters the outputs.  JSON is
+strict: a non-finite float is written as null.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import presets as preset_mod
 from .decay import critical_exponent, predict_decay
-from .profiles import moment, profile_gap_series
+from .profiles import moment, solution_and_gap
 from .rootkit import branch_dump_rows, track_branches
 from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
@@ -40,20 +42,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _plain(obj):
+    """obj for strict JSON: numpy unwrapped, complex as {"re", "im"}, non-finite float as None."""
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _write_json(path: Path, doc) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -230,10 +237,8 @@ def cmd_profile(args) -> int:
     stack, name = _load_stack(args.model)
     data = _load_data(args.data, stack.m)
     times = np.geomspace(args.tmin, args.tmax, args.points)
-    # the moment and the gap series reject their inputs before the longer solution run
     M = moment(data, stack)
-    gap = profile_gap_series(stack, data, times, k=args.k, s=args.s)
-    sol = simulate(stack, data, times, k=args.k, s=args.s)
+    sol, gap = solution_and_gap(stack, data, times, k=args.k, s=args.s)
     out = Path(args.out)
     _write_series(out / f"{name}_profile_solution.csv", sol)
     _write_series(out / f"{name}_profile_gap.csv", gap)
@@ -306,13 +311,15 @@ def cmd_reproduce(args) -> int:
         cfg = exp["sim"]
         data = gaussian_data(stack.m, cfg["slot"])
         times = np.geomspace(cfg["t_range"][0], cfg["t_range"][1], cfg["t_range"][2])
-        series = simulate(stack, data, times, k=cfg["k"], s=cfg["s"])
+        if "profile_gap_band" in exp:
+            series, gap = solution_and_gap(stack, data, times, k=cfg["k"], s=cfg["s"])
+        else:
+            series, gap = simulate(stack, data, times, k=cfg["k"], s=cfg["s"]), None
         _write_simulate(out, pm.name, series)
         ok = abs(series.fitted_slope - cfg["slope"]) <= cfg["tol"]
         checks.append(("decay_slope", ok,
                        f"fitted {series.fitted_slope:+.4f}, expected {cfg['slope']:+.4f} +- {cfg['tol']}"))
-        if "profile_gap_band" in exp:
-            gap = profile_gap_series(stack, data, times, k=cfg["k"], s=cfg["s"])
+        if gap is not None:
             _write_series(out / f"{pm.name}_profile_gap.csv", gap)
             imp = gap.fitted_slope - series.fitted_slope
             lo, hi = exp["profile_gap_band"]

@@ -12,8 +12,8 @@ a smoothing potential of order a.  One builder serves every kind; each kind
 keeps the records of one expansion case: simple anchors for the strict kinds,
 shared simple anchors for the quartic-phase weak kind, and the split pair of
 a double anchor for the other weak kind.  Time derivatives act term by term
-through z_j^k.  The gap to the solution is measured by the solver's norm
-routine on the solution's own radial grid.
+through z_j^k.  `solution_and_gap` propagates the solution once and takes the
+norms of the solution and of its gap to the profile from that one field.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .asymptotics import ExpansionCase, Regime, _expansions, _power_sum
 from .solver import DataSpec, NormTimeSeries, _field, _norm_series, default_rho_grid
+from .stability import sample_directions
 from .symbols import Direction, OperatorStack, axis_direction
 from .tolerances import TOL
 
@@ -51,10 +52,9 @@ class ProfileSpec:
     M: float
     riesz_order: float
     terms: tuple[ProfileTerm, ...]
-    name: str = ""
 
-    def fourier_value(self, t, rho, k: int = 0, apply_riesz: bool = True):
-        """Profile value(s) at time(s) t and radii rho; k-th time derivative."""
+    def fourier_value(self, t, rho, k: int = 0):
+        """Riesz-smoothed profile value(s) at time(s) t and radii rho; k-th time derivative."""
         t = np.asarray(t, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0):
@@ -66,18 +66,18 @@ class ProfileSpec:
                 factor = z**k if k else 1.0
                 out = out + term.amplitude * factor * np.exp(z * t)
         out = self.M * out
-        if apply_riesz and self.riesz_order:
+        if self.riesz_order:
             out = out * rho ** (-self.riesz_order)
         return out
 
 
-def profile_value(spec: ProfileSpec, t, xi, k: int = 0, apply_riesz: bool = True):
+def profile_value(spec: ProfileSpec, t, xi, k: int = 0):
     """Evaluate a profile at a frequency vector (or radius for isotropic use)."""
     xi = np.asarray(xi, dtype=float)
     rho = float(np.linalg.norm(xi)) if xi.ndim else float(xi)
     if rho <= 0:
         raise ValueError("profile evaluation needs xi != 0 and t handling at rho > 0")
-    return spec.fourier_value(t, rho, k=k, apply_riesz=apply_riesz)
+    return spec.fourier_value(t, rho, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -105,47 +105,28 @@ def moment(data: DataSpec, stack: OperatorStack) -> float:
 # builders
 
 
-# the low-frequency case whose records each kind keeps, and the kind's name in errors
-_KIND_CASES = {
-    ProfileKind.V: (ExpansionCase.SIMPLE, "strict"),
-    ProfileKind.W: (ExpansionCase.SIMPLE, "strict"),
-    ProfileKind.W_WEAK: (ExpansionCase.SHARED_SIMPLE, "quartic-phase"),
-    ProfileKind.V_WEAK: (ExpansionCase.DOUBLE, "split-pair"),
-}
-
-
-def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
-                  kind: ProfileKind | None = None) -> ProfileSpec:
+def build_profile(stack: OperatorStack, M: float, d: Direction | None = None) -> ProfileSpec:
     """The leading low-frequency profile of the stack along one direction.
 
-    Kind selection when not forced: shared simple anchor roots give the
+    The anchor records choose the kind: shared simple anchor roots give the
     quartic-phase weak profile, a double anchor root gives the split-pair
-    profile, otherwise the generic strict profile of the stack's depth.
-    Each kind keeps the records of one case: a term per record, with the
-    record's own rate and amplitude 1 / (i^(m-ell-1-delta) p), p the
-    deleted-root product of its anchor and delta = 1 at a double anchor.
+    profile (both only at depth 2), otherwise the strict profile of the
+    stack's depth.  Each kind keeps the records of one case: a term per
+    record, with the record's own rate and amplitude 1 / (i^(m-ell-1-delta) p),
+    p the deleted-root product of its anchor and delta = 1 at a double anchor.
     """
     if stack.ell < 1:
         raise ValueError("profiles need at least one dissipative symbol")
     d = d if d is not None else axis_direction(stack.dim)
     slow = _expansions(stack, d, Regime.LOW)
     cases = {r.case for r, _ in slow}
-    if kind is None:
-        if ExpansionCase.SHARED_SIMPLE in cases:
-            kind = ProfileKind.W_WEAK
-        elif ExpansionCase.DOUBLE in cases:
-            kind = ProfileKind.V_WEAK
-        else:
-            kind = ProfileKind.W if stack.ell >= 2 else ProfileKind.V
-    if kind not in _KIND_CASES:
-        raise ValueError(f"cannot build profile kind {kind}")
-    case, label = _KIND_CASES[kind]
+    if ExpansionCase.SHARED_SIMPLE in cases:
+        kind, case = ProfileKind.W_WEAK, ExpansionCase.SHARED_SIMPLE
+    elif ExpansionCase.DOUBLE in cases:
+        kind, case = ProfileKind.V_WEAK, ExpansionCase.DOUBLE
+    else:
+        kind, case = ProfileKind.W if stack.ell >= 2 else ProfileKind.V, ExpansionCase.SIMPLE
     m, ell = stack.m, stack.ell
-    if case is ExpansionCase.SIMPLE:
-        if any(c is not ExpansionCase.SIMPLE for c in cases):
-            raise ValueError(f"the strict profile needs simple anchor roots, found {sorted(c.value for c in cases)}")
-    elif ell != 2:
-        raise ValueError(f"the {label} profile needs a depth-2 stack")
     delta = 1 if case is ExpansionCase.DOUBLE else 0
     terms = [ProfileTerm(complex(1.0 / (1j ** (m - ell - 1 - delta) * p)), rec.terms)
              for rec, p in slow if rec.case is case]
@@ -161,8 +142,6 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
             pref = plus.amplitude / (kp - km)
             split += [ProfileTerm(pref, plus.rate_terms), ProfileTerm(-pref, minus.rate_terms)]
         terms = split
-    if not terms:
-        raise ValueError(f"no {case.value.lower().replace('_', ' ')} anchor roots; the {label} profile is empty")
     return ProfileSpec(kind, M, m - ell - 1 + delta, tuple(terms))
 
 
@@ -170,23 +149,30 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None,
 # gap series
 
 
-def profile_gap_series(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,
-                       rho_grid: np.ndarray | None = None, spec: ProfileSpec | None = None,
-                       fit_window_decades: float = 1.5) -> NormTimeSeries:
-    """Norms of (solution - smoothed profile) on the shared quadrature grid.
+def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,
+                     rho_grid: np.ndarray | None = None) -> tuple[NormTimeSeries, NormTimeSeries]:
+    """Norm series of the solution and of (solution - smoothed profile), from one field.
 
-    The profile and the solution are evaluated on the identical radial grid so
-    the leading-term cancellation is not polluted by discretization.
+    The field runs along `simulate`'s directions, so the first series is the
+    one `simulate` returns.  The profile is taken on the field's own radial
+    grid along the first of them, the axis, so the leading-term cancellation
+    is not polluted by discretization.
     """
     if stack.dim > 1 and not stack.isotropic:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
+    spec = build_profile(stack, moment(data, stack))
     rho = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
     times = np.asarray(times, dtype=float)
-    if spec is None:
-        spec = build_profile(stack, moment(data, stack))
-    sol = _field(stack, data, rho, times, k, [axis_direction(stack.dim)])[:, 0]
-    prof = np.stack([spec.fourier_value(t, rho, k=k, apply_riesz=True) for t in times])
-    return _norm_series(stack.dim, rho, sol - prof, times, k, s, fit_window_decades)
+    sol = _field(stack, data, rho, times, k, sample_directions(stack.dim, stack.isotropic))
+    prof = np.stack([spec.fourier_value(t, rho, k=k) for t in times])
+    return (_norm_series(stack.dim, rho, sol, times, k, s),
+            _norm_series(stack.dim, rho, sol[:, 0] - prof, times, k, s))
+
+
+def profile_gap_series(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,
+                       rho_grid: np.ndarray | None = None) -> NormTimeSeries:
+    """Norms of (solution - smoothed profile): the second series of `solution_and_gap`."""
+    return solution_and_gap(stack, data, times, k, s, rho_grid)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -462,14 +462,14 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
                          cluster_events=[e for _, e in events], noise=np.stack(noises, axis=1))
 
 
-def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float, rho_high: float,
-                           points_per_decade: int = 40) -> np.ndarray:
+def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float,
+                           rho_high: float) -> np.ndarray:
     """Permutation p with low-anchored branch j ending at the rank-p[j] root at rho_high.
 
     Ranks at both ends follow the canonical (Re, Im) sort, so p links the
     low-frequency labeling to the high-frequency one along this ray.
     """
-    n = max(2, int(np.ceil(points_per_decade * np.log10(rho_high / rho_low))))
+    n = max(2, int(np.ceil(40 * np.log10(rho_high / rho_low))))  # 40 points per decade
     grid = np.geomspace(rho_low, rho_high, n)
     bs = track_branches(stack, d, grid)
     final = bs.branches[:, -1]

@@ -121,6 +121,8 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError(f"stack dim {stack.dim} != run dim {dim}")
     if not (0 <= nu <= stack.m - 2):
         raise ValueError("the nonlinearity derivative order must lie in [0, m-2]")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"the time step must be finite and > 0, got {dt}")
     run = SemilinearRun(stack=stack, p=float(p), sign=float(sign), nu=int(nu),
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dim=dim, dt=float(dt))
@@ -214,19 +216,19 @@ def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
 
 def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: float,
                    dt0: float = 0.05, box_halfwidth: float = 60.0, modes_per_axis: int = 128,
-                   dim: int = 2, amplitude: float = 1e-3, width: float = 1.0,
-                   initial_slot: int | None = None, rel_change_cap: float = 0.1) -> SemilinearRun:
+                   dim: int = 2, amplitude: float = 1e-3, initial_slot: int | None = None,
+                   rel_change_cap: float = 0.1) -> SemilinearRun:
     """Integrate to time T, halving the step when one moves the norm too much.
 
     A step that changes the L2 norm by more than rel_change_cap times the
     larger of its previous value and the data scale is rejected: the run goes
     back to its saved state and retries at half the step size, counted in
     `rejected_steps`.  At a step size of 1e-4 or less the step is kept.
-    Initial data: a centered Gaussian of the given amplitude and width in one
+    Initial data: a centered unit-width Gaussian of the given amplitude in one
     derivative slot (top slot by default).  The run stops early on blow-up.
     """
     def gauss(*x):
-        return amplitude * np.exp(-0.5 * (sum(c**2 for c in x) / width**2))
+        return amplitude * np.exp(-0.5 * sum(c**2 for c in x))
 
     run = build_run(stack, p, sign, nu, box_halfwidth, modes_per_axis, dim,
                     initial=gauss, initial_slot=initial_slot, dt=dt0)

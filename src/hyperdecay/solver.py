@@ -25,6 +25,7 @@ from .tolerances import TOL
 
 DEFAULT_RHO_GRID = (1e-4, 1e2, 4096)
 UNDERFLOW_FLOOR = 1e-300
+FIT_WINDOW_DECADES = 1.5    # slopes are fitted over the trailing decades of the time range
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,8 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
     y0 has shape (N, M, R) and the result (T, N, M, R).  Modes go through in
     blocks of BATCH_ROWS.
     """
+    if k < 0:
+        raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty((len(times),) + y0.shape, dtype=complex)
     for rows in (slice(s, s + BATCH_ROWS) for s in range(0, len(nodes), BATCH_ROWS)):
@@ -274,8 +277,7 @@ def sphere_measure(n: int) -> float:
     return float(2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
 
-def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float,
-                 check_tail: bool = True) -> float:
+def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -> float:
     """Homogeneous s-norm from Fourier mode values on a radial (x sphere) grid.
 
     snapshot is (n_modes,) for one direction (weighted with the full sphere
@@ -293,7 +295,7 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float,
     total = np.trapezoid(integrand, lr)
     if total < 0:
         total = 0.0
-    if check_tail and total > 0:
+    if total > 0:
         tail_mask = rho >= rho[-1] / 2.0
         if np.count_nonzero(tail_mask) >= 2:
             tail = np.trapezoid(integrand[tail_mask], lr[tail_mask])
@@ -346,10 +348,9 @@ def _field(stack: OperatorStack, data: DataSpec, rho: np.ndarray, times: np.ndar
 
 
 def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.ndarray, k: int,
-                 s: float, fit_window_decades: float, check_tail: bool = True) -> NormTimeSeries:
+                 s: float) -> NormTimeSeries:
     """The s-norm of field_vals[i] at each time, cut at the first underflow, with its slope fit."""
-    values = np.array([sobolev_norm(dim, rho, field_vals[i], s, check_tail=check_tail)
-                       for i in range(len(times))])
+    values = np.array([sobolev_norm(dim, rho, field_vals[i], s) for i in range(len(times))])
     flags = []
     truncated = False
     alive = values >= UNDERFLOW_FLOOR
@@ -362,19 +363,21 @@ def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.nd
         flags.append("all-zero series; slope undefined")
         return NormTimeSeries(times, values, k, s, float("nan"), float("nan"),
                               (float("nan"), float("nan")), truncated, flags)
-    window = last_decades_window(times, fit_window_decades)
+    window = last_decades_window(times, FIT_WINDOW_DECADES)
     slope, err = fit_loglog(times, values, window)
+    if np.isnan(slope):
+        flags.append("fewer than 3 nonzero points in the fit window; slope undefined")
     return NormTimeSeries(times, values, k, s, slope, err, window, truncated, flags)
 
 
 def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,
-             rho_grid: np.ndarray | None = None, directions: Sequence[Direction] | None = None,
-             fit_window_decades: float = 1.5, check_tail: bool = True) -> NormTimeSeries:
+             rho_grid: np.ndarray | None = None,
+             directions: Sequence[Direction] | None = None) -> NormTimeSeries:
     """Propagate every grid mode exactly and record the norm at each time.
 
     Isotropic stacks use one direction; anisotropic stacks average an
     equal-weight direction sample.  The fitted slope is the log-log least
-    squares slope over the trailing `fit_window_decades` of the time range.
+    squares slope over the trailing FIT_WINDOW_DECADES of the time range.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
@@ -384,5 +387,4 @@ def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float =
         directions = sample_directions(stack.dim, stack.isotropic)
         if not stack.isotropic and stack.dim == 2:
             directions = directions[::4]  # 64 angles suffice for the norm average
-    return _norm_series(stack.dim, rho, _field(stack, data, rho, times, k, directions), times, k, s,
-                        fit_window_decades, check_tail)
+    return _norm_series(stack.dim, rho, _field(stack, data, rho, times, k, directions), times, k, s)

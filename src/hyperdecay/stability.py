@@ -81,22 +81,17 @@ class StabilityReport:
             "triple_witness": _encode_witness(self.triple_witness),
             "strictly_stable": self.strictly_stable,
             "scenario_flags": sorted(self.scenario_flags),
-            "min_margin": _finite_or_none(self.min_margin),
+            "min_margin": self.min_margin,
             "n_directions": self.n_directions,
             "inconclusive": self.inconclusive,
             "notes": list(self.notes),
         }
 
 
-def _finite_or_none(x: float) -> float | None:
-    """JSON has no infinity: a non-finite margin (a non-real root) is written as null."""
-    return x if np.isfinite(x) else None
-
-
 def _encode_interlacing(c: InterlacingClass | None):
     if c is None:
         return None
-    return {"class": c.klass.value, "margin": _finite_or_none(c.margin), "witness": _encode_witness(c.witness)}
+    return {"class": c.klass.value, "margin": c.margin, "witness": _encode_witness(c.witness)}
 
 
 def _encode_witness(w):

@@ -42,9 +42,17 @@ def test_classify_non_hyperbolic_exit_2(tmp_path):
     assert main(["--out", str(tmp_path), "classify", str(path)]) == 2
 
 
+def _strict_json(path):
+    """Parse JSON, rejecting the NaN, Infinity and -Infinity tokens that strict parsers refuse."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_classify_json_has_no_infinite_margin(tmp_path):
     # P_3 = lambda^3 + lambda |xi|^2 has roots 0, +-i|xi|: every interlacing row fails
-    # with margin -inf, which strict JSON cannot carry
+    # with margin -inf, which strict JSON writes as null
     lam3 = {(3, (0, 0)): 1.0, (1, (2, 0)): 1.0, (1, (0, 2)): 1.0}
     lam2 = {(2, (0, 0)): 1.0, (0, (2, 0)): 1.0, (0, (0, 2)): 2.0}
     stack = OperatorStack.build([HomogeneousSymbol(3, 2, lam3), HomogeneousSymbol(2, 2, lam2),
@@ -52,12 +60,55 @@ def test_classify_json_has_no_infinite_margin(tmp_path):
     save_model(stack, tmp_path / "elliptic2d.json", "elliptic2d")
     assert main(["--out", str(tmp_path), "classify", str(tmp_path / "elliptic2d.json")]) == 2
 
-    def reject(name):
-        raise ValueError(f"non-JSON constant {name}")
-
-    doc = json.loads((tmp_path / "elliptic2d_classify.json").read_text(), parse_constant=reject)
+    doc = _strict_json(tmp_path / "elliptic2d_classify.json")
     assert doc["min_margin"] is None
     assert doc["interlacing_upper"]["margin"] is None
+
+
+def test_non_finite_fit_values_are_null(tmp_path):
+    # an expansion exact to tracking accuracy has an infinite fitted remainder order
+    for regime in ("low", "high"):
+        assert main(["--out", str(tmp_path), "asymptotics", "em_elastic", "--regime", regime]) == 0
+        fits = _strict_json(tmp_path / f"em_elastic_asymptotics_{regime}_fit.json")["records"]
+        assert any(f["fitted_remainder_order"] is None for f in fits), regime
+    # two times leave fewer than three points in the fit window
+    flag = "fewer than 3 nonzero points in the fit window; slope undefined"
+    assert main(["--out", str(tmp_path), "simulate", "mgt", "--points", "2"]) == 0
+    fit = _strict_json(tmp_path / "mgt_simulate_fit.json")
+    assert fit["fitted_slope"] is None and flag in fit["flags"]
+    assert main(["--out", str(tmp_path), "profile", "mgt", "--points", "2"]) == 0
+    fit = _strict_json(tmp_path / "mgt_profile_fit.json")
+    assert fit["improvement"] is None and flag in fit["solution"]["flags"] and flag in fit["gap"]["flags"]
+
+
+def test_every_preset_writes_strict_json(tmp_path):
+    from hyperdecay.presets import PRESETS
+
+    for name in PRESETS:
+        assert main(["--out", str(tmp_path), "reproduce", name]) == 0, name
+        for regime in ("low", "high"):
+            assert main(["--out", str(tmp_path), "asymptotics", name, "--regime", regime]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) >= 3 * len(PRESETS)
+    for path in written:
+        _strict_json(path)
+
+
+def test_negative_order_and_bad_step_are_config_errors(tmp_path, capsys):
+    for cmd in ("simulate", "profile"):
+        assert main(["--out", str(tmp_path), cmd, "mgt", "--k", "-1"]) == 1, cmd
+        assert "k must be >= 0" in capsys.readouterr().err
+    assert main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "5", "--dim", "1",
+                 "--modes", "16", "--T", "1", "--dt", "-0.1"]) == 1
+    assert "time step must be finite and > 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_profile_and_reproduce_propagate_once(tmp_path, propagator_inits):
+    for argv in (["profile", "mgt"], ["reproduce", "mgt"]):
+        propagator_inits.clear()
+        assert main(["--out", str(tmp_path)] + argv) == 0
+        assert len(propagator_inits) == 1, argv
 
 
 def test_missing_model_is_config_error(tmp_path):
@@ -210,3 +261,6 @@ def test_reproduce_writes_what_the_subcommands_write(tmp_path):
                          ("high", "mgt_asymptotics_high.csv"), ("simulate", "mgt_simulate.csv"),
                          ("simulate", "mgt_simulate_fit.json"), ("profile", "mgt_profile_gap.csv")]:
         assert (tmp_path / label / fname).read_bytes() == (tmp_path / "all" / fname).read_bytes(), fname
+    # the profile's solution series is the one `simulate` writes
+    assert ((tmp_path / "profile" / "mgt_profile_solution.csv").read_bytes()
+            == (tmp_path / "simulate" / "mgt_simulate.csv").read_bytes())

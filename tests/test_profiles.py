@@ -4,7 +4,7 @@ import pytest
 import hyperdecay as hd
 from hyperdecay.presets import PRESETS
 from hyperdecay.profiles import (ProfileKind, build_profile, closed_form_profile, moment,
-                                 profile_gap_series, profile_value)
+                                 profile_gap_series, profile_value, solution_and_gap)
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
 from hyperdecay.symbols import axis_direction
 
@@ -86,7 +86,7 @@ def test_split_pair_requires_distinct_rates():
     # mu sigma = a c^2 collapses the split pair
     stack = em_elastic_dissipative_stack(a=1.0, sigma=1.0, mu=1.0, c=1.0)
     with pytest.raises(ValueError, match="distinct"):
-        build_profile(stack, 1.0, kind=ProfileKind.V_WEAK)
+        build_profile(stack, 1.0)
 
 
 def test_gap_equals_solution_for_zero_profile(stacks):
@@ -97,6 +97,23 @@ def test_gap_equals_solution_for_zero_profile(stacks):
     gap = profile_gap_series(stacks["mgt"], data, times, 0, 0.0, rho_grid=rho)
     sol = hd.simulate(stacks["mgt"], data, times, 0, 0.0, rho_grid=rho)
     assert np.allclose(gap.values, sol.values, rtol=1e-12)
+
+
+def test_solution_and_gap_reads_one_field(stacks, propagator_inits):
+    """The solution series is `simulate`'s, the gap series `profile_gap_series`'s."""
+    stack, data = stacks["blackstock_crighton"], gaussian_data(4, 3)
+    times = np.geomspace(1e2, 1e4, 9)
+    sol, gap = solution_and_gap(stack, data, times, 1, 1.0)
+    assert len(propagator_inits) == 1
+    want_sol = hd.simulate(stack, data, times, 1, 1.0)
+    want_gap = profile_gap_series(stack, data, times, 1, 1.0)
+    assert np.array_equal(sol.values, want_sol.values) and sol.to_dict() == want_sol.to_dict()
+    assert np.array_equal(gap.values, want_gap.values) and gap.to_dict() == want_gap.to_dict()
+
+
+def test_gap_series_checks_the_slot_count(stacks):
+    with pytest.raises(ValueError, match="data has 4 slots, stack needs 3"):
+        profile_gap_series(stacks["mgt"], gaussian_data(4, 3), np.geomspace(1.0, 10.0, 3))
 
 
 def test_profile_value_rejects_zero_frequency(stacks):

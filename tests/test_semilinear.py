@@ -182,3 +182,6 @@ def test_build_run_validation():
         build_run(stack, 2.0, 1.0, nu=5, box_halfwidth=10.0, modes_per_axis=32, dim=1)
     with pytest.raises(ValueError):
         build_run(mgt_stack(dim=3), 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=3)
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time step must be finite and > 0"):
+            build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1, dt=dt)

@@ -194,6 +194,19 @@ def test_propagate_mode_validates_data_length(stacks):
         hd.propagate_mode(stacks["mgt"], np.array([0.1, 0, 0]), [1.0, 0.0], 1.0)
 
 
+def test_negative_derivative_order_rejected(stacks):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        hd.propagate_mode(stacks["mgt"], np.array([0.5, 0, 0]), [0.0, 0.0, 1.0], 10.0, k=-1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        hd.simulate(stacks["mgt"], gaussian_data(3, 2), np.geomspace(1.0, 10.0, 3), k=-1)
+
+
+def test_short_fit_window_is_flagged(stacks):
+    series = hd.simulate(stacks["mgt"], gaussian_data(3, 2), np.array([1e2, 1e4]))
+    assert np.isnan(series.fitted_slope)
+    assert "fewer than 3 nonzero points in the fit window; slope undefined" in series.flags
+
+
 def test_simulate_anisotropic_direction_average(stacks):
     from hyperdecay.stability import sample_directions
 

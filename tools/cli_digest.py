@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Digest of a fixed list of CLI runs: exit code, stdout and every output file.
+
+Each run calls `hyperdecay.cli.main` in-process with its own temporary
+`--out` directory, then prints one block:
+
+    == <argv>
+    exit <code>
+    stdout <hash>
+    <file name> <hash>        (one line per output file, sorted)
+
+Hashes are the first 16 hex digits of SHA-256.  Two trees whose outputs are
+byte-identical print identical digests, so comparing a change with its parent
+is one `diff`:
+
+    PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.txt
+    PYTHONPATH=src python3 tools/cli_digest.py > change.txt
+    diff parent.txt change.txt
+
+The whole list takes about 7 s on 2 vCPUs; `simulate anisotropic_elastic_2d`
+is most of it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from hyperdecay.cli import main
+from hyperdecay.presets import PRESETS
+
+RUNS = ([["reproduce", name] for name in PRESETS]
+        + [["classify", name] for name in PRESETS]
+        + [["asymptotics", name, "--regime", regime] for name in PRESETS for regime in ("low", "high")]
+        + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
+        + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
+           ["predict", "mgt", "--n", "3"],
+           ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
+           # two times leave fewer than three points in the fit window
+           ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"]])
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digest(argv: list[str]) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--out", tmp] + argv)
+        lines = [f"== {' '.join(argv)}", f"exit {code}", f"stdout {_hash(stdout.getvalue().encode())}"]
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file():
+                lines.append(f"{path.relative_to(tmp)} {_hash(path.read_bytes())}")
+    return lines
+
+
+if __name__ == "__main__":
+    for argv in RUNS:
+        print("\n".join(digest(argv)), flush=True)
+    sys.exit(0)
