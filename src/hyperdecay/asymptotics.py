@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .fitting import fit_loglog
-from .rootkit import RootBranchSet, _match, root_groups, roots
+from .rootkit import RootBranchSet, assign, root_groups, roots
 from .stability import real_root_table
 from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly, stack_rows
 from .tolerances import TOL
@@ -285,11 +285,14 @@ def match_records_to_branches(branchset: RootBranchSet, records: Sequence[Expans
     """Assign each record index the tracked-branch index it predicts.
 
     Matching minimizes the total distance between record predictions and
-    branch values at the regime's anchor end of the grid.
+    branch values at the regime's anchor end of the grid (`assign`, with the
+    records in the given order: a tie goes to the lexicographically first
+    matching).
     """
     anchor_i = 0 if regime is Regime.LOW else len(branchset.rho_grid) - 1
     rho = float(branchset.rho_grid[anchor_i])
-    _, perm = _match(np.array([r.evaluate(rho) for r in records]), branchset.values_at(anchor_i))
+    pred = np.array([r.evaluate(rho) for r in records])
+    perm = assign(np.abs(pred[:, None] - branchset.values_at(anchor_i)[None, :]))
     return {i: int(c) for i, c in enumerate(perm)}
 
 

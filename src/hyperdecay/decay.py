@@ -82,6 +82,8 @@ def predict_decay(report: StabilityReport, m: int, n: int, q: float, k: int, s: 
     """
     if structure not in ("Q1", "Q2"):
         raise ValueError("structure must be 'Q1' or 'Q2'")
+    if k < 0:
+        raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     if not (1.0 <= q <= 2.0):
         raise ValueError("q must lie in [1, 2]")
     if not report.strictly_stable:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .asymptotics import ExpansionRecord
+from .rootkit import assign
 from .symbols import HomogeneousSymbol, OperatorStack
 
 TermList = list[tuple[float, complex]]
@@ -489,9 +489,8 @@ def compare_expansions(records: Sequence[ExpansionRecord], expected: Sequence[Te
         for j, rec in enumerate(records):
             d = _term_distance(exp, list(rec.terms))
             cost[i, j] = min(d, 1e9)
-    rows, cols = linear_sum_assignment(cost)
     problems = []
-    for i, j in zip(rows, cols):
+    for i, j in enumerate(assign(cost)):
         exp, rec = expected[i], records[j]
         de = {round(p, 9): c for p, c in exp}
         dr = {round(p, 9): c for p, c in rec.terms}

@@ -5,18 +5,19 @@ the guarantee is a residual bound |p(z)| <= 1e-10 * sum_i |c_i||z|^i per root.
 Branch tracking solves the scaled polynomial in mu = lambda/rho (well
 conditioned at both ends of the ray), bisects level by level with one kernel
 call per level, and matches consecutive root sets by a minimum-total-distance
-assignment.  `root_groups` is the one grouping of nearby roots: cluster events
-in tracking, double roots in the asymptotics and the scenario flags read it.
+assignment (`assign`, the one matcher).  `root_groups` is the one grouping of
+nearby roots: cluster events in tracking, double roots in the asymptotics and
+the scenario flags read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cache
+from itertools import count, permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .symbols import Direction, OperatorStack, UnivariatePoly, full_symbol_at, stack_rows, turned
 from .tolerances import TOL
@@ -25,6 +26,8 @@ ABERTH_MAX_SWEEPS = 100
 MAX_BISECTIONS = 20
 _TINY = np.finfo(float).tiny
 BATCH_ROWS = 512        # rows per eigvals call and Aberth sweep; bounds the kernel's temporaries
+ASSIGN_MAX_M = 8        # most columns `assign` enumerates: 8! = 40,320 injections
+ASSIGN_CHUNK = 1 << 18  # (row, injection) costs summed at once by `assign`
 
 
 class RootfindingError(RuntimeError):
@@ -194,7 +197,7 @@ def roots_batch(coeffs: np.ndarray) -> np.ndarray:
         raise RootfindingError(
             f"root refinement left residual {worst[bad[0]]:.3e} above {TOL.root_residual_rtol:.1e} "
             f"in row {bad[0]} ({bad.size} of {n} rows fail)")
-    return _canonical_sort(z)
+    return np.take_along_axis(z, _canonical_order(z), axis=1)
 
 
 def roots(p: UnivariatePoly) -> np.ndarray:
@@ -206,9 +209,9 @@ def roots(p: UnivariatePoly) -> np.ndarray:
     return roots_batch(p.array()[None, :])[0]
 
 
-def _canonical_sort(z: np.ndarray) -> np.ndarray:
-    """Each row of z[N, m] ordered by real part, then imaginary part."""
-    return z[np.arange(len(z))[:, None], np.lexsort((z.imag, z.real), axis=1)]
+def _canonical_order(z: np.ndarray) -> np.ndarray:
+    """Indices that order each row of z[N, m] by real part, then imaginary part."""
+    return np.lexsort((z.imag, z.real), axis=1)
 
 
 def is_real_root(z: complex) -> bool:
@@ -313,12 +316,15 @@ class RadialRootSolver:
 
     def lambdas_with_noise(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Roots at every rho of a 1-d grid plus a first-order rounding floor
-        eps * bound(p, z) / |p'(z)| per root; both (N, m), from one kernel call."""
+        eps * bound(p, z) / |p'(z)| per root; both (N, m), each row in the
+        canonical (Re, Im) order of lambda, from one kernel call."""
         rho, c, mu = self._mu_roots(rho)
         bound = _polyval(np.abs(c), np.abs(mu))
         dval = np.abs(_polyval(_polyder(c), mu))
         noise = np.finfo(float).eps * bound / np.maximum(dval, _TINY)
-        return rho[:, None] * mu, rho[:, None] * noise
+        lam = rho[:, None] * mu
+        order = _canonical_order(lam)
+        return np.take_along_axis(lam, order, axis=1), np.take_along_axis(rho[:, None] * noise, order, axis=1)
 
 
 def spectral_abscissa(stack: OperatorStack, xi: Sequence[float]) -> float:
@@ -354,47 +360,78 @@ class RootBranchSet:
         return self.branches[:, i]
 
 
-def _match(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cand[perm], perm): cand[perm[i]] is matched to prev[i] at minimum total
-    distance; prev may be shorter than cand."""
-    cost = np.abs(prev[:, None] - cand[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(prev), dtype=int)
-    perm[rows] = cols
-    return cand[perm], perm
+@cache
+def _injections(n: int, k: int) -> np.ndarray:
+    """Every injection of n rows into k columns, lexicographically ordered; shape (P, n), read-only."""
+    table = np.array(list(permutations(range(k), n)), dtype=int).reshape(-1, n)
+    table.setflags(write=False)
+    return table
 
 
-def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Movement/gap ratio of each step from the roots prev[K, m] to cand[K, m].
+def assign(cost) -> np.ndarray:
+    """Minimum-total-cost matching of each cost[..., n, k] (n <= k); perm[..., n].
 
-    Roots are matched at minimum total distance; a root of prev whose nearest
-    neighbour lies at least the cluster tolerance away is held to that distance
-    (ratio 0 when none is).  Only a tie of two matchings, such as a pair moving
-    along a line by more than its gap, makes the ratio depend on root order.
+    Row i goes to column perm[..., i], no column twice.  Every injection of
+    the rows into the columns is enumerated (lexicographic table, cached per
+    (n, k)); each one's total is summed over the rows in order, and the first
+    minimum in table order wins a tie.  So the result depends only on the
+    costs and their order: callers that match root sets pass the previous
+    roots in canonical (Re, Im) order.  Rows are summed in chunks of
+    ASSIGN_CHUNK costs, and a row gets the same result alone as in a batch.
+    More than ASSIGN_MAX_M columns raise ValueError before any table is built.
     """
-    perm = np.array([_match(p, c)[1] for p, c in zip(prev, cand)], dtype=int).reshape(prev.shape)
+    cost = np.asarray(cost, dtype=float)
+    *batch, n, k = cost.shape
+    if k > ASSIGN_MAX_M:
+        raise ValueError(f"matching enumerates every permutation: m = {k} exceeds the limit "
+                         f"m <= {ASSIGN_MAX_M}")
+    if n > k:
+        raise ValueError(f"cannot match {n} rows into {k} columns")
+    table = _injections(n, k)
+    flat = cost.reshape(-1, n, k)
+    perm = np.empty((len(flat), n), dtype=int)
+    rows = max(1, ASSIGN_CHUNK // len(table))
+    for lo in range(0, len(flat), rows):
+        part = flat[lo:lo + rows]
+        total = np.zeros((len(part), len(table)))
+        for i in range(n):
+            total += part[:, i, table[:, i]]
+        perm[lo:lo + rows] = table[np.argmin(total, axis=1)]
+    return perm.reshape(*batch, n)
+
+
+def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Movement/gap ratio and matching of each step from the roots prev[K, m] to cand[K, m].
+
+    Roots are matched at minimum total distance (`assign`; cand[k, perm[k, i]]
+    continues prev[k, i]); a root of prev whose nearest neighbour lies at least
+    the cluster tolerance away is held to that distance (ratio 0 when none is).
+    Returns (ratio[K], perm[K, m]).
+    """
+    perm = assign(np.abs(prev[:, :, None] - cand[:, None, :]))
     moved = np.abs(prev - np.take_along_axis(cand, perm, axis=1))
     own_gap = np.min(_gaps(prev), axis=2)
     held = own_gap >= TOL.cluster_rtol * (1.0 + np.max(np.abs(prev), axis=1, keepdims=True))
     ratio = np.divide(moved, own_gap, out=np.zeros(moved.shape), where=held)
-    return np.max(ratio, axis=1, initial=0.0)
+    return np.max(ratio, axis=1, initial=0.0), perm
 
 
 def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
     """Every solved point as (rho[P], lam[P, m], noise[P, m]), roots in canonical
-    order, and the right ends b[S] of the accepted steps in ascending rho with a
-    flag for collisions; each level's new points come from one solve."""
+    order, and the accepted steps in ascending rho: their right ends b[S], a
+    flag for collisions and their matchings perm[S, m] (`_step_ratios`); each
+    level's new points come from one solve."""
     rho, (lam, noise) = grid, solver.lambdas_with_noise(grid)
     a, b = np.arange(len(grid) - 1), np.arange(1, len(grid))
     parent_ratio = np.full(len(a), np.inf)
     accepted = []
     for depth in count():
-        ratio = _step_ratios(lam[a], lam[b])
+        ratio, perm = _step_ratios(lam[a], lam[b])
         ok = ratio <= 0.25
         # at the depth cap, a step whose ratio bisection no longer reduces is a collision
         collide = ~ok & (ratio >= 0.8 * parent_ratio) & (depth >= max_bisections)
         keep = ok | collide
-        accepted.append((a[keep], b[keep], collide[keep]))
+        accepted.append((a[keep], b[keep], collide[keep], perm[keep]))
         if keep.all():
             break
         if depth >= max_bisections:
@@ -407,9 +444,9 @@ def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
         new = np.arange(len(rho), len(rho) + len(mid))
         rho, lam, noise = (np.concatenate(x) for x in ((rho, mid), (lam, lam_mid), (noise, noise_mid)))
         a, b = np.stack([a, new], axis=1).ravel(), np.stack([new, b], axis=1).ravel()
-    a, b, collide = (np.concatenate(x) for x in zip(*accepted))
+    a, b, collide, perm = (np.concatenate(x) for x in zip(*accepted))
     order = np.lexsort((rho[b], rho[a]))
-    return rho, lam, noise, b[order], collide[order]
+    return rho, lam, noise, b[order], collide[order], perm[order]
 
 
 def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float],
@@ -420,14 +457,14 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     set lies at least the cluster tolerance away moved at most a quarter of
     that distance (`_step_ratios`); otherwise it is bisected.  Each root is held
     to its own distance, so a fast pair does not force bisection beside a slow,
-    close one.  The test reads the two root sets, not their labels, so
-    bisection runs level by level with one `lambdas_with_noise` call per level.
-    At depth `max_bisections` a failing step whose ratio kept 0.8 of its
-    parent's is a collision (branches genuinely meet) and is accepted with a
-    cluster event; any other raises BisectionLimitError.  The accepted grid is
-    then labelled by the minimum-distance match of each root set to the
-    previous one, and each group of roots within the cluster tolerance
-    (`root_groups`) is logged as a cluster event.
+    close one.  The test reads the two root sets in canonical order, not their
+    labels, so bisection runs level by level with one `lambdas_with_noise` call
+    per level.  At depth `max_bisections` a failing step whose ratio kept 0.8 of
+    its parent's is a collision (branches genuinely meet) and is accepted with a
+    cluster event; any other raises BisectionLimitError.  Branch j starts at the
+    first point's rank-j root and follows the accepted steps' own matchings;
+    each group of roots within the cluster tolerance (`root_groups`) is logged
+    as a cluster event.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -435,23 +472,21 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     if not np.all(np.isfinite(grid) & (grid > 0)) or np.any(np.diff(grid) <= 0):
         raise ValueError("rho_grid must be finite, positive and strictly ascending")
 
-    rho, lam, noise, b, collide = _bisect(RadialRootSolver(stack, d), grid, max_bisections)
-    first = np.lexsort((lam[0].imag, lam[0].real))
-    cols, noises = [lam[0][first]], [noise[0][first]]
-    events: list[tuple[int, tuple[float, tuple[int, ...], float]]] = []
-    for k, (j, hit) in enumerate(zip(b, collide), 1):
-        prev = cols[-1]
-        ordered, perm = _match(prev, lam[j])
-        if hit:
-            gaps = _gaps(prev)
-            events.append((k, (float(rho[j]), divmod(int(np.argmin(gaps)), len(prev)), float(np.min(gaps)))))
-        cols.append(ordered)
-        noises.append(noise[j][perm])
-    branches = np.stack(cols, axis=1)
-    rho_out = rho[np.concatenate([[0], b])]      # the accepted steps tile the grid from its first point
+    rho, lam, noise, b, collide, steps = _bisect(RadialRootSolver(stack, d), grid, max_bisections)
+    ranks = [np.arange(lam.shape[1])]   # canonical rank of each branch's root at each accepted point
+    for step in steps:
+        ranks.append(step[ranks[-1]])
+    points = np.concatenate([[0], b])   # the accepted steps tile the grid from its first point
+    ranks = np.stack(ranks, axis=1)
+    branches, rho_out = lam[points, ranks], rho[points]
 
-    # cluster events follow any collision event at the same point
     zs = branches.T
+    events: list[tuple[int, tuple[float, tuple[int, ...], float]]] = []
+    for k in np.flatnonzero(collide) + 1:
+        gaps = _gaps(zs[k - 1])
+        events.append((int(k), (float(rho_out[k]), divmod(int(np.argmin(gaps)), zs.shape[1]),
+                                float(np.min(gaps)))))
+    # cluster events follow any collision event at the same point
     labels = root_groups(zs, TOL.cluster_rtol * (1.0 + np.max(np.abs(zs), axis=1)))
     members = np.count_nonzero(labels[:, :, None] == np.arange(zs.shape[1]), axis=1)
     for k, label in zip(*np.nonzero(members >= 2)):
@@ -459,7 +494,7 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
         events.append((int(k), (float(rho_out[k]), tuple(sorted(cl.indices)), cl.radius * 2.0)))
     events.sort(key=lambda e: e[0])
     return RootBranchSet(direction=d, rho_grid=rho_out, branches=branches,
-                         cluster_events=[e for _, e in events], noise=np.stack(noises, axis=1))
+                         cluster_events=[e for _, e in events], noise=noise[points, ranks])
 
 
 def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float,

@@ -123,6 +123,8 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError("the nonlinearity derivative order must lie in [0, m-2]")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"the time step must be finite and > 0, got {dt}")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"the power p must be finite and > 0, got {p}")
     run = SemilinearRun(stack=stack, p=float(p), sign=float(sign), nu=int(nu),
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dim=dim, dt=float(dt))
@@ -196,7 +198,7 @@ def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
     new = phi[:, 0] * flat[0]
     for j in range(1, run.m):
         new += phi[:, j] * flat[j]
-    if run.p > 0 and run.sign != 0:
+    if run.sign != 0:
         fval = run.sign * np.abs(run._field(run.nu)) ** run.p
         new += w * np.fft.rfftn(fval, axes=tuple(range(run.dim))).reshape(-1)
     run.state = new.reshape(run.state.shape)

@@ -5,16 +5,18 @@ squaring matrix exponentials; it uses the symbol coefficients only, never the
 roots, so tests compare the divided-difference kernel against it.
 
 `track_branches_recursive` is the depth-first branch tracker: one root solve
-per point, the step test on the labelled previous set, and a union-find
-cluster search at every accepted point.  The level-wise tracker must return
-exactly what it returns.
+per point, the step test on the labelled previous set, a brute-force matcher
+of its own and a union-find cluster search at every accepted point.  The
+level-wise tracker must return exactly what it returns.
 """
+
+from itertools import permutations
 
 import numpy as np
 from scipy.linalg import expm
 
-from hyperdecay.rootkit import (BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster, _match,
-                                _polyder, _polyval, _TINY, companion, roots_batch)
+from hyperdecay.rootkit import (BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster, _polyder,
+                                _polyval, _TINY, companion, roots_batch)
 from hyperdecay.tolerances import TOL
 
 _SUBSTEP_NORM = 4.0
@@ -81,6 +83,23 @@ def _lambdas_with_noise(solver: RadialRootSolver, rho: float):
     return rho * mu, rho * noise
 
 
+def match_roots(prev: np.ndarray, cand: np.ndarray):
+    """(cand[perm], perm): cand[perm[i]] continues prev[i] at minimum total distance.
+
+    Every permutation is tried with prev and cand in canonical (Re, Im) order,
+    each total summed over the rows in order; the first minimum in
+    `itertools.permutations` order wins a tie, so the labels of prev never
+    decide it.
+    """
+    rows, cols = (np.lexsort((z.imag, z.real)) for z in (prev, cand))
+    cost = np.abs(prev[rows][:, None] - cand[cols][None, :])
+    best = min(permutations(range(len(cand)), len(prev)),
+               key=lambda p: sum(cost[i, j] for i, j in enumerate(p)))
+    perm = np.empty(len(prev), dtype=int)
+    perm[rows] = cols[list(best)]
+    return cand[perm], perm
+
+
 def find_clusters(zs, tol: float) -> list[RootCluster]:
     """Greedy union of roots within `tol` of each other."""
     zs = np.asarray(zs)
@@ -138,7 +157,7 @@ def track_branches_recursive(stack, d, rho_grid, max_bisections: int = 20) -> Ro
 
     def advance(prev: np.ndarray, rho_a: float, rho_b: float, depth: int, parent_ratio: float):
         cand, cand_noise = _lambdas_with_noise(solver, rho_b)
-        ordered, perm = _match(prev, cand)
+        ordered, perm = match_roots(prev, cand)
         diff = np.abs(prev[:, None] - prev[None, :])
         np.fill_diagonal(diff, np.inf)
         own_gap = np.min(diff, axis=1)

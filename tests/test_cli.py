@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -6,6 +10,40 @@ from hyperdecay.cli import main
 from hyperdecay.presets import mgt_stack
 from hyperdecay.solver import default_rho_grid
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, save_model
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+from importlib.abc import MetaPathFinder
+
+import hyperdecay, hyperdecay.cli
+
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is not installed")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+codes = [hyperdecay.cli.main(["--out", sys.argv[1]] + argv)
+         for argv in (["asymptotics", "em_elastic", "--regime", "low"], ["reproduce", "mgt"])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the package imports none of it, and the
+    # CLI runs with every scipy import refused
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result == {"loaded": [], "codes": [0, 0]}
 
 
 def test_classify_preset_exit_codes(tmp_path, capsys):
@@ -101,6 +139,27 @@ def test_negative_order_and_bad_step_are_config_errors(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "5", "--dim", "1",
                  "--modes", "16", "--T", "1", "--dt", "-0.1"]) == 1
     assert "time step must be finite and > 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_divergent_norm_is_a_config_error(tmp_path, capsys):
+    # 2s + n = -3: the norm would be set by the radial grid's first point
+    assert main(["--out", str(tmp_path), "simulate", "mgt", "--s", "-3"]) == 1
+    assert "2s + n > 0, got s = -3.0 and n = 3" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_nonpositive_power_is_a_config_error(tmp_path, capsys):
+    for p in ("-2", "0"):
+        assert main(["--out", str(tmp_path), "semilinear", "mgt", "--p", p, "--dim", "1",
+                     "--modes", "16", "--T", "1"]) == 1, p
+        assert "power p must be finite and > 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_predict_rejects_negative_order(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "predict", "mgt", "--n", "3", "--k", "-1"]) == 1
+    assert "k must be >= 0, got -1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -189,6 +189,45 @@ def test_root_groups_follow_chains():
 
 
 # ---------------------------------------------------------------------------
+# the matcher
+
+
+def test_assign_reaches_the_optimal_cost(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    for k in range(1, 7):
+        for n in range(1, k + 1):
+            cost = rng.random((40, n, k))
+            perm = rootkit.assign(cost)
+            assert perm.shape == (40, n)
+            assert all(len(set(p)) == n for p in perm.tolist())
+            got = np.take_along_axis(cost, perm[:, :, None], axis=2).sum(axis=(1, 2))
+            best = np.array([c[linear_sum_assignment(c)].sum() for c in cost])
+            assert np.all(got <= best + 1e-12), (n, k)
+            # a row gets the same matching alone as in the batch
+            assert np.array_equal(rootkit.assign(cost[7]), perm[7])
+
+
+def test_assign_tie_goes_to_the_first_injection():
+    # (0, 1) and (0, 2) tie at 3 below the rest; (0, 1) is first in lexicographic order
+    assert rootkit.assign(np.array([[1.0, 2.0, 2.0], [2.0, 2.0, 2.0]])).tolist() == [0, 1]
+    # (1, 0) and (2, 0) tie at 2 below the rest; (1, 0) comes first
+    assert rootkit.assign(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 2.0]])).tolist() == [1, 0]
+    assert rootkit.assign(np.zeros((2, 3, 3))).tolist() == [[0, 1, 2]] * 2
+
+
+def test_assign_names_the_limit_before_building_a_table(monkeypatch):
+    def no_table(n, k):
+        raise AssertionError("no table above the limit")
+
+    monkeypatch.setattr(rootkit, "_injections", no_table)
+    assert rootkit.ASSIGN_MAX_M == 8
+    for n in (1, 9):
+        with pytest.raises(ValueError, match="m = 9 exceeds the limit m <= 8"):
+            rootkit.assign(np.zeros((n, 9)))
+
+
+# ---------------------------------------------------------------------------
 # the level-wise tracker against the depth-first reference
 
 

@@ -185,3 +185,6 @@ def test_build_run_validation():
     for dt in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time step must be finite and > 0"):
             build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1, dt=dt)
+    for p in (0.0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="power p must be finite and > 0"):
+            build_run(stack, p, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1)

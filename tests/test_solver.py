@@ -151,6 +151,16 @@ def test_sobolev_tail_check_raises():
         sobolev_norm(1, rho, np.ones(500), 0.0)
 
 
+def test_sobolev_norm_needs_positive_2s_plus_n():
+    # at 2s + n <= 0 the weight is not integrable at rho -> 0: the grid's cut would set the norm
+    rho = np.geomspace(1e-4, 30, 2000)
+    snap = np.exp(-(rho**2) / 2)
+    for n, s in ((3, -1.5), (3, -3.0), (1, -0.5)):
+        with pytest.raises(ValueError, match=f"2s \\+ n > 0, got s = {s} and n = {n}"):
+            sobolev_norm(n, rho, snap, s)
+    assert sobolev_norm(3, rho, snap, -1.4) > 0
+
+
 def test_simulate_mgt_slope(stacks):
     times = np.geomspace(1e2, 1e4, 25)
     series = hd.simulate(stacks["mgt"], gaussian_data(3, 2), times, 0, 0.0)
