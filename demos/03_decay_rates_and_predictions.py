@@ -22,8 +22,7 @@ for name in ["mgt", "blackstock_crighton", "em_elastic", "mgt_classical_damping"
     cfg = pm.expected["sim"]
     stack = pm.build()
     rep = classify_stack(stack)
-    structure = "Q1" if stack.ell == 1 else "Q2"
-    pred = predict_decay(rep, stack.m, cfg["n"], cfg["q"], cfg["k"], cfg["s"], structure)
+    pred = predict_decay(rep, cfg["n"], cfg["q"], cfg["k"], cfg["s"])
     series = simulate(stack, gaussian_data(stack.m, cfg["slot"]), times, cfg["k"], cfg["s"])
     print(f"{name:24s} {pred.regime_note:14s} predicted {pred.exponent:+.4f} "
           f"fitted {series.fitted_slope:+.4f} (+-{series.slope_stderr:.4f})")

@@ -204,14 +204,12 @@ def cmd_asymptotics(args) -> int:
 def cmd_predict(args) -> int:
     stack, name = _load_stack(args.model)
     report = classify_stack(stack)
-    structure = "Q1" if stack.ell == 1 else "Q2"
-    pred = predict_decay(report, stack.m, args.n, args.q, args.k, args.s, structure,
-                         moment_zero=args.moment_zero, nu=args.nu)
+    pred = predict_decay(report, args.n, args.q, args.k, args.s, moment_zero=args.moment_zero, nu=args.nu)
     doc = pred.to_dict()
-    doc["structure"] = structure
+    doc["structure"] = f"Q{stack.ell}"
     try:
-        doc["critical_exponent"] = critical_exponent(stack.m, 0 if structure == "Q1" else 1,
-                                                     args.nonlinearity_order, args.n).to_dict()
+        doc["critical_exponent"] = critical_exponent(stack.m, stack.ell - 1, args.nonlinearity_order,
+                                                     args.n).to_dict()
     except ValueError as exc:
         doc["critical_exponent"] = {"error": str(exc)}
     _write_json(Path(args.out) / f"{name}_predict.json", doc)

@@ -62,40 +62,32 @@ class CriticalExponentReport:
         }
 
 
-def _top_group(structure: str, m: int) -> tuple[int, int]:
-    """Data indices sharing the slowest rate: (m-2, m-1) for depth-1 stacks,
-    (m-3, m-1) for depth-2."""
-    if structure == "Q1":
-        return m - 2, m - 1
-    return m - 3, m - 1
-
-
-def predict_decay(report: StabilityReport, m: int, n: int, q: float, k: int, s: float,
-                  structure: str, moment_zero: bool = False, nu: float = 2.0,
-                  data_present=None) -> DecayPrediction:
+def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
+                  moment_zero: bool = False, nu: float = 2.0, data_present=None) -> DecayPrediction:
     """Decay exponent of the k-th time derivative in the homogeneous s-norm.
 
-    `structure` is "Q1" or "Q2"; `q` in [1, 2] is the extra data integrability;
-    `nu` is the regularity the caller is willing to trade when a loss flag is
-    set (forced >= 1 under DERIVATIVE_LOSS).  When constraints fail, the
-    formal exponent is still reported with constraint_ok = False.
+    The order m and the table (Q1 at depth 1, Q2 at depth 2) come from the
+    report; `q` in [1, 2] is the extra data integrability; `nu` is the
+    regularity the caller is willing to trade when a loss flag is set (forced
+    >= 1 under DERIVATIVE_LOSS).  When constraints fail, the formal exponent
+    is still reported with constraint_ok = False.
     """
-    if structure not in ("Q1", "Q2"):
-        raise ValueError("structure must be 'Q1' or 'Q2'")
+    if report.ell not in (1, 2):
+        raise ValueError(f"the decay table covers depths 1 (Q1) and 2 (Q2), got depth {report.ell}")
     if k < 0:
         raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     if not (1.0 <= q <= 2.0):
         raise ValueError("q must lie in [1, 2]")
     if not report.strictly_stable:
         raise ValueError("decay predictions need a strictly stable stack")
-    iota = 0 if structure == "Q1" else 1
+    m, iota = report.m, report.ell - 1
     r = 1.0 / q - 0.5
     ks = k + s
-    lo, hi = _top_group(structure, m)
+    lo, hi = m - 2 - iota, m - 1   # data indices sharing the slowest rate
 
     flags = report.scenario_flags
-    slow = SCENARIO_SLOW_LOW in flags and structure == "Q2"
-    dloss = SCENARIO_DECAY_LOSS in flags and structure == "Q2"
+    slow = SCENARIO_SLOW_LOW in flags and iota == 1
+    dloss = SCENARIO_DECAY_LOSS in flags and iota == 1
     regloss = SCENARIO_REG_LOSS_DECAY in flags
     derloss = SCENARIO_DERIVATIVE_LOSS in flags
     if derloss:
@@ -111,18 +103,16 @@ def predict_decay(report: StabilityReport, m: int, n: int, q: float, k: int, s: 
     rates: list[float] = []
     for j in range(m):
         top = lo <= j <= hi
-        if structure == "Q1":
-            base = half_rate(m - 2) if top else half_rate(j)
-        elif not slow and not dloss:
-            base = half_rate(m - 3) if top else half_rate(j)
-        elif slow and not dloss:
-            base = quarter_rate(m - 3) if top else quarter_rate(j)
-        elif dloss and not slow:
+        if not slow and not dloss:
+            base = half_rate(lo) if top else half_rate(j)
+        elif not dloss:
+            base = quarter_rate(lo) if top else quarter_rate(j)
+        elif not slow:
             base = half_rate(m - 2) if top else half_rate(j + 1)
         else:
-            base = min(quarter_rate(m - 3), half_rate(m - 2)) if top else quarter_rate(j)
+            base = min(quarter_rate(lo), half_rate(m - 2)) if top else quarter_rate(j)
         rates.append(base)
-    if structure == "Q1":
+    if iota == 0:
         regime = "estQ1"
     elif slow and dloss:
         regime = "estQ2worst"
@@ -135,7 +125,7 @@ def predict_decay(report: StabilityReport, m: int, n: int, q: float, k: int, s: 
 
     if moment_zero:
         if q == 1.0:
-            shift = (m - 3) if structure == "Q1" else (m - 4)
+            shift = lo - 1
             for j in range(m):
                 if lo <= j <= hi:
                     rates[j] = n / 4.0 + (ks - shift) / 2.0

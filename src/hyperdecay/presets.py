@@ -28,8 +28,6 @@ class PresetModel:
     name: str
     params: dict
     build: Callable[[], OperatorStack]
-    structure: str                     # "Q1" | "Q2" | "Q3"
-    dim: int
     expected: dict = field(default_factory=dict)
     description: str = ""
 
@@ -341,7 +339,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"tau": 1.0, "b": 1.0, "c": 1.0}
     presets["mgt"] = PresetModel(
-        name="mgt", params=params, dim=3, structure="Q1",
+        name="mgt", params=params,
         build=lambda p=params: mgt_stack(p["tau"], p["b"], p["c"], dim=3),
         description="third-order acoustic model with relaxed viscous damping",
         expected={
@@ -356,7 +354,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"tau": 1.0, "a": 1.0, "b": 1.0, "c": 1.0}
     presets["blackstock_crighton"] = PresetModel(
-        name="blackstock_crighton", params=params, dim=3, structure="Q1",
+        name="blackstock_crighton", params=params,
         build=lambda p=params: blackstock_crighton_stack(p["tau"], p["a"], p["b"], p["c"], dim=3),
         description="fourth-order acoustic model coupling thermal and viscous damping",
         expected={
@@ -371,7 +369,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"mu": 1.0, "c": 1.0, "gamma": 1.0, "sigma": 1.0}
     presets["em_elastic"] = PresetModel(
-        name="em_elastic", params=params, dim=3, structure="Q2",
+        name="em_elastic", params=params,
         build=lambda p=params: em_elastic_stack(p["mu"], p["c"], p["gamma"], p["sigma"], dim=3),
         description="fifth-order scalar reduction of elastic waves coupled to a conducting field",
         expected={
@@ -385,7 +383,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"a": 2.0, "sigma": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}
     presets["em_elastic_dissipative"] = PresetModel(
-        name="em_elastic_dissipative", params=params, dim=3, structure="Q2",
+        name="em_elastic_dissipative", params=params,
         build=lambda p=params: em_elastic_dissipative_stack(p["a"], p["sigma"], p["mu"], p["c"],
                                                             p["gamma"], dim=3),
         description="fourth-order elastic-conducting reduction with an extra frictional term",
@@ -398,7 +396,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"a1": 2.0, "a2": 1.0, "mu": 1.0, "nu_lame": 0.0}
     presets["anisotropic_elastic_2d"] = PresetModel(
-        name="anisotropic_elastic_2d", params=params, dim=2, structure="Q2",
+        name="anisotropic_elastic_2d", params=params,
         build=lambda p=params: anisotropic_elastic_2d_stack(p["a1"], p["a2"], p["mu"], p["nu_lame"]),
         description="planar elastic waves with direction-dependent friction",
         expected={
@@ -412,7 +410,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"tau": 1.0, "b": 1.0, "c": 1.0}
     presets["mgt_classical_damping"] = PresetModel(
-        name="mgt_classical_damping", params=params, dim=3, structure="Q2",
+        name="mgt_classical_damping", params=params,
         build=lambda p=params: mgt_classical_damping_stack(p["tau"], p["b"], p["c"], dim=3),
         description="third-order acoustic model with frictional instead of viscous damping",
         expected={
@@ -427,7 +425,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"c": 2.0}
     presets["fourth_order_weak"] = PresetModel(
-        name="fourth_order_weak", params=params, dim=1, structure="Q2",
+        name="fourth_order_weak", params=params,
         build=lambda p=params: fourth_order_weak_stack(p["c"], dim=1),
         description="fourth-order model whose lower symbols share simple roots with each other",
         expected={
@@ -443,7 +441,7 @@ def _make_presets() -> dict[str, PresetModel]:
 
     params = {"a": 2.0, "b": 1.0, "c1": 1.0, "c2": 2.0, "c3": 1.0}
     presets["example_ell3"] = PresetModel(
-        name="example_ell3", params=params, dim=3, structure="Q3",
+        name="example_ell3", params=params,
         build=lambda p=params: example_ell3_stack(p["a"], p["b"], p["c1"], p["c2"], p["c3"], dim=3),
         description="depth-3 stack handled by the even/odd interlacing criterion",
         expected={

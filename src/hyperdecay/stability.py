@@ -278,32 +278,11 @@ def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> froze
 # stability verdicts
 
 
-def _uncertain_strict(margin: float) -> bool:
-    """Strict interlacing required: the verdict flips at margin = rtol."""
-    tol = TOL.interlace_margin_rtol
-    return tol / 10.0 <= margin <= 10.0 * tol
-
-
-def _uncertain_weak(margin: float) -> bool:
-    """Weak interlacing suffices: the verdict flips at margin = -rtol."""
-    tol = TOL.interlace_margin_rtol
-    return -10.0 * tol <= margin <= -tol / 10.0
-
-
-def stable_Q1(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
-    """Strict stability for a depth-1 stack: both symbols strictly hyperbolic
-    and strictly interlacing at every sampled direction."""
-    if stack.ell != 1:
-        raise ValueError(f"stable_Q1 needs ell = 1, got {stack.ell}")
-    dirs, hyp, tables = _stack_table(stack, samples)
-    upper = _interlacing(tables[1], tables[0])
-    stable = (hyp[stack.m] is Hyperbolicity.STRICT and hyp[stack.m - 1] is Hyperbolicity.STRICT
-              and upper.klass is Interlacing.STRICT)
-    return StabilityReport(
-        ell=1, m=stack.m, hyperbolicity=hyp, interlacing_upper=upper, interlacing_lower=None,
-        no_common_triple_root=True, triple_witness=None, strictly_stable=stable,
-        scenario_flags=_scenario_flags(stack, tables), min_margin=upper.margin,
-        n_directions=len(dirs), inconclusive=_uncertain_strict(upper.margin))
+def _near(value: float, boundary: float) -> bool:
+    """Within a decade of a verdict boundary: value between boundary/10 and
+    10*boundary (an inconclusive verdict).  A zero boundary admits 0 only."""
+    lo, hi = sorted((boundary / 10.0, 10.0 * boundary))
+    return lo <= value <= hi
 
 
 def _no_common_triple_root(tables: Sequence[_RootTable]):
@@ -324,32 +303,6 @@ def _no_common_triple_root(tables: Sequence[_RootTable]):
     return best > TOL.triple_root_rtol, witness, best
 
 
-def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
-    """All five strict-stability conditions for a depth-2 stack, plus scenario flags."""
-    if stack.ell != 2:
-        raise ValueError(f"verify_hypothesis_Q2 needs ell = 2, got {stack.ell}")
-    dirs, hyp, tables = _stack_table(stack, samples)
-    upper = _interlacing(tables[1], tables[0])
-    lower = _interlacing(tables[2], tables[1])
-    triple_ok, triple_witness, triple_res = _no_common_triple_root(tables)
-    stable = (
-        hyp[stack.m] in (Hyperbolicity.STRICT, Hyperbolicity.WEAK)
-        and hyp[stack.m - 2] in (Hyperbolicity.STRICT, Hyperbolicity.WEAK)
-        and hyp[stack.m - 1] is Hyperbolicity.STRICT
-        and upper.klass in (Interlacing.STRICT, Interlacing.WEAK)
-        and lower.klass in (Interlacing.STRICT, Interlacing.WEAK)
-        and triple_ok
-    )
-    margin = min(upper.margin, lower.margin)
-    uncertain = (_uncertain_weak(upper.margin) or _uncertain_weak(lower.margin)
-                 or TOL.triple_root_rtol / 10.0 <= triple_res <= 10.0 * TOL.triple_root_rtol)
-    return StabilityReport(
-        ell=2, m=stack.m, hyperbolicity=hyp, interlacing_upper=upper, interlacing_lower=lower,
-        no_common_triple_root=triple_ok, triple_witness=triple_witness, strictly_stable=stable,
-        scenario_flags=_scenario_flags(stack, tables), min_margin=margin,
-        n_directions=len(dirs), inconclusive=uncertain)
-
-
 def _hermite_biehler_rows(stack: OperatorStack, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Odd and even test-polynomial coefficients O = P_{m-1} - P_{m-3} and
     E = P_m - P_{m-2} at every row of xi[N, n], from its `stack_rows` row;
@@ -359,8 +312,8 @@ def _hermite_biehler_rows(stack: OperatorStack, xi: np.ndarray) -> tuple[np.ndar
 
 
 def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
-    """Strict stability of the full symbol at one xi != 0: one row of
-    `hermite_biehler_report`'s test; non-real-rooted pairs count as not stable."""
+    """Strict stability of the full symbol at one xi != 0: one row of the depth-3
+    test in `classify_stack`; non-real-rooted pairs count as not stable."""
     if stack.ell < 1 or stack.ell > 3:
         raise ValueError("the interlacing stability test supports depths 1..3")
     xi = np.asarray(xi, dtype=float)
@@ -370,32 +323,63 @@ def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
     return _interlacing(_RootTable(odd), _RootTable(even)).klass is Interlacing.STRICT
 
 
-def hermite_biehler_report(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
-    """Depth-3 (or general) verdict: the even/odd pair must strictly interlace
-    at every sampled direction and at 25 radii in [1e-3, 1e3]."""
-    dirs, hyp, tables = _stack_table(stack, samples)
-    radii = np.geomspace(1e-3, 1e3, 25)
-    xi = (dirs[:, None, :] * radii[:, None]).reshape(-1, stack.dim)  # direction-major
-    odd, even = _hermite_biehler_rows(stack, xi)
-    verdict = _interlacing(_RootTable(odd), _RootTable(even))
-    if verdict.witness is not None:  # rows run over the radii of one direction, then the next
-        verdict = replace(verdict, witness=(verdict.witness[0] // len(radii),) + verdict.witness[1:])
-    return StabilityReport(
-        ell=stack.ell, m=stack.m, hyperbolicity=hyp, interlacing_upper=verdict, interlacing_lower=None,
-        no_common_triple_root=True, triple_witness=None, strictly_stable=verdict.klass is Interlacing.STRICT,
-        scenario_flags=_scenario_flags(stack, tables), min_margin=verdict.margin,
-        n_directions=len(dirs), inconclusive=_uncertain_strict(verdict.margin),
-        notes=["even/odd pair interlacing sampled over directions and radii"])
-
-
 def classify_stack(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
-    if stack.ell == 1:
-        return stable_Q1(stack, samples)
-    if stack.ell == 2:
-        return verify_hypothesis_Q2(stack, samples)
+    """Strict stability of a depth-1, 2 or 3 stack at every sampled direction, plus scenario flags.
+
+    Depth 1: both symbols strictly hyperbolic and strictly interlacing.
+    Depth 2: P_{m-1} strictly and P_m, P_{m-2} at least weakly hyperbolic, both
+    consecutive pairs at least weakly interlacing, and no common triple root.
+    Depth 3: the even/odd pair strictly interlaces at 25 radii in [1e-3, 1e3]
+    along every direction.  A verdict within a decade of its boundary is
+    inconclusive.
+    """
+    if not 1 <= stack.ell <= 3:
+        raise ValueError(f"no stability route for stack depth {stack.ell}")
+    dirs, hyp, tables = _stack_table(stack, samples)
+    weak_ok = stack.ell == 2
+    triple_ok, triple_witness, notes = True, None, []
     if stack.ell == 3:
-        return hermite_biehler_report(stack, samples)
-    raise ValueError(f"no stability route for stack depth {stack.ell}")
+        radii = np.geomspace(1e-3, 1e3, 25)
+        xi = (dirs[:, None, :] * radii[:, None]).reshape(-1, stack.dim)  # direction-major
+        odd, even = _hermite_biehler_rows(stack, xi)
+        pair = _interlacing(_RootTable(odd), _RootTable(even))
+        if pair.witness is not None:  # rows run over the radii of one direction, then the next
+            pair = replace(pair, witness=(pair.witness[0] // len(radii),) + pair.witness[1:])
+        pairs, stable = [pair], True
+        notes.append("even/odd pair interlacing sampled over directions and radii")
+    else:
+        pairs = [_interlacing(tables[j + 1], tables[j]) for j in range(stack.ell)]
+        ends = (Hyperbolicity.STRICT, Hyperbolicity.WEAK) if weak_ok else (Hyperbolicity.STRICT,)
+        stable = (hyp[stack.m - 1] is Hyperbolicity.STRICT and hyp[stack.m] in ends
+                  and hyp[stack.m - stack.ell] in ends)
+    tol = TOL.interlace_margin_rtol
+    windows = [(c.margin, -tol if weak_ok else tol) for c in pairs]
+    if weak_ok:
+        triple_ok, triple_witness, triple_res = _no_common_triple_root(tables)
+        windows.append((triple_res, TOL.triple_root_rtol))
+    accepted = (Interlacing.STRICT, Interlacing.WEAK) if weak_ok else (Interlacing.STRICT,)
+    return StabilityReport(
+        ell=stack.ell, m=stack.m, hyperbolicity=hyp, interlacing_upper=pairs[0],
+        interlacing_lower=pairs[1] if weak_ok else None,
+        no_common_triple_root=triple_ok, triple_witness=triple_witness,
+        strictly_stable=stable and triple_ok and all(c.klass in accepted for c in pairs),
+        scenario_flags=_scenario_flags(stack, tables), min_margin=min(c.margin for c in pairs),
+        n_directions=len(dirs), inconclusive=any(_near(v, b) for v, b in windows), notes=notes)
+
+
+def stable_Q1(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
+    """`classify_stack` for a depth-1 stack: both symbols strictly hyperbolic
+    and strictly interlacing at every sampled direction."""
+    if stack.ell != 1:
+        raise ValueError(f"stable_Q1 needs ell = 1, got {stack.ell}")
+    return classify_stack(stack, samples)
+
+
+def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
+    """`classify_stack` for a depth-2 stack: all five strict-stability conditions, plus scenario flags."""
+    if stack.ell != 2:
+        raise ValueError(f"verify_hypothesis_Q2 needs ell = 2, got {stack.ell}")
+    return classify_stack(stack, samples)
 
 
 def routh_hurwitz_cubic(a2: float, a1: float, a0: float) -> bool:

@@ -229,7 +229,6 @@ class OperatorStack:
     """Ordered symbols of consecutive orders m, m-1, ..., m-ell (depth 0 <= ell <= 3)."""
 
     symbols: tuple[HomogeneousSymbol, ...]
-    normalized: bool = True
     isotropic: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -261,7 +260,7 @@ class OperatorStack:
         if len(scaled) > 1 and scaled[-1].pure_time_coeff <= 0:
             raise ModelFormatError("the lowest symbol needs a positive pure-time coefficient")
         iso = _detect_isotropy(scaled)
-        return OperatorStack(scaled, normalized=True, isotropic=iso)
+        return OperatorStack(scaled, isotropic=iso)
 
     @property
     def m(self) -> int:
@@ -348,8 +347,6 @@ def turned(rows: np.ndarray, order) -> np.ndarray:
 
 def full_symbol_at(stack: OperatorStack, xi: Sequence[float]) -> UnivariatePoly:
     """Q(lambda, i*xi) as a complex polynomial of degree exactly m (one row of `symbol_coeffs`)."""
-    if not stack.normalized:
-        raise ValueError("full_symbol_at expects a normalized stack")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (stack.dim,):
         raise DimensionMismatchError(f"xi shape {xi.shape} != ({stack.dim},)")

@@ -163,6 +163,13 @@ def test_predict_rejects_negative_order(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_predict_rejects_depth_3(tmp_path, capsys):
+    """The decay table covers depths 1 and 2; a depth-3 preset is a config error."""
+    assert main(["--out", str(tmp_path), "predict", "example_ell3", "--n", "3"]) == 1
+    assert "got depth 3" in capsys.readouterr().err
+    assert not (tmp_path / "example_ell3_predict.json").exists()
+
+
 def test_profile_and_reproduce_propagate_once(tmp_path, propagator_inits):
     for argv in (["profile", "mgt"], ["reproduce", "mgt"]):
         propagator_inits.clear()

@@ -235,7 +235,7 @@ def _reference_rays():
     low, high = np.geomspace(1e-4, 1e-1, 121), np.geomspace(1e1, 1e4, 121)
     rays = []
     for name, pm in PRESETS.items():
-        d = axis_direction(pm.dim)
+        d = axis_direction(pm.build().dim)
         rays.append(pytest.param(pm.build, d, low, 20, id=f"{name}-low"))
         if "high" in pm.expected or "high_at" in pm.expected:
             rays.append(pytest.param(pm.build, d, high, 20, id=f"{name}-high"))

@@ -68,6 +68,23 @@ def test_hypothesis_q2_examples(stacks):
     assert not ok and worst > -1e-6
 
 
+def test_verdict_depth_checks_and_zero_tolerances(stacks, monkeypatch):
+    """The depth-named verdicts are `classify_stack` behind a depth check, and a
+    tolerance set to 0 leaves every verdict computable."""
+    for name, right, wrong, message in [("mgt", stable_Q1, verify_hypothesis_Q2, "ell = 2, got 1"),
+                                        ("em_elastic", verify_hypothesis_Q2, stable_Q1, "ell = 1, got 2")]:
+        assert right(stacks[name]).to_dict() == classify_stack(stacks[name]).to_dict()
+        with pytest.raises(ValueError, match=message):
+            wrong(stacks[name])
+    with pytest.raises(ValueError, match="stack depth 0"):
+        classify_stack(OperatorStack.build([HomogeneousSymbol.isotropic(2, 1, {2: 1.0})]))
+    monkeypatch.setattr(TOL, "interlace_margin_rtol", 0.0)
+    monkeypatch.setattr(TOL, "triple_root_rtol", 0.0)
+    for name in ("mgt", "em_elastic", "example_ell3"):
+        rep = classify_stack(stacks[name])
+        assert rep.strictly_stable and not rep.inconclusive
+
+
 def test_scenario_flags(stacks):
     assert classify_stack(stacks["mgt_classical_damping"]).scenario_flags == {"REG_LOSS_DECAY"}
     assert classify_stack(stacks["fourth_order_weak"]).scenario_flags == {"SLOW_LOW", "DERIVATIVE_LOSS"}

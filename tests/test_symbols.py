@@ -128,7 +128,6 @@ def test_mu_coeffs_are_scaled_symbol_coeffs():
 def test_normalization_divides_leading():
     stack = mgt_stack(tau=2.0)
     assert stack.pure_time_coeffs()[0] == pytest.approx(1.0)
-    assert stack.normalized
 
 
 def test_stack_validation_errors():

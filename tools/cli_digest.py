@@ -36,9 +36,9 @@ from hyperdecay.presets import PRESETS
 RUNS = ([["reproduce", name] for name in PRESETS]
         + [["classify", name] for name in PRESETS]
         + [["asymptotics", name, "--regime", regime] for name in PRESETS for regime in ("low", "high")]
+        + [["predict", name, "--n", "3"] for name in PRESETS]
         + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
-           ["predict", "mgt", "--n", "3"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
            # two times leave fewer than three points in the fit window
            ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"]])
