@@ -11,7 +11,6 @@ import numpy as np
 
 from hyperdecay import build_profile, moment, simulate, solution_and_gap
 from hyperdecay.presets import PRESETS
-from hyperdecay.profiles import closed_form_profile
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
 
 times = np.geomspace(1e2, 1e4, 17)
@@ -20,7 +19,7 @@ print("=== generic profile vs closed form (third-order acoustic model) ===")
 pm = PRESETS["mgt"]
 stack = pm.build()
 spec = build_profile(stack, M=1.0)
-cf = closed_form_profile("mgt", pm.params, 1.0)
+cf = pm.expected["profile"]
 for t, r in [(5.0, 0.3), (50.0, 0.1), (500.0, 0.03)]:
     print(f"t={t:6g} rho={r:5g}: generic {spec.fourier_value(t, r):+.6e} "
           f"closed form {cf(t, r):+.6e}")

@@ -6,8 +6,8 @@ desk-scale pseudospectral probe of the power-nonlinear problem."""
 from .asymptotics import (ExpansionCase, ExpansionRecord, Regime, high_freq_expansions,
                           kappa_solutions, low_freq_expansions, verify_expansion)
 from .decay import CriticalExponentReport, DecayPrediction, critical_exponent, predict_decay
-from .profiles import (ProfileKind, ProfileSpec, build_profile, closed_form_profile, moment,
-                       profile_gap_series, profile_value, solution_and_gap)
+from .profiles import (ProfileKind, ProfileSpec, build_profile, moment, profile_gap_series,
+                       solution_and_gap)
 from .rootkit import (RootBranchSet, RootCluster, connecting_permutation, roots, roots_batch,
                       spectral_abscissa, track_branches)
 from .semilinear import SemilinearRun, build_run, run_semilinear, step
@@ -18,7 +18,7 @@ from .stability import (Hyperbolicity, Interlacing, InterlacingClass, StabilityR
                         hermite_biehler_stable, routh_hurwitz_cubic, sample_directions,
                         stable_Q1, verify_hypothesis_Q2)
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, check_poly,
-                      full_symbol_at, load_model, restrict_to_direction, save_model, symbol_coeffs)
+                      full_symbol_at, load_model, save_model, symbol_coeffs)
 from .tolerances import TOL, set_tolerance
 
 __version__ = "0.1.0"
@@ -30,11 +30,10 @@ __all__ = [
     "ProfileSpec", "Regime", "RingProfile", "RootBranchSet", "RootCluster", "SemilinearRun",
     "StabilityReport", "TOL", "UnivariatePoly", "ZeroProfile", "build_profile", "build_run",
     "check_poly", "classify_hyperbolicity", "classify_interlacing", "classify_stack",
-    "closed_form_profile", "connecting_permutation", "critical_exponent", "full_symbol_at",
-    "hermite_biehler_stable", "high_freq_expansions", "kappa_solutions", "load_model",
-    "low_freq_expansions", "moment", "predict_decay", "profile_gap_series", "profile_value",
-    "propagate_mode", "restrict_to_direction", "roots", "roots_batch", "routh_hurwitz_cubic",
-    "run_semilinear", "sample_directions", "save_model", "set_tolerance", "simulate",
-    "solution_and_gap", "sobolev_norm", "spectral_abscissa", "stable_Q1", "step", "symbol_coeffs",
-    "track_branches", "verify_expansion", "verify_hypothesis_Q2",
+    "connecting_permutation", "critical_exponent", "full_symbol_at", "hermite_biehler_stable",
+    "high_freq_expansions", "kappa_solutions", "load_model", "low_freq_expansions", "moment",
+    "predict_decay", "profile_gap_series", "propagate_mode", "roots", "roots_batch",
+    "routh_hurwitz_cubic", "run_semilinear", "sample_directions", "save_model", "set_tolerance",
+    "simulate", "solution_and_gap", "sobolev_norm", "spectral_abscissa", "stable_Q1", "step",
+    "symbol_coeffs", "track_branches", "verify_expansion", "verify_hypothesis_Q2",
 ]

@@ -297,8 +297,8 @@ def match_records_to_branches(branchset: RootBranchSet, records: Sequence[Expans
 
 
 def verify_expansion(branchset: RootBranchSet, record: ExpansionRecord,
-                     branch_index: int | None = None) -> tuple[float, float]:
-    """Fit the remainder order of `record` against a tracked branch.
+                     branch_index: int) -> tuple[float, float]:
+    """Fit the remainder order of `record` against tracked branch `branch_index`.
 
     Returns (fitted_order, max_rel_err): the log-log slope of the remainder in
     the regime's own scale, and the relative error of the truncated expansion
@@ -316,8 +316,6 @@ def verify_expansion(branchset: RootBranchSet, record: ExpansionRecord,
     sub = grid[mask]
     if np.max(sub) / np.min(sub) < 10.0**2:
         raise ValueError("need at least two decades of rho inside the regime for a stable fit")
-    if branch_index is None:
-        branch_index = match_records_to_branches(branchset, [record], record.regime)[0]
     lam = branchset.branches[branch_index][mask]
     r = lam - record.evaluate(sub)
     floor = np.full(len(sub), 1e-12)

@@ -3,15 +3,19 @@
 Each preset builds its stack from named physical parameters and carries
 fixtures: the stability verdict, the low/high expansion coefficients from
 independent closed-form arithmetic (quadratic formulas and explicit deleted
-root products, no calls into the root finder), and, where wired, a decay-rate
-band for the simulation pipeline.  `compare_expansions` checks computed
-records against fixtures by minimum-distance matching.
+root products, no calls into the root finder), the closed-form profile at
+moment M = 1 and, where wired, a decay-rate band for the simulation pipeline.
+Each preset is one registry row: its builder, its parameters and its
+fixtures, every fixture function called once with the parameters.
+`compare_expansions` checks computed records against fixtures by
+minimum-distance matching.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +32,7 @@ class PresetModel:
     name: str
     params: dict
     build: Callable[[], OperatorStack]
-    expected: dict = field(default_factory=dict)
-    description: str = ""
+    expected: dict
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,7 @@ def damped_wave_stack(c: float = 1.0, dim: int = 1) -> OperatorStack:
 
 
 # ---------------------------------------------------------------------------
-# closed-form expansion fixtures (independent arithmetic, not the library paths)
+# closed-form fixtures: expansions and profiles (independent arithmetic, not the library paths)
 
 
 def _quartic_even_roots(b2: float, c0: float) -> tuple[float, float]:
@@ -121,6 +124,11 @@ def _quartic_even_roots(b2: float, c0: float) -> tuple[float, float]:
     s_small = (b2 - math.sqrt(disc)) / 2.0
     s_large = (b2 + math.sqrt(disc)) / 2.0
     return math.sqrt(s_small), math.sqrt(s_large)
+
+
+def _radial(value):
+    """A closed-form profile value(t, rho) at moment M = 1, taking rho as a float array."""
+    return lambda t, rho: value(t, np.asarray(rho, dtype=float))
 
 
 def mgt_low_expected(tau: float, b: float, c: float) -> list[TermList]:
@@ -143,6 +151,10 @@ def mgt_high_expected(tau: float, b: float, c: float) -> list[TermList]:
     ]
 
 
+def mgt_profile_expected(tau: float, b: float, c: float):
+    return _radial(lambda t, rho: tau * np.sin(c * rho * t) / (c * rho) * np.exp(-0.5 * b * rho**2 * t))
+
+
 def bc_low_expected(tau: float, a: float, b: float, c: float) -> list[TermList]:
     return [
         [(1.0, 1j * c), (2.0, -b / 2.0 + 0j)],
@@ -163,6 +175,11 @@ def bc_high_expected(tau: float, a: float, b: float, c: float) -> list[TermList]
         out.append([(1.0, 1j * r), (0.0, complex(coef))])
         out.append([(1.0, -1j * r), (0.0, complex(coef))])
     return out
+
+
+def bc_profile_expected(tau: float, a: float, b: float, c: float):
+    return _radial(lambda t, rho: (tau / (c**2 * rho**2)) * (
+        np.exp(-a * rho**2 * t) - np.cos(c * rho * t) * np.exp(-0.5 * b * rho**2 * t)))
 
 
 def em_elastic_low_expected(mu: float, c: float, gamma: float, sigma: float) -> list[TermList]:
@@ -192,6 +209,12 @@ def em_elastic_high_expected(mu: float, c: float, gamma: float, sigma: float) ->
     return out
 
 
+def em_elastic_profile_expected(mu: float, c: float, gamma: float, sigma: float):
+    return _radial(lambda t, rho: (1.0 / (mu * sigma**2 * rho**2)) * (
+        np.exp(-(c**2 / sigma) * rho**2 * t)
+        - np.cos(np.sqrt(mu) * rho * t) * np.exp(-(gamma**2 / (2 * sigma)) * rho**2 * t)))
+
+
 def em_elastic_dissipative_low_expected(a: float, sigma: float, mu: float, c: float,
                                         gamma: float) -> list[TermList]:
     return [
@@ -218,6 +241,15 @@ def em_elastic_dissipative_high_expected(a: float, sigma: float, mu: float, c: f
     return out
 
 
+def em_elastic_dissipative_profile_expected(a: float, sigma: float, mu: float, c: float,
+                                            gamma: float):
+    kp, km = -mu / a, -(c**2) / sigma  # split-pair rates
+    if kp == km:
+        raise ValueError("the closed form needs distinct split rates")
+    return _radial(lambda t, rho: 1.0 / (a * sigma) / (kp - km) / rho**2
+                   * (np.exp(kp * rho**2 * t) - np.exp(km * rho**2 * t)))
+
+
 def anisotropic_kappas(a1: float, a2: float, mu: float, nu_lame: float,
                        d: Sequence[float]) -> tuple[complex, complex]:
     d1, d2 = float(d[0]), float(d[1])
@@ -231,8 +263,8 @@ def anisotropic_kappas(a1: float, a2: float, mu: float, nu_lame: float,
     return complex(k1), complex(k2)
 
 
-def anisotropic_low_expected(a1: float, a2: float, mu: float, nu_lame: float,
-                             d: Sequence[float]) -> list[TermList]:
+def anisotropic_low_expected(d: Sequence[float], a1: float, a2: float, mu: float,
+                             nu_lame: float) -> list[TermList]:
     k1, k2 = anisotropic_kappas(a1, a2, mu, nu_lame, d)
     return [
         [(1.0, 0j), (2.0, k1)],
@@ -242,8 +274,8 @@ def anisotropic_low_expected(a1: float, a2: float, mu: float, nu_lame: float,
     ]
 
 
-def anisotropic_high_expected(a1: float, a2: float, mu: float, nu_lame: float,
-                              d: Sequence[float]) -> list[TermList]:
+def anisotropic_high_expected(d: Sequence[float], a1: float, a2: float, mu: float,
+                              nu_lame: float) -> list[TermList]:
     d1, d2 = float(d[0]), float(d[1])
     r1, r2 = math.sqrt(mu), math.sqrt(2.0 * mu + nu_lame)
 
@@ -280,6 +312,10 @@ def mgt_cd_high_expected(tau: float, b: float, c: float) -> list[TermList]:
     ]
 
 
+def mgt_cd_profile_expected(tau: float, b: float, c: float):
+    return _radial(lambda t, rho: (tau / b) * np.exp(-(c**2 / b) * rho**2 * t))
+
+
 def fourth_order_low_expected(c: float) -> list[TermList]:
     g = (c**2 - 1.0) / 2.0
     z1 = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -304,6 +340,11 @@ def fourth_order_high_expected(c: float) -> list[TermList]:
     ]
 
 
+def fourth_order_profile_expected(c: float):
+    return _radial(lambda t, rho: np.sin(rho * t - 0.5 * (c**2 - 1.0) * rho**3 * t) / rho
+                   * np.exp(-0.5 * (c**2 - 1.0) * rho**4 * t))
+
+
 def example_ell3_low_expected(a: float, b: float, c1: float, c2: float, c3: float) -> list[TermList]:
     cubic = np.roots([1.0, c3, c2, c1])
     out: list[TermList] = [[(1.0, 0j), (2.0, complex(-c2 * b**2 / c1))]]
@@ -326,6 +367,10 @@ def example_ell3_high_expected(a: float, b: float, c1: float, c2: float, c3: flo
     ]
 
 
+def example_ell3_profile_expected(a: float, b: float, c1: float, c2: float, c3: float):
+    return _radial(lambda t, rho: (1.0 / c1) * np.exp(-(c2 * b**2 / c1) * rho**2 * t))
+
+
 def example_ell3_stable_predicate(a: float, b: float, c1: float, c2: float, c3: float) -> bool:
     return (c1 < c2 * c3) and (b**2 < (1.0 - c1 / (c2 * c3)) * a**2)
 
@@ -334,125 +379,73 @@ def example_ell3_stable_predicate(a: float, b: float, c1: float, c2: float, c3: 
 # registry
 
 
-def _make_presets() -> dict[str, PresetModel]:
-    presets = {}
-
-    params = {"tau": 1.0, "b": 1.0, "c": 1.0}
-    presets["mgt"] = PresetModel(
-        name="mgt", params=params,
-        build=lambda p=params: mgt_stack(p["tau"], p["b"], p["c"], dim=3),
-        description="third-order acoustic model with relaxed viscous damping",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": set(),
-            "low": mgt_low_expected(**params),
-            "high": mgt_high_expected(**params),
-            "sim": {"slot": 2, "k": 0, "s": 0.0, "n": 3, "q": 1.0,
-                    "t_range": (1e2, 1e4, 25), "slope": -0.25, "tol": 0.05},
-            "profile_gap_band": (-0.65, -0.35),
-        })
-
-    params = {"tau": 1.0, "a": 1.0, "b": 1.0, "c": 1.0}
-    presets["blackstock_crighton"] = PresetModel(
-        name="blackstock_crighton", params=params,
-        build=lambda p=params: blackstock_crighton_stack(p["tau"], p["a"], p["b"], p["c"], dim=3),
-        description="fourth-order acoustic model coupling thermal and viscous damping",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": set(),
-            "low": bc_low_expected(**params),
-            "high": bc_high_expected(**params),
-            "sim": {"slot": 3, "k": 0, "s": 1.0, "n": 3, "q": 1.0,
-                    "t_range": (1e2, 1e4, 25), "slope": -0.25, "tol": 0.05},
-            "profile_gap_band": (-0.65, -0.35),
-        })
-
-    params = {"mu": 1.0, "c": 1.0, "gamma": 1.0, "sigma": 1.0}
-    presets["em_elastic"] = PresetModel(
-        name="em_elastic", params=params,
-        build=lambda p=params: em_elastic_stack(p["mu"], p["c"], p["gamma"], p["sigma"], dim=3),
-        description="fifth-order scalar reduction of elastic waves coupled to a conducting field",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": set(),
-            "low": em_elastic_low_expected(**params),
-            "high": em_elastic_high_expected(**params),
-            "sim": {"slot": 4, "k": 0, "s": 2.0, "n": 3, "q": 1.0,
-                    "t_range": (1e2, 1e4, 25), "slope": -0.75, "tol": 0.07},
-        })
-
-    params = {"a": 2.0, "sigma": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}
-    presets["em_elastic_dissipative"] = PresetModel(
-        name="em_elastic_dissipative", params=params,
-        build=lambda p=params: em_elastic_dissipative_stack(p["a"], p["sigma"], p["mu"], p["c"],
-                                                            p["gamma"], dim=3),
-        description="fourth-order elastic-conducting reduction with an extra frictional term",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": {"DECAY_LOSS"},
-            "low": em_elastic_dissipative_low_expected(**params),
-            "high": em_elastic_dissipative_high_expected(**params),
-        })
-
-    params = {"a1": 2.0, "a2": 1.0, "mu": 1.0, "nu_lame": 0.0}
-    presets["anisotropic_elastic_2d"] = PresetModel(
-        name="anisotropic_elastic_2d", params=params,
-        build=lambda p=params: anisotropic_elastic_2d_stack(p["a1"], p["a2"], p["mu"], p["nu_lame"]),
-        description="planar elastic waves with direction-dependent friction",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": {"DECAY_LOSS"},
-            "low_at": lambda d, p=params: anisotropic_low_expected(p["a1"], p["a2"], p["mu"],
-                                                                   p["nu_lame"], d),
-            "high_at": lambda d, p=params: anisotropic_high_expected(p["a1"], p["a2"], p["mu"],
-                                                                     p["nu_lame"], d),
-        })
-
-    params = {"tau": 1.0, "b": 1.0, "c": 1.0}
-    presets["mgt_classical_damping"] = PresetModel(
-        name="mgt_classical_damping", params=params,
-        build=lambda p=params: mgt_classical_damping_stack(p["tau"], p["b"], p["c"], dim=3),
-        description="third-order acoustic model with frictional instead of viscous damping",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": {"REG_LOSS_DECAY"},
-            "low": mgt_cd_low_expected(**params),
-            "high": mgt_cd_high_expected(**params),
-            "high_re_slope": {"range": (1e1, 1e3), "slope": -2.0, "tol": 0.1},
-            "sim": {"slot": 2, "k": 0, "s": 0.0, "n": 3, "q": 1.0,
-                    "t_range": (1e2, 1e4, 25), "slope": -0.75, "tol": 0.05},
-        })
-
-    params = {"c": 2.0}
-    presets["fourth_order_weak"] = PresetModel(
-        name="fourth_order_weak", params=params,
-        build=lambda p=params: fourth_order_weak_stack(p["c"], dim=1),
-        description="fourth-order model whose lower symbols share simple roots with each other",
-        expected={
-            "strictly_stable": True,
-            "scenario_flags": {"SLOW_LOW", "DERIVATIVE_LOSS"},
-            "low": fourth_order_low_expected(**params),
-            "high": fourth_order_high_expected(**params),
-            "low_re_slope": {"range": (3e-3, 3e-2), "slope": 4.0, "tol": 0.1,
-                             "coefficient": -1.5, "coef_tol": 0.02},
-            "sim": {"slot": 3, "k": 0, "s": 1.0, "n": 1, "q": 1.0,
-                    "t_range": (1e2, 1e4, 25), "slope": -0.125, "tol": 0.05},
-        })
-
-    params = {"a": 2.0, "b": 1.0, "c1": 1.0, "c2": 2.0, "c3": 1.0}
-    presets["example_ell3"] = PresetModel(
-        name="example_ell3", params=params,
-        build=lambda p=params: example_ell3_stack(p["a"], p["b"], p["c1"], p["c2"], p["c3"], dim=3),
-        description="depth-3 stack handled by the even/odd interlacing criterion",
-        expected={
-            "strictly_stable": example_ell3_stable_predicate(**params),
-            "low": example_ell3_low_expected(**params),
-            "high": example_ell3_high_expected(**params),
-        })
-    return presets
+def _preset(name: str, builder: Callable[..., OperatorStack], params: dict, **expected) -> PresetModel:
+    """One registry row: `params` bound once into the builder, and each fixture given as a
+    function called once with them as keywords; other fixtures are stored as given."""
+    fixtures = {key: value(**params) if callable(value) else value for key, value in expected.items()}
+    return PresetModel(name, params, functools.partial(builder, **params), fixtures)
 
 
-PRESETS = _make_presets()
+PRESETS = {pm.name: pm for pm in (
+    # third-order acoustic model with relaxed viscous damping
+    _preset("mgt", mgt_stack, {"tau": 1.0, "b": 1.0, "c": 1.0},
+            strictly_stable=True, scenario_flags=set(),
+            low=mgt_low_expected, high=mgt_high_expected, profile=mgt_profile_expected,
+            sim={"slot": 2, "k": 0, "s": 0.0, "n": 3, "q": 1.0,
+                 "t_range": (1e2, 1e4, 25), "slope": -0.25, "tol": 0.05},
+            profile_gap_band=(-0.65, -0.35)),
+    # fourth-order acoustic model coupling thermal and viscous damping
+    _preset("blackstock_crighton", blackstock_crighton_stack, {"tau": 1.0, "a": 1.0, "b": 1.0, "c": 1.0},
+            strictly_stable=True, scenario_flags=set(),
+            low=bc_low_expected, high=bc_high_expected, profile=bc_profile_expected,
+            sim={"slot": 3, "k": 0, "s": 1.0, "n": 3, "q": 1.0,
+                 "t_range": (1e2, 1e4, 25), "slope": -0.25, "tol": 0.05},
+            profile_gap_band=(-0.65, -0.35)),
+    # fifth-order scalar reduction of elastic waves coupled to a conducting field
+    _preset("em_elastic", em_elastic_stack, {"mu": 1.0, "c": 1.0, "gamma": 1.0, "sigma": 1.0},
+            strictly_stable=True, scenario_flags=set(),
+            low=em_elastic_low_expected, high=em_elastic_high_expected,
+            profile=em_elastic_profile_expected,
+            sim={"slot": 4, "k": 0, "s": 2.0, "n": 3, "q": 1.0,
+                 "t_range": (1e2, 1e4, 25), "slope": -0.75, "tol": 0.07}),
+    # fourth-order elastic-conducting reduction with an extra frictional term
+    _preset("em_elastic_dissipative", em_elastic_dissipative_stack,
+            {"a": 2.0, "sigma": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0},
+            strictly_stable=True, scenario_flags={"DECAY_LOSS"},
+            low=em_elastic_dissipative_low_expected, high=em_elastic_dissipative_high_expected,
+            profile=em_elastic_dissipative_profile_expected),
+    # planar elastic waves with direction-dependent friction; the fixtures at a
+    # direction d bind the parameters and leave d, and low/high are their values
+    # on the axis
+    _preset("anisotropic_elastic_2d", anisotropic_elastic_2d_stack,
+            {"a1": 2.0, "a2": 1.0, "mu": 1.0, "nu_lame": 0.0},
+            strictly_stable=True, scenario_flags={"DECAY_LOSS"},
+            low_at=functools.partial(functools.partial, anisotropic_low_expected),
+            high_at=functools.partial(functools.partial, anisotropic_high_expected),
+            low=functools.partial(anisotropic_low_expected, (1.0, 0.0)),
+            high=functools.partial(anisotropic_high_expected, (1.0, 0.0))),
+    # third-order acoustic model with frictional instead of viscous damping
+    _preset("mgt_classical_damping", mgt_classical_damping_stack, {"tau": 1.0, "b": 1.0, "c": 1.0},
+            strictly_stable=True, scenario_flags={"REG_LOSS_DECAY"},
+            low=mgt_cd_low_expected, high=mgt_cd_high_expected, profile=mgt_cd_profile_expected,
+            high_re_slope={"range": (1e1, 1e3), "slope": -2.0, "tol": 0.1},
+            sim={"slot": 2, "k": 0, "s": 0.0, "n": 3, "q": 1.0,
+                 "t_range": (1e2, 1e4, 25), "slope": -0.75, "tol": 0.05}),
+    # fourth-order model whose lower symbols share simple roots with each other
+    _preset("fourth_order_weak", fourth_order_weak_stack, {"c": 2.0},
+            strictly_stable=True, scenario_flags={"SLOW_LOW", "DERIVATIVE_LOSS"},
+            low=fourth_order_low_expected, high=fourth_order_high_expected,
+            profile=fourth_order_profile_expected,
+            low_re_slope={"range": (3e-3, 3e-2), "slope": 4.0, "tol": 0.1,
+                          "coefficient": -1.5, "coef_tol": 0.02},
+            sim={"slot": 3, "k": 0, "s": 1.0, "n": 1, "q": 1.0,
+                 "t_range": (1e2, 1e4, 25), "slope": -0.125, "tol": 0.05}),
+    # depth-3 stack handled by the even/odd interlacing criterion
+    _preset("example_ell3", example_ell3_stack, {"a": 2.0, "b": 1.0, "c1": 1.0, "c2": 2.0, "c3": 1.0},
+            strictly_stable=example_ell3_stable_predicate,
+            low=example_ell3_low_expected, high=example_ell3_high_expected,
+            profile=example_ell3_profile_expected),
+)}
 
 
 def get_preset(name: str) -> PresetModel:

@@ -71,15 +71,6 @@ class ProfileSpec:
         return out
 
 
-def profile_value(spec: ProfileSpec, t, xi, k: int = 0):
-    """Evaluate a profile at a frequency vector (or radius for isotropic use)."""
-    xi = np.asarray(xi, dtype=float)
-    rho = float(np.linalg.norm(xi)) if xi.ndim else float(xi)
-    if rho <= 0:
-        raise ValueError("profile evaluation needs xi != 0 and t handling at rho > 0")
-    return spec.fourier_value(t, rho, k=k)
-
-
 # ---------------------------------------------------------------------------
 # moment functional
 
@@ -173,76 +164,3 @@ def profile_gap_series(stack: OperatorStack, data: DataSpec, times, k: int = 0, 
                        rho_grid: np.ndarray | None = None) -> NormTimeSeries:
     """Norms of (solution - smoothed profile): the second series of `solution_and_gap`."""
     return solution_and_gap(stack, data, times, k, s, rho_grid)[1]
-
-
-# ---------------------------------------------------------------------------
-# closed forms bundled with the physical presets (used for cross-checks)
-
-
-def closed_form_profile(name: str, params: dict, M: float):
-    """Riesz-smoothed closed-form profile value(t, rho) for the named preset."""
-    if name == "mgt":
-        tau, b, c = params["tau"], params["b"], params["c"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            return M * tau * np.sin(c * rho * t) / (c * rho) * np.exp(-0.5 * b * rho**2 * t)
-
-        return value
-    if name == "blackstock_crighton":
-        tau, a, b, c = params["tau"], params["a"], params["b"], params["c"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            return (M * tau / (c**2 * rho**2)) * (
-                np.exp(-a * rho**2 * t) - np.cos(c * rho * t) * np.exp(-0.5 * b * rho**2 * t))
-
-        return value
-    if name == "em_elastic":
-        mu, c, gamma, sigma = params["mu"], params["c"], params["gamma"], params["sigma"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            return (M / (mu * sigma**2 * rho**2)) * (
-                np.exp(-(c**2 / sigma) * rho**2 * t)
-                - np.cos(np.sqrt(mu) * rho * t) * np.exp(-(gamma**2 / (2 * sigma)) * rho**2 * t))
-
-        return value
-    if name == "em_elastic_dissipative":
-        a, sigma, mu, c = params["a"], params["sigma"], params["mu"], params["c"]
-        kp, km = -mu / a, -(c**2) / sigma  # split-pair rates
-        if kp == km:
-            raise ValueError("the closed form needs distinct split rates")
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            pref = M / (a * sigma) / (kp - km) / rho**2
-            return pref * (np.exp(kp * rho**2 * t) - np.exp(km * rho**2 * t))
-
-        return value
-    if name == "fourth_order_weak":
-        c = params["c"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            phase = rho * t - 0.5 * (c**2 - 1.0) * rho**3 * t
-            return M * np.sin(phase) / rho * np.exp(-0.5 * (c**2 - 1.0) * rho**4 * t)
-
-        return value
-    if name == "mgt_classical_damping":
-        tau, b, c = params["tau"], params["b"], params["c"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            return M * (tau / b) * np.exp(-(c**2 / b) * rho**2 * t)
-
-        return value
-    if name == "example_ell3":
-        c1, c2, b = params["c1"], params["c2"], params["b"]
-
-        def value(t, rho):
-            rho = np.asarray(rho, dtype=float)
-            return (M / c1) * np.exp(-(c2 * b**2 / c1) * rho**2 * t)
-
-        return value
-    raise KeyError(f"no closed-form profile for preset {name!r}")

@@ -35,7 +35,7 @@ class RootfindingError(RuntimeError):
 
 
 class NonRealRootsError(ValueError):
-    def __init__(self, poly: UnivariatePoly, bad_root: complex):
+    def __init__(self, bad_root: complex):
         self.bad_root = bad_root
         super().__init__(f"polynomial has a non-real root {bad_root!r}")
 
@@ -507,12 +507,7 @@ def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float,
     n = max(2, int(np.ceil(40 * np.log10(rho_high / rho_low))))  # 40 points per decade
     grid = np.geomspace(rho_low, rho_high, n)
     bs = track_branches(stack, d, grid)
-    final = bs.branches[:, -1]
-    order = np.lexsort((final.imag, final.real))
-    perm = np.empty(len(final), dtype=int)
-    for rank, idx in enumerate(order):
-        perm[idx] = rank
-    return perm
+    return np.argsort(_canonical_order(bs.branches[None, :, -1])[0])
 
 
 def branch_dump_rows(bs: RootBranchSet):

@@ -154,7 +154,7 @@ class _RootTable:
     def nonreal_error(self, row: int) -> NonRealRootsError:
         """The error naming the row's first non-real root in canonical order."""
         bad = self.roots[row][np.argmin(self.root_is_real[row])]
-        return NonRealRootsError(UnivariatePoly.of(self.coeffs[row]), bad)
+        return NonRealRootsError(bad)
 
 
 def real_root_table(coeffs: np.ndarray) -> _RootTable:

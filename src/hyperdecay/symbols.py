@@ -324,10 +324,6 @@ def restriction_coeffs(sym: HomogeneousSymbol, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def restrict_to_direction(sym: HomogeneousSymbol, d: Direction) -> UnivariatePoly:
-    return sym.restrict(d)
-
-
 def stack_rows(stack: OperatorStack, xi: np.ndarray) -> np.ndarray:
     """Real restriction coefficients of every symbol at every row of xi[N, n],
     zero-padded to degree m; shape (N, ell+1, m+1), [:, j] holding P_{m-j}."""

@@ -121,8 +121,9 @@ def test_verify_expansion_damped_wave_order4():
     bs = hd.track_branches(stack, d, np.geomspace(1e-3, 1e-1, 81))
     recs = hd.low_freq_expansions(stack, d)
     # lambda_+ = -rho^2 - rho^4 - ...: remainder after the rho^2 term is O(rho^4)
-    simple = [r for r in recs if r.case is ExpansionCase.SIMPLE][0]
-    order, _ = hd.verify_expansion(bs, simple)
+    i = [r.case for r in recs].index(ExpansionCase.SIMPLE)
+    assign = match_records_to_branches(bs, recs, Regime.LOW)
+    order, _ = hd.verify_expansion(bs, recs[i], branch_index=assign[i])
     assert order == pytest.approx(4.0, abs=0.15)
 
 

@@ -132,6 +132,22 @@ def test_every_preset_writes_strict_json(tmp_path):
         _strict_json(path)
 
 
+def test_reproduce_checks_every_preset_expansions(tmp_path):
+    """Every preset's `reproduce` checks both expansions and writes what `asymptotics` writes."""
+    from hyperdecay.presets import PRESETS
+
+    for name in PRESETS:
+        assert main(["--out", str(tmp_path / "reproduce"), "reproduce", name]) == 0, name
+        checks = {c["name"]: c["passed"] for c in
+                  _strict_json(tmp_path / "reproduce" / f"{name}_reproduce.json")["checks"]}
+        assert checks["low_expansions"] and checks["high_expansions"], (name, checks)
+        for regime in ("low", "high"):
+            assert main(["--out", str(tmp_path / regime), "asymptotics", name, "--regime", regime]) == 0
+            fname = f"{name}_asymptotics_{regime}.csv"
+            assert ((tmp_path / "reproduce" / fname).read_bytes()
+                    == (tmp_path / regime / fname).read_bytes()), fname
+
+
 def test_negative_order_and_bad_step_are_config_errors(tmp_path, capsys):
     for cmd in ("simulate", "profile"):
         assert main(["--out", str(tmp_path), cmd, "mgt", "--k", "-1"]) == 1, cmd

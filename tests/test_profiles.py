@@ -3,8 +3,7 @@ import pytest
 
 import hyperdecay as hd
 from hyperdecay.presets import PRESETS
-from hyperdecay.profiles import (ProfileKind, build_profile, closed_form_profile, moment,
-                                 profile_gap_series, profile_value, solution_and_gap)
+from hyperdecay.profiles import ProfileKind, build_profile, moment, profile_gap_series, solution_and_gap
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
 from hyperdecay.symbols import axis_direction
 
@@ -43,9 +42,8 @@ def test_moment_depth3(stacks):
                                   "em_elastic_dissipative", "fourth_order_weak",
                                   "mgt_classical_damping", "example_ell3"])
 def test_profile_matches_closed_form(name, stacks, rng):
-    pm = PRESETS[name]
     spec = build_profile(stacks[name], M=1.0)
-    cf = closed_form_profile(name, pm.params, 1.0)
+    cf = PRESETS[name].expected["profile"]
     ts = rng.uniform(0.5, 50.0, 100)
     rs = rng.uniform(0.01, 2.0, 100)
     for t, r in zip(ts, rs):
@@ -77,7 +75,7 @@ def test_profile_riesz_orders(stacks):
 
 def test_zero_moment_profile_vanishes(stacks):
     spec = build_profile(stacks["mgt"], M=0.0)
-    assert profile_value(spec, 3.0, np.array([0.1, 0.0, 0.0])) == 0.0
+    assert spec.fourier_value(3.0, 0.1) == 0.0
 
 
 def test_split_pair_requires_distinct_rates():
@@ -119,7 +117,7 @@ def test_gap_series_checks_the_slot_count(stacks):
 def test_profile_value_rejects_zero_frequency(stacks):
     spec = build_profile(stacks["mgt"], 1.0)
     with pytest.raises(ValueError):
-        profile_value(spec, 1.0, np.zeros(3))
+        spec.fourier_value(1.0, 0.0)
 
 
 def test_time_derivatives_act_termwise(stacks):
