@@ -193,7 +193,10 @@ def cmd_asymptotics(args) -> int:
                      "threshold": rec.last_power + 0.4})
     out = Path(args.out)
     _write_expansions(out / f"{name}_asymptotics_{args.regime}.csv", records)
-    _write_json(out / f"{name}_asymptotics_{args.regime}_fit.json", {"records": fits})
+    _write_json(out / f"{name}_asymptotics_{args.regime}_fit.json", {
+        "records": fits,
+        "tracking": {"input_points": len(grid), "points": len(bs.rho_grid),
+                     "cluster_events": len(bs.cluster_events)}})
     _write_csv(out / f"{name}_branches_{args.regime}.csv",
                ["ray_id", "rho", "branch", "re", "im"], branch_dump_rows(bs))
     worst = min((f["fitted_remainder_order"] for f in fits), default=float("inf"))

@@ -28,6 +28,7 @@ _TINY = np.finfo(float).tiny
 BATCH_ROWS = 512        # rows per eigvals call and Aberth sweep; bounds the kernel's temporaries
 ASSIGN_MAX_M = 8        # most columns `assign` enumerates: 8! = 40,320 injections
 ASSIGN_CHUNK = 1 << 18  # (row, injection) costs summed at once by `assign`
+UNIT_FACTOR = 10.0      # a pair is one unit in tracking when every other root is this many gaps away
 
 
 class RootfindingError(RuntimeError):
@@ -404,23 +405,44 @@ def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nda
     """Movement/gap ratio and matching of each step from the roots prev[K, m] to cand[K, m].
 
     Roots are matched at minimum total distance (`assign`; cand[k, perm[k, i]]
-    continues prev[k, i]); a root of prev whose nearest neighbour lies at least
-    the cluster tolerance away is held to that distance (ratio 0 when none is).
-    Returns (ratio[K], perm[K, m]).
+    continues prev[k, i]).  Only a root of prev whose nearest neighbour lies at
+    least the cluster tolerance away is held (ratio 0 when none is).  A held
+    root and its nearest neighbour form a unit when every other root lies more
+    than UNIT_FACTOR times their gap from both (`root_groups` at that gap); the
+    unit's centre is held to its distance from the other roots, and each member
+    to the pair's gap once the centre's motion is removed, so a pair moving
+    together by many gaps is one step.  Any other held root is held to the
+    distance to its nearest neighbour.  Returns (ratio[K], perm[K, m]); the
+    step is accepted at ratio <= 0.25.
     """
+    idx = np.arange(prev.shape[1])
     perm = assign(np.abs(prev[:, :, None] - cand[:, None, :]))
-    moved = np.abs(prev - np.take_along_axis(cand, perm, axis=1))
-    own_gap = np.min(_gaps(prev), axis=2)
+    moved = np.take_along_axis(cand, perm, axis=1) - prev
+    gaps = _gaps(prev)
+    own_gap = np.min(gaps, axis=2)
     held = own_gap >= TOL.cluster_rtol * (1.0 + np.max(np.abs(prev), axis=1, keepdims=True))
-    ratio = np.divide(moved, own_gap, out=np.zeros(moved.shape), where=held)
-    return np.max(ratio, axis=1, initial=0.0), perm
+    # row (k, i) groups the roots of prev[k] at root i's unit threshold
+    labels = root_groups(np.broadcast_to(prev[:, None, :], gaps.shape), UNIT_FACTOR * own_gap)
+    group = labels == labels[:, idx, idx, None]
+    unit = np.count_nonzero(group, axis=2) == 2
+    partner = np.argmin(gaps, axis=2)
+    moved_partner = np.take_along_axis(moved, partner, axis=1)
+    centre = 0.5 * (prev + np.take_along_axis(prev, partner, axis=1))
+    to_others = np.min(np.where(group, np.inf, np.abs(prev[:, None, :] - centre[:, :, None])), axis=2)
+    # a unit member's own motion is half the pair's relative motion; any other root's is all of it
+    own = np.where(unit, 0.5 * (moved - moved_partner), moved)
+    ratio = np.divide(np.abs(own), own_gap, out=np.zeros(own.shape), where=held)
+    centre_ratio = np.divide(np.abs(0.5 * (moved + moved_partner)), to_others,
+                             out=np.zeros(own.shape), where=held & unit)
+    return np.max(np.maximum(ratio, centre_ratio), axis=1, initial=0.0), perm
 
 
 def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
     """Every solved point as (rho[P], lam[P, m], noise[P, m]), roots in canonical
     order, and the accepted steps in ascending rho: their right ends b[S], a
-    flag for collisions and their matchings perm[S, m] (`_step_ratios`); each
-    level's new points come from one solve."""
+    flag for collisions and their matchings perm[S, m].  A step is accepted at
+    `_step_ratios` <= 0.25 (unit pairs by centre and members, other roots
+    alone) and otherwise halved; each level's new points come from one solve."""
     rho, (lam, noise) = grid, solver.lambdas_with_noise(grid)
     a, b = np.arange(len(grid) - 1), np.arange(1, len(grid))
     parent_ratio = np.full(len(a), np.inf)
@@ -457,9 +479,14 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     set lies at least the cluster tolerance away moved at most a quarter of
     that distance (`_step_ratios`); otherwise it is bisected.  Each root is held
     to its own distance, so a fast pair does not force bisection beside a slow,
-    close one.  The test reads the two root sets in canonical order, not their
-    labels, so bisection runs level by level with one `lambdas_with_noise` call
-    per level.  At depth `max_bisections` a failing step whose ratio kept 0.8 of
+    close one.  The exception is a unit: a root and its nearest neighbour with
+    every other root more than UNIT_FACTOR (10) times their gap away.  Its
+    centre is held to a quarter of its distance to the other roots, and each
+    member to a quarter of the gap once that common motion is removed, so a
+    split pair moving together by many gaps per step is not bisected.  The
+    test reads the two root sets in canonical order, not their labels, so
+    bisection runs level by level with one `lambdas_with_noise` call per
+    level.  At depth `max_bisections` a failing step whose ratio kept 0.8 of
     its parent's is a collision (branches genuinely meet) and is accepted with a
     cluster event; any other raises BisectionLimitError.  Branch j starts at the
     first point's rank-j root and follows the accepted steps' own matchings;
@@ -502,7 +529,11 @@ def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float,
     """Permutation p with low-anchored branch j ending at the rank-p[j] root at rho_high.
 
     Ranks at both ends follow the canonical (Re, Im) sort, so p links the
-    low-frequency labeling to the high-frequency one along this ray.
+    low-frequency labeling to the high-frequency one along this ray.  A ray
+    through a real branch point, where two real branches meet, raises
+    BisectionLimitError: on [1e-2, 1e2] the axis rays of
+    blackstock_crighton, em_elastic, em_elastic_dissipative,
+    anisotropic_elastic_2d and example_ell3 do.
     """
     n = max(2, int(np.ceil(40 * np.log10(rho_high / rho_low))))  # 40 points per decade
     grid = np.geomspace(rho_low, rho_high, n)

@@ -5,8 +5,9 @@ squaring matrix exponentials; it uses the symbol coefficients only, never the
 roots, so tests compare the divided-difference kernel against it.
 
 `track_branches_recursive` is the depth-first branch tracker: one root solve
-per point, the step test on the labelled previous set, a brute-force matcher
-of its own and a union-find cluster search at every accepted point.  The
+per point, the step test root by root on the labelled previous set (a unit
+pair's centre and members, any other root alone), a brute-force matcher of
+its own and a union-find cluster search at every accepted point.  The
 level-wise tracker must return exactly what it returns.
 """
 
@@ -15,8 +16,8 @@ from itertools import permutations
 import numpy as np
 from scipy.linalg import expm
 
-from hyperdecay.rootkit import (BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster, _polyder,
-                                _polyval, _TINY, companion, roots_batch)
+from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
+                                _polyder, _polyval, _TINY, companion, roots_batch)
 from hyperdecay.tolerances import TOL
 
 _SUBSTEP_NORM = 4.0
@@ -163,8 +164,19 @@ def track_branches_recursive(stack, d, rho_grid, max_bisections: int = 20) -> Ro
         own_gap = np.min(diff, axis=1)
         gap = float(np.min(own_gap))
         cluster_tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(prev))))
-        held = own_gap >= cluster_tol
-        ratio = float(np.max(np.abs(prev - ordered)[held] / own_gap[held], initial=0.0))
+        moved = ordered - prev
+        ratio = 0.0
+        for i in np.flatnonzero(own_gap >= cluster_tol):
+            j = int(np.argmin(diff[i]))
+            others = [k for k in range(len(prev)) if k not in (i, j)]
+            if all(min(diff[i, k], diff[j, k]) > UNIT_FACTOR * own_gap[i] for k in others):
+                # a unit: the centre held to its distance from the others, the member to the gap
+                centre = 0.5 * (prev[i] + prev[j])
+                to_others = min((np.abs(prev[k] - centre) for k in others), default=np.inf)
+                ratio = max(ratio, np.abs(0.5 * (moved[i] + moved[j])) / to_others,
+                            np.abs(0.5 * (moved[i] - moved[j])) / own_gap[i])
+            else:
+                ratio = max(ratio, np.abs(moved[i]) / own_gap[i])
         if ratio <= 0.25:
             accept(rho_b, ordered, cand_noise, perm)
             return ordered

@@ -219,6 +219,15 @@ def test_asymptotics_outputs(tmp_path):
     assert branches[0] == "ray_id,rho,branch,re,im"
 
 
+def test_asymptotics_fit_reports_tracking(tmp_path):
+    # the split pair of anisotropic_elastic_2d's low axis ray is stepped as one unit
+    for direction, events in (("1,0", 108), ("1,1", 50)):
+        assert main(["--out", str(tmp_path), "asymptotics", "anisotropic_elastic_2d",
+                     "--regime", "low", "--direction", direction]) == 0
+        fit = _strict_json(tmp_path / "anisotropic_elastic_2d_asymptotics_low_fit.json")
+        assert fit["tracking"] == {"input_points": 121, "points": 121, "cluster_events": events}, direction
+
+
 def test_tolerance_override(tmp_path):
     from hyperdecay.tolerances import TOL
     before = TOL.cluster_rtol

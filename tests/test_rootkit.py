@@ -258,13 +258,14 @@ def test_track_equals_recursive_reference(build, d, grid, cap):
     assert all(type(e[0]) is float and type(e[2]) is float for e in got.cluster_events)
 
 
-@pytest.mark.parametrize("cap", [0, 3, 8])
+@pytest.mark.parametrize("cap", [0, 3, 8, 20])
 def test_bisection_limit_names_the_reference_interval(cap):
-    stack, grid = PRESETS["anisotropic_elastic_2d"].build(), np.geomspace(1e-4, 1e-1, 121)
+    # em_elastic's axis crosses a real branch point near rho = 0.4
+    stack, grid = PRESETS["em_elastic"].build(), np.geomspace(1e-2, 1e2, 161)
     with pytest.raises(BisectionLimitError) as ref:
-        track_branches_recursive(stack, axis_direction(2), grid, max_bisections=cap)
+        track_branches_recursive(stack, axis_direction(3), grid, max_bisections=cap)
     with pytest.raises(BisectionLimitError) as got:
-        track_branches(stack, axis_direction(2), grid, max_bisections=cap)
+        track_branches(stack, axis_direction(3), grid, max_bisections=cap)
     assert got.value.interval == ref.value.interval
     assert all(type(r) is float for r in got.value.interval)
     assert "np.float64" not in str(got.value)
@@ -278,13 +279,38 @@ def test_track_solves_each_bisection_level_in_one_call(monkeypatch):
         return roots_batch(coeffs)
 
     monkeypatch.setattr(rootkit, "roots_batch", counting)
-    grid = np.geomspace(1e-4, 1e-1, 121)
-    bs = track_branches(PRESETS["anisotropic_elastic_2d"].build(), axis_direction(2), grid)
+    grid = np.linspace(0.3, 0.7, 21)
+    bs = track_branches(damped_wave_stack(), Direction((1.0,)), grid, max_bisections=20)
+    assert len(bs.rho_grid) == 41
     # depth of each accepted step below the input step that holds it
     outer = np.diff(grid)[np.searchsorted(grid, bs.rho_grid[1:]) - 1]
     depth = int(np.max(np.round(np.log2(outer / np.diff(bs.rho_grid)))))
-    assert len(calls) <= depth + 1 <= 12
+    assert len(calls) <= depth + 1 <= 21
     assert calls[0] == len(grid) and sum(calls) == len(bs.rho_grid)
+
+
+def test_track_steps_a_split_pair_as_one_unit():
+    # the split double pair near lambda = -0.0025 moves together by about 100 gaps per step
+    grid = np.geomspace(1e-4, 1e-1, 121)
+    bs = track_branches(PRESETS["anisotropic_elastic_2d"].build(), axis_direction(2), grid)
+    assert np.array_equal(bs.rho_grid, grid)
+
+
+def test_step_ratios_hold_a_unit_by_its_centre_and_its_members():
+    pair = np.array([-0.5e-3j, 0.5e-3j])          # gap 1e-3
+    prev = np.concatenate([pair, [10.0]])[None, :]
+    # translated by 100 gaps beside a root 10,000 gaps away: the centre moves 1/100 of its room
+    ratio, perm = rootkit._step_ratios(prev, prev + [0.1, 0.1, 0.0])
+    assert ratio[0] == pytest.approx(0.01) and perm.tolist() == [[0, 1, 2]]
+    # the same pair rotated about its centre by 0.6 rad: each member moves sin(0.3) > 1/4 of the gap
+    cand = np.concatenate([0.1 + pair * np.exp(0.6j), [10.0]])[None, :]
+    assert rootkit._step_ratios(prev, cand)[0][0] == pytest.approx(np.sin(0.3))
+    # the centre moves 0.3 of its distance to the third root
+    prev = np.concatenate([pair, [1.0]])[None, :]
+    assert rootkit._step_ratios(prev, prev + [0.3, 0.3, 0.0])[0][0] == pytest.approx(0.3)
+    # a third root within 10 gaps: no unit, each root is held to its own gap
+    prev = np.concatenate([pair, [5e-3]])[None, :]
+    assert rootkit._step_ratios(prev, prev + [0.01, 0.01, 0.0])[0][0] == pytest.approx(10.0)
 
 
 def test_nonfinite_rho_is_rejected(stacks):

@@ -36,6 +36,8 @@ from hyperdecay.presets import PRESETS
 RUNS = ([["reproduce", name] for name in PRESETS]
         + [["classify", name] for name in PRESETS]
         + [["asymptotics", name, "--regime", regime] for name in PRESETS for regime in ("low", "high")]
+        # the one off-axis ray with cluster events among the tracker's reference rays
+        + [["asymptotics", "anisotropic_elastic_2d", "--regime", "low", "--direction", "1,1"]]
         + [["predict", name, "--n", "3"] for name in PRESETS]
         + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
