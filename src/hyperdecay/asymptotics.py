@@ -73,7 +73,6 @@ class ExpansionRecord:
     regime: Regime
     case: ExpansionCase
     terms: tuple[tuple[float, complex], ...]
-    predicted_remainder_order: float
     classification_margin: float = np.inf
 
     def evaluate(self, rho):
@@ -125,7 +124,7 @@ def _constant_records(stack: OperatorStack, regime: Regime) -> list[ExpansionRec
     for i, z in enumerate(constant_limits(stack)):
         recs.append(ExpansionRecord(
             branch=stack.m - stack.ell + i, regime=regime, case=ExpansionCase.CONSTANT,
-            terms=((0.0, z),), predicted_remainder_order=1.0))
+            terms=((0.0, z),)))
     return recs
 
 
@@ -193,13 +192,12 @@ def _expansions(stack: OperatorStack, d: Direction, regime: Regime) -> list[tupl
                 rec = ExpansionRecord(
                     branch=len(out), regime=regime, case=ExpansionCase.SHARED_SIMPLE,
                     terms=(head, (1.0 + 2 * s, 1j * (p2 / pcheck)), (1.0 + 3 * s, complex(c3))),
-                    predicted_remainder_order=4.0 + s, classification_margin=mid_dist)
+                    classification_margin=mid_dist)
             else:
                 c1 = _signed(complex(t.polys[1](anchor)), s) / pcheck
                 rec = ExpansionRecord(
                     branch=len(out), regime=regime, case=ExpansionCase.SIMPLE,
-                    terms=(head, (1.0 + s, complex(c1))),
-                    predicted_remainder_order=2.0 + s, classification_margin=mid_dist)
+                    terms=(head, (1.0 + s, complex(c1))), classification_margin=mid_dist)
             out.append((rec, pcheck))
         elif size == 2:
             if low and stack.ell != 2:
@@ -213,7 +211,7 @@ def _expansions(stack: OperatorStack, d: Direction, regime: Regime) -> list[tupl
             for kappa in _kappa_pair(t, j):
                 out.append((ExpansionRecord(
                     branch=len(out), regime=regime, case=ExpansionCase.DOUBLE,
-                    terms=(head, (1.0 + s, complex(kappa))), predicted_remainder_order=2.0 + s), pcheck))
+                    terms=(head, (1.0 + s, complex(kappa)))), pcheck))
         else:
             raise UnclassifiableExpansionError(
                 f"root {anchor} of the {'lowest' if low else 'leading'} symbol has multiplicity {size} > 2")

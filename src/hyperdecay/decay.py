@@ -1,12 +1,13 @@
 """Predicted polynomial decay exponents and the semilinear critical exponent.
 
 The exponent bookkeeping follows the estimate family selected by the
-stability report's scenario flags:
+stability report's scenario flags, one row of `_FAMILIES` each:
 
 * no flags          - the strict-interlacing rates (half powers);
 * SLOW_LOW only     - quarter powers (slow low-frequency dissipation);
 * DECAY_LOSS only   - half powers with one extra lost half power;
-* both              - the min of the two branches, per datum;
+* both              - the top data j >= m-2-iota take the min of the two
+                      rates above; the other data keep the SLOW_LOW rate;
 * REG_LOSS_DECAY    - an additional regularity-trading branch (1+t)^(-nu/2)
                       against data measured in H^(k+s+nu-j);
 * DERIVATIVE_LOSS   - the same branch with nu forced >= 1.
@@ -16,10 +17,20 @@ Exponents are powers of (1+t); negative means decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .stability import (SCENARIO_DECAY_LOSS, SCENARIO_DERIVATIVE_LOSS, SCENARIO_REG_LOSS_DECAY,
                         SCENARIO_SLOW_LOW, StabilityReport)
+
+# (SLOW_LOW, DECAY_LOSS) -> (regime, rates of the top data j >= m-2-iota, rates of
+# the other data).  A rate (d, shift) is rate(d, min(j, m-2-iota) + shift), and a
+# datum takes the min of its rates.  Depth 1 reads the first row as estQ1.
+_FAMILIES = {
+    (False, False): ("estQ2", ((2.0, 0),), ((2.0, 0),)),
+    (True, False): ("estQ2strict", ((4.0, 0),), ((4.0, 0),)),
+    (False, True): ("estQ2strong", ((2.0, 1),), ((2.0, 1),)),
+    (True, True): ("estQ2worst", ((4.0, 0), (2.0, 1)), ((4.0, 0),)),
+}
 
 
 @dataclass(frozen=True)
@@ -33,15 +44,7 @@ class DecayPrediction:
     data_requirements: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "per_datum_exponents": list(self.per_datum_exponents),
-            "constraint_ok": self.constraint_ok,
-            "violated_constraint": self.violated_constraint,
-            "regularity_loss": self.regularity_loss,
-            "regime_note": self.regime_note,
-            "data_requirements": list(self.data_requirements),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -53,13 +56,7 @@ class CriticalExponentReport:
     n_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p_bar": self.p_bar,
-            "admissible_n": list(self.admissible_n),
-            "iota": self.iota,
-            "nu": self.nu,
-            "n_ok": self.n_ok,
-        }
+        return asdict(self)
 
 
 def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
@@ -83,58 +80,30 @@ def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
     m, iota = report.m, report.ell - 1
     r = 1.0 / q - 0.5
     ks = k + s
-    lo, hi = m - 2 - iota, m - 1   # data indices sharing the slowest rate
+    lo = m - 2 - iota   # the top data j >= lo share the slowest rate
 
     flags = report.scenario_flags
-    slow = SCENARIO_SLOW_LOW in flags and iota == 1
-    dloss = SCENARIO_DECAY_LOSS in flags and iota == 1
+    regime, top, other = _FAMILIES[SCENARIO_SLOW_LOW in flags and iota == 1,
+                                   SCENARIO_DECAY_LOSS in flags and iota == 1]
+    regime = "estQ1" if iota == 0 else regime
     regloss = SCENARIO_REG_LOSS_DECAY in flags
     derloss = SCENARIO_DERIVATIVE_LOSS in flags
-    if derloss:
-        nu = max(nu, 1.0)
+    nu = max(nu, 1.0) if derloss else nu
 
-    def half_rate(offset: float) -> float:
-        return (n / 2.0) * r + (ks - offset) / 2.0
+    def rate(d: float, offset: float) -> float:
+        return (n / d) * r + (ks - offset) / d
 
-    def quarter_rate(offset: float) -> float:
-        return (n / 4.0) * r + (ks - offset) / 4.0
+    rates = [min(rate(d, min(j, lo) + shift) for d, shift in (top if j >= lo else other))
+             for j in range(m)]
 
     notes = []
-    rates: list[float] = []
-    for j in range(m):
-        top = lo <= j <= hi
-        if not slow and not dloss:
-            base = half_rate(lo) if top else half_rate(j)
-        elif not dloss:
-            base = quarter_rate(lo) if top else quarter_rate(j)
-        elif not slow:
-            base = half_rate(m - 2) if top else half_rate(j + 1)
-        else:
-            base = min(quarter_rate(lo), half_rate(m - 2)) if top else quarter_rate(j)
-        rates.append(base)
-    if iota == 0:
-        regime = "estQ1"
-    elif slow and dloss:
-        regime = "estQ2worst"
-    elif slow:
-        regime = "estQ2strict"
-    elif dloss:
-        regime = "estQ2strong"
-    else:
-        regime = "estQ2"
-
-    if moment_zero:
-        if q == 1.0:
-            shift = lo - 1
-            for j in range(m):
-                if lo <= j <= hi:
-                    rates[j] = n / 4.0 + (ks - shift) / 2.0
-                else:
-                    rates[j] = max(rates[j], n / 4.0 + (ks - j) / 2.0)
-            regime = regime + "+M0-improved"
-            notes.append("vanishing moment: top data measured in the weighted integrable class")
-        else:
-            notes.append("moment shift needs q = 1; ignored")
+    if moment_zero and q == 1.0:
+        # r = 1/2 here, so rate(2, offset) = n/4 + (ks - offset)/2
+        rates = [rate(2.0, lo - 1) if j >= lo else max(rj, rate(2.0, j)) for j, rj in enumerate(rates)]
+        regime = regime + "+M0-improved"
+        notes.append("vanishing moment: top data measured in the weighted integrable class")
+    elif moment_zero:
+        notes.append("moment shift needs q = 1; ignored")
 
     data_req = [f"u_j in L^{q:g} and H^(k+s-j)"]
     if regloss or derloss:
@@ -150,9 +119,7 @@ def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
     exponent = -min(rates[j] for j in present)
 
     # admissibility of (q, k, s)
-    threshold = m - 2 - iota
-    if moment_zero and q == 1.0:
-        threshold = threshold - 1
+    threshold = lo - 1 if moment_zero and q == 1.0 else lo
     if q == 2.0:
         ok = ks >= threshold
         violated = None if ok else f"k+s >= {threshold} required for q = 2"

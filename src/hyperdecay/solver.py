@@ -282,14 +282,17 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
 
     snapshot is (n_modes,) for one direction (weighted with the full sphere
     measure) or (n_dirs, n_modes) for an equal-weight direction set.  The
-    radial integral is a trapezoid rule in log rho; the last octave of the
-    grid must contribute less than tail_fraction of the total.  The norm needs
-    2s + n > 0: below that the weight rho^(2s + n - 1) is not integrable at
-    rho -> 0, and the grid's first point would set the value.
+    grid must be 1-d, finite, positive and strictly ascending.  The radial
+    integral is a trapezoid rule in log rho; the last octave of the grid must
+    contribute less than tail_fraction of the total.  The norm needs 2s + n > 0:
+    below that the weight rho^(2s + n - 1) is not integrable at rho -> 0, and
+    the grid's first point would set the value.
     """
     if not 2.0 * s + n > 0:
         raise ValueError(f"the homogeneous s-norm needs 2s + n > 0, got s = {s} and n = {n}")
     rho = np.asarray(rho_grid, dtype=float)
+    if rho.ndim != 1 or not (np.all(np.isfinite(rho)) and np.all(rho > 0) and np.all(np.diff(rho) > 0)):
+        raise ValueError("the radial grid must be 1-d, finite, positive and strictly ascending")
     snap = np.atleast_2d(np.asarray(snapshot))
     if snap.shape[1] != len(rho):
         raise ValueError(f"snapshot has {snap.shape[1]} modes but the grid has {len(rho)}")
@@ -297,8 +300,6 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     integrand = rho ** (2.0 * s + n) * dens  # extra rho from the log substitution
     lr = np.log(rho)
     total = np.trapezoid(integrand, lr)
-    if total < 0:
-        total = 0.0
     if total > 0:
         tail_mask = rho >= rho[-1] / 2.0
         if np.count_nonzero(tail_mask) >= 2:

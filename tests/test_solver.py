@@ -151,6 +151,18 @@ def test_sobolev_tail_check_raises():
         sobolev_norm(1, rho, np.ones(500), 0.0)
 
 
+def test_sobolev_norm_rejects_a_grid_that_is_not_ascending():
+    # a reversed or shuffled grid makes the trapezoid sum negative; it must not read as a zero norm
+    rho = np.geomspace(1e-3, 1e2, 400)
+    assert sobolev_norm(3, rho, np.exp(-(rho**2)), 0.0) == pytest.approx(1.4031, abs=1e-4)
+    shuffled = np.random.default_rng(0).permutation(rho)
+    bad = [rho[::-1], shuffled, np.r_[rho[:10], rho[9:]], np.r_[-1.0, rho[1:]], np.r_[0.0, rho[1:]],
+           np.r_[rho[:-1], np.inf], np.r_[np.nan, rho[1:]], np.stack([rho, rho])]
+    for grid in bad:
+        with pytest.raises(ValueError, match="strictly ascending"):
+            sobolev_norm(3, grid, np.exp(-(grid**2)), 0.0)
+
+
 def test_sobolev_norm_needs_positive_2s_plus_n():
     # at 2s + n <= 0 the weight is not integrable at rho -> 0: the grid's cut would set the norm
     rho = np.geomspace(1e-4, 30, 2000)
@@ -229,6 +241,21 @@ def test_simulate_anisotropic_direction_average(stacks):
     assert np.all(np.diff(series.values) < 0)
     slope, _ = (series.fitted_slope, series.slope_stderr)
     assert -0.7 < slope < -0.3  # half-power family rate at k+s = 2, n = 2
+
+
+def test_simulate_default_anisotropic_directions(stacks):
+    # the default 2-d set is every fourth of the 256 sampled angles; every second one agrees to roundoff
+    from hyperdecay.stability import sample_directions
+
+    stack = stacks["anisotropic_elastic_2d"]
+    data = gaussian_data(4, 3)
+    rho = np.geomspace(1e-2, 1e1, 256)
+    times = np.geomspace(10.0, 1000.0, 5)
+    default = hd.simulate(stack, data, times, rho_grid=rho).values
+    every_4th = hd.simulate(stack, data, times, rho_grid=rho, directions=sample_directions(2)[::4]).values
+    every_2nd = hd.simulate(stack, data, times, rho_grid=rho, directions=sample_directions(2)[::2]).values
+    assert np.array_equal(default, every_4th)
+    np.testing.assert_allclose(default, every_2nd, rtol=1e-13, atol=0.0)
 
 
 def test_grid_profile_roundtrip(stacks):

@@ -121,6 +121,18 @@ def test_hermite_biehler_report_anisotropic_depth3():
         hermite_biehler_stable(stack, np.zeros(2))
 
 
+def test_classify_anisotropic_3d_on_the_fibonacci_lattice():
+    # P_2 = lambda^2 - xi_1^2 - 2 xi_2^2 - 3 xi_3^2 over P_1 = lambda: no preset is 3-d and anisotropic
+    p2 = HomogeneousSymbol(2, 3, {(2, (0, 0, 0)): 1.0, (0, (2, 0, 0)): -1.0, (0, (0, 2, 0)): -2.0,
+                                  (0, (0, 0, 2)): -3.0})
+    stack = OperatorStack.build([p2, HomogeneousSymbol(1, 3, {(1, (0, 0, 0)): 1.0})])
+    assert not stack.isotropic
+    rep = classify_stack(stack)
+    direct, _ = abscissa_verdict(stack)
+    assert rep.n_directions == 512
+    assert rep.strictly_stable and direct
+
+
 def test_hermite_biehler_agrees_with_abscissa_on_presets(stacks):
     for name in ["mgt", "blackstock_crighton", "em_elastic", "mgt_classical_damping"]:
         stack = stacks[name]

@@ -39,6 +39,11 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         # the one off-axis ray with cluster events among the tracker's reference rays
         + [["asymptotics", "anisotropic_elastic_2d", "--regime", "low", "--direction", "1,1"]]
         + [["predict", name, "--n", "3"] for name in PRESETS]
+        # every row of the decay table that a depth-1 or depth-2 preset reaches, with its
+        # moment-zero, q = 2 and regularity-loss steps
+        + [["predict", name, *extra] for name, pm in PRESETS.items() if pm.build().ell < 3
+           for extra in (["--n", "3", "--moment-zero"], ["--n", "3", "--q", "2", "--k", "1", "--s", "1"],
+                         ["--n", "1", "--q", "1.5", "--nu", "0.5"])]
         + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
