@@ -137,6 +137,12 @@ def _load_data(spec: str | None, m: int) -> DataSpec:
     return DataSpec(tuple(out))
 
 
+def _norm_run(args) -> tuple[OperatorStack, str, DataSpec, np.ndarray]:
+    """The stack, name, data and time grid of a `simulate` or `profile` run."""
+    stack, name = _load_stack(args.model)
+    return stack, name, _load_data(args.data, stack.m), np.geomspace(args.tmin, args.tmax, args.points)
+
+
 def _parse_direction(text: str | None, dim: int) -> Direction:
     if not text:
         return axis_direction(dim)
@@ -224,9 +230,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    stack, name = _load_stack(args.model)
-    data = _load_data(args.data, stack.m)
-    times = np.geomspace(args.tmin, args.tmax, args.points)
+    stack, name, data, times = _norm_run(args)
     series = simulate(stack, data, times, k=args.k, s=args.s)
     _write_simulate(Path(args.out), name, series)
     print(f"{name}: fitted slope {series.fitted_slope:+.4f} +- {series.slope_stderr:.4f} "
@@ -235,9 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    stack, name = _load_stack(args.model)
-    data = _load_data(args.data, stack.m)
-    times = np.geomspace(args.tmin, args.tmax, args.points)
+    stack, name, data, times = _norm_run(args)
     M = moment(data, stack)
     sol, gap = solution_and_gap(stack, data, times, k=args.k, s=args.s)
     out = Path(args.out)
@@ -371,25 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonlinearity-order", type=int, default=0, dest="nonlinearity_order")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("simulate", help="norm decay of the linear problem")
-    p.add_argument("model")
-    p.add_argument("--data", default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--tmin", type=float, default=1e2)
-    p.add_argument("--tmax", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("profile", help="solution vs leading-profile gap")
-    p.add_argument("model")
-    p.add_argument("--data", default=None)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--tmin", type=float, default=1e2)
-    p.add_argument("--tmax", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=25)
-    p.set_defaults(func=cmd_profile)
+    norm_run = argparse.ArgumentParser(add_help=False)   # the flags `_norm_run` reads
+    norm_run.add_argument("model")
+    norm_run.add_argument("--data", default=None)
+    norm_run.add_argument("--k", type=int, default=0)
+    norm_run.add_argument("--s", type=float, default=0.0)
+    norm_run.add_argument("--tmin", type=float, default=1e2)
+    norm_run.add_argument("--tmax", type=float, default=1e4)
+    norm_run.add_argument("--points", type=int, default=25)
+    for cmd, func, text in (("simulate", cmd_simulate, "norm decay of the linear problem"),
+                            ("profile", cmd_profile, "solution vs leading-profile gap")):
+        sub.add_parser(cmd, parents=[norm_run], help=text).set_defaults(func=func)
 
     p = sub.add_parser("semilinear", help="pseudospectral power-nonlinear run")
     p.add_argument("model")

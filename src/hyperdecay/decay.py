@@ -17,6 +17,7 @@ Exponents are powers of (1+t); negative means decay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .stability import (SCENARIO_DECAY_LOSS, SCENARIO_DERIVATIVE_LOSS, SCENARIO_REG_LOSS_DECAY,
@@ -71,8 +72,14 @@ def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
     """
     if report.ell not in (1, 2):
         raise ValueError(f"the decay table covers depths 1 (Q1) and 2 (Q2), got depth {report.ell}")
+    if not (math.isfinite(n) and n >= 1):
+        raise ValueError(f"the dimension n must be finite and >= 1, got {n}")
     if k < 0:
         raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if not (1.0 <= q <= 2.0):
         raise ValueError("q must lie in [1, 2]")
     if not report.strictly_stable:

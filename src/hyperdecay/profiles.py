@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import ExpansionCase, Regime, _expansions, _power_sum
-from .solver import DataSpec, NormTimeSeries, _field, _norm_series, default_rho_grid
-from .stability import sample_directions
+from .solver import DataSpec, NormTimeSeries, _field, _norm_series
 from .symbols import Direction, OperatorStack, axis_direction
 from .tolerances import TOL
 
@@ -144,17 +143,15 @@ def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s:
                      rho_grid: np.ndarray | None = None) -> tuple[NormTimeSeries, NormTimeSeries]:
     """Norm series of the solution and of (solution - smoothed profile), from one field.
 
-    The field runs along `simulate`'s directions, so the first series is the
-    one `simulate` returns.  The profile is taken on the field's own radial
+    `_field` resolves the run as it does for `simulate`, so the first series
+    is the one `simulate` returns.  The profile is taken on the field's own radial
     grid along the first of them, the axis, so the leading-term cancellation
     is not polluted by discretization.
     """
     if stack.dim > 1 and not stack.isotropic:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
     spec = build_profile(stack, moment(data, stack))
-    rho = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
-    times = np.asarray(times, dtype=float)
-    sol = _field(stack, data, rho, times, k, sample_directions(stack.dim, stack.isotropic))
+    rho, times, sol = _field(stack, data, times, k, rho_grid)
     prof = np.stack([spec.fourier_value(t, rho, k=k) for t in times])
     return (_norm_series(stack.dim, rho, sol, times, k, s),
             _norm_series(stack.dim, rho, sol[:, 0] - prof, times, k, s))

@@ -227,13 +227,16 @@ def _gaps(z: np.ndarray) -> np.ndarray:
     return diff
 
 
+CONFLUENCE_RTOL = 1e-5     # diagnostic only; selects no route
+
+
 def is_confluent(lams: np.ndarray) -> np.ndarray:
-    """Rows of lams[..., m] whose smallest root gap is below confluence_rtol * (1 + max |lambda|).
+    """Rows of lams[..., m] whose smallest root gap is below CONFLUENCE_RTOL * (1 + max |lambda|).
 
     A diagnostic only: propagation serves such modes like any other.
     """
     lams = np.asarray(lams)
-    return np.min(_gaps(lams), axis=(-2, -1)) < TOL.confluence_rtol * (1.0 + np.max(np.abs(lams), axis=-1))
+    return np.min(_gaps(lams), axis=(-2, -1)) < CONFLUENCE_RTOL * (1.0 + np.max(np.abs(lams), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,10 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError(f"the time step must be finite and > 0, got {dt}")
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"the power p must be finite and > 0, got {p}")
+    if modes_per_axis < 1:
+        raise ValueError(f"the box needs modes_per_axis >= 1, got {modes_per_axis}")
+    if not (np.isfinite(box_halfwidth) and box_halfwidth > 0):
+        raise ValueError(f"the box half-width must be finite and > 0, got {box_halfwidth}")
     run = SemilinearRun(stack=stack, p=float(p), sign=float(sign), nu=int(nu),
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dim=dim, dt=float(dt))
@@ -229,6 +233,11 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     Initial data: a centered unit-width Gaussian of the given amplitude in one
     derivative slot (top slot by default).  The run stops early on blow-up.
     """
+    if not np.isfinite(T):
+        raise ValueError(f"the end time T must be finite, got {T}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"the amplitude must be finite, got {amplitude}")
+
     def gauss(*x):
         return amplitude * np.exp(-0.5 * sum(c**2 for c in x))
 

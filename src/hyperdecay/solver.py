@@ -340,16 +340,31 @@ class NormTimeSeries:
 
 
 def default_rho_grid() -> np.ndarray:
-    lo, hi, n = DEFAULT_RHO_GRID
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(*DEFAULT_RHO_GRID)
 
 
-def _field(stack: OperatorStack, data: DataSpec, rho: np.ndarray, times: np.ndarray, k: int,
-           directions: Sequence[Direction]) -> np.ndarray:
-    """d_t^k u_hat on the radial grid along each direction; shape (T, D, N)."""
+def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.ndarray | None = None,
+           directions: Sequence[Direction] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one resolver of a norm run: (rho, times, d_t^k u_hat along each direction (T, D, N)).
+
+    It checks the slot count and the time grid: nonempty, 1-d, finite, >= 0 and strictly ascending,
+    as `_norm_series` cuts a prefix at underflow.  Unless given, the radial grid is the default and
+    the directions `sample_directions`, every 4th angle for an anisotropic 2-d stack.
+    """
+    if data.m != stack.m:
+        raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size and np.all(np.isfinite(times)) and times[0] >= 0
+            and np.all(np.diff(times) > 0)):
+        raise ValueError("the time grid must be nonempty, 1-d, finite, >= 0 and strictly ascending")
+    rho = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
+    if directions is None:
+        directions = sample_directions(stack.dim, stack.isotropic)
+        if not stack.isotropic and stack.dim == 2:
+            directions = directions[::4]  # 64 angles suffice for the norm average
     dvals = data.values(rho, stack.dim)
-    return np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, k) for d in directions],
-                    axis=1)
+    return rho, times, np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, k)
+                                 for d in directions], axis=1)
 
 
 def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.ndarray, k: int,
@@ -380,16 +395,9 @@ def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float =
              directions: Sequence[Direction] | None = None) -> NormTimeSeries:
     """Propagate every grid mode exactly and record the norm at each time.
 
-    Isotropic stacks use one direction; anisotropic stacks average an
-    equal-weight direction sample.  The fitted slope is the log-log least
+    `_field` resolves the grids and directions: one for an isotropic stack,
+    an equal-weight sample otherwise.  The fitted slope is the log-log least
     squares slope over the trailing FIT_WINDOW_DECADES of the time range.
     """
-    if data.m != stack.m:
-        raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
-    rho = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
-    times = np.asarray(times, dtype=float)
-    if directions is None:
-        directions = sample_directions(stack.dim, stack.isotropic)
-        if not stack.isotropic and stack.dim == 2:
-            directions = directions[::4]  # 64 angles suffice for the norm average
-    return _norm_series(stack.dim, rho, _field(stack, data, rho, times, k, directions), times, k, s)
+    rho, times, field_vals = _field(stack, data, times, k, rho_grid, directions)
+    return _norm_series(stack.dim, rho, field_vals, times, k, s)

@@ -24,7 +24,6 @@ class Tolerances:
     triple_root_rtol: float = 1e-8       # common-triple-root residual threshold
     # branch tracking / propagation
     cluster_rtol: float = 1e-6
-    confluence_rtol: float = 1e-5        # diagnostic only; selects no route
     # quadrature and verdicts
     tail_fraction: float = 1e-6
     abscissa_margin: float = 1e-10

@@ -173,6 +173,38 @@ def test_nonpositive_power_is_a_config_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_bad_time_grid_is_a_config_error(tmp_path, capsys):
+    for argv in (["simulate", "mgt", "--points", "0"], ["simulate", "mgt", "--tmin", "nan"],
+                 ["simulate", "mgt", "--tmin", "1e4", "--tmax", "1e2"], ["profile", "mgt", "--points", "0"]):
+        assert main(["--out", str(tmp_path)] + argv) == 1, argv
+        assert "time grid must be nonempty, 1-d, finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_predict_impossible_inputs_are_config_errors(tmp_path, capsys):
+    for argv, message in ((["mgt", "--n", "0"], "n must be finite and >= 1, got 0"),
+                          (["mgt", "--n", "-2"], "n must be finite and >= 1, got -2"),
+                          (["mgt", "--n", "3", "--s", "nan"], "s must be finite, got nan"),
+                          (["mgt_classical_damping", "--n", "3", "--nu", "-1"],
+                           "nu must be finite and >= 0, got -1.0")):
+        assert main(["--out", str(tmp_path), "predict"] + argv) == 1, argv
+        assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_box_inputs_are_config_errors(tmp_path, capsys):
+    run = ["--out", str(tmp_path), "semilinear", "mgt", "--p", "5", "--dim", "1", "--modes", "16", "--T", "1"]
+    # T = inf comes last: without the check the run never ends while it decays
+    for extra, message in ((["--modes", "0"], "modes_per_axis >= 1, got 0"),
+                           (["--box", "0"], "half-width must be finite and > 0, got 0.0"),
+                           (["--amplitude", "nan"], "amplitude must be finite, got nan"),
+                           (["--T", "nan"], "end time T must be finite, got nan"),
+                           (["--T", "inf"], "end time T must be finite, got inf")):
+        assert main(run + extra) == 1, extra
+        assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_predict_rejects_negative_order(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "predict", "mgt", "--n", "3", "--k", "-1"]) == 1
     assert "k must be >= 0, got -1" in capsys.readouterr().err
@@ -243,8 +275,9 @@ def test_bad_tolerance_is_config_error(tmp_path):
     from hyperdecay.tolerances import TOL
     saved = dict(vars(TOL))
     try:
-        for override in ("nope=1", "path_agreement_rtol=1", "interlace_margin_rtol=nan",
-                         "tail_fraction=nan", "cluster_rtol=inf", "root_residual_rtol=-1"):
+        for override in ("nope=1", "path_agreement_rtol=1", "confluence_rtol=1e-5",
+                         "interlace_margin_rtol=nan", "tail_fraction=nan", "cluster_rtol=inf",
+                         "root_residual_rtol=-1"):
             assert main(["--out", str(tmp_path), "--tol", override, "classify", "mgt"]) == 1, override
         assert vars(TOL) == saved
     finally:

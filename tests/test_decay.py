@@ -90,6 +90,19 @@ def test_predict_rejects_depth_3():
         hd.predict_decay(_report(4, ell=3), 3, 1.0, 0, 0.0)
 
 
+def test_predict_rejects_impossible_inputs():
+    rep = _report(4, ("DERIVATIVE_LOSS",))
+    for n in (0, -2, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dimension n must be finite and >= 1"):
+            hd.predict_decay(rep, n, 1.0, 0, 0.0)
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^s must be finite"):
+            hd.predict_decay(rep, 3, 1.0, 0, s)
+    for nu in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be finite and >= 0"):
+            hd.predict_decay(rep, 3, 1.0, 0, 0.0, nu=nu)
+
+
 def test_q2_beats_q1_by_half():
     for n, q, k, s in [(3, 1.0, 0, 0.0), (2, 1.5, 1, 1.0), (4, 2.0, 2, 1.0)]:
         p1 = hd.predict_decay(_report(4, ell=1), n, q, k, s)

@@ -5,7 +5,7 @@ import hyperdecay as hd
 from hyperdecay.presets import PRESETS
 from hyperdecay.profiles import ProfileKind, build_profile, moment, profile_gap_series, solution_and_gap
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
-from hyperdecay.symbols import axis_direction
+from hyperdecay.symbols import Direction, HomogeneousSymbol, OperatorStack, axis_direction
 
 
 def test_moment_mgt_gaussian(stacks):
@@ -107,6 +107,23 @@ def test_solution_and_gap_reads_one_field(stacks, propagator_inits):
     want_gap = profile_gap_series(stack, data, times, 1, 1.0)
     assert np.array_equal(sol.values, want_sol.values) and sol.to_dict() == want_sol.to_dict()
     assert np.array_equal(gap.values, want_gap.values) and gap.to_dict() == want_gap.to_dict()
+
+
+def test_solution_and_gap_runs_a_1d_stack_along_both_directions(propagator_inits):
+    """A 1-d stack that is not isotropic runs along +1 and -1, as in `simulate`."""
+    p2 = HomogeneousSymbol(2, 1, {(2, (0,)): 1.0, (1, (1,)): 0.5, (0, (2,)): -1.0})
+    p1 = HomogeneousSymbol(1, 1, {(1, (0,)): 1.0, (0, (1,)): 0.1})
+    stack = OperatorStack.build([p2, p1])
+    report = hd.classify_stack(stack)
+    assert not stack.isotropic and report.strictly_stable and report.n_directions == 2
+    data, times = gaussian_data(2, 1), np.geomspace(1e2, 1e4, 25)
+    sol, gap = solution_and_gap(stack, data, times)
+    assert len(propagator_inits) == 2
+    both = hd.simulate(stack, data, times, directions=[Direction((1.0,)), Direction((-1.0,))])
+    assert np.array_equal(sol.values, hd.simulate(stack, data, times).values)
+    assert np.array_equal(sol.values, both.values)
+    # the n = 1 strict rate -1/4, and the profile's half power better
+    assert abs(sol.fitted_slope + 0.25) <= 0.01 and abs(gap.fitted_slope + 0.75) <= 0.01
 
 
 def test_gap_series_checks_the_slot_count(stacks):

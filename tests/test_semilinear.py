@@ -188,3 +188,21 @@ def test_build_run_validation():
     for p in (0.0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="power p must be finite and > 0"):
             build_run(stack, p, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1)
+    for modes in (0, -4):
+        with pytest.raises(ValueError, match="modes_per_axis >= 1"):
+            build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=modes, dim=1)
+    for box in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="half-width must be finite and > 0"):
+            build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=box, modes_per_axis=32, dim=1)
+
+
+def test_run_semilinear_rejects_a_non_finite_end_time_or_amplitude():
+    stack = mgt_stack(dim=1)
+    # T = inf comes last: without the check the run never ends while it decays
+    for bad, match in (({"amplitude": np.nan}, "amplitude must be finite"),
+                       ({"amplitude": np.inf}, "amplitude must be finite"),
+                       ({"T": np.nan}, "end time T must be finite"),
+                       ({"T": np.inf}, "end time T must be finite")):
+        with pytest.raises(ValueError, match=match):
+            run_semilinear(stack, **{"p": 2.0, "sign": 1.0, "nu": 0, "T": 1.0, **bad},
+                           box_halfwidth=10.0, modes_per_axis=16, dim=1)

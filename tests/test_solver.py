@@ -229,6 +229,21 @@ def test_short_fit_window_is_flagged(stacks):
     assert "fewer than 3 nonzero points in the fit window; slope undefined" in series.flags
 
 
+def test_time_grid_is_checked(stacks):
+    # the underflow cut keeps a prefix, so on data that underflow a descending
+    # grid would keep 0 of these 13 points where the ascending grid keeps 8
+    stack = stacks["mgt"]
+    data = DataSpec((ZeroProfile(), ZeroProfile(), RingProfile(10.0, 0.2)))
+    rho = np.geomspace(1e-2, 1e2, 400)
+    times = np.geomspace(1e2, 1e4, 13)
+    assert len(hd.simulate(stack, data, times, rho_grid=rho).values) == 8
+    for bad in (np.array([]), np.full(3, np.nan), np.array([-1.0, 1.0, 10.0]), times[::-1],
+                times[None, :]):
+        for run in (hd.simulate, hd.solution_and_gap):
+            with pytest.raises(ValueError, match="time grid must be nonempty, 1-d, finite"):
+                run(stack, data, bad, rho_grid=rho)
+
+
 def test_simulate_anisotropic_direction_average(stacks):
     from hyperdecay.stability import sample_directions
 

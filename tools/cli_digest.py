@@ -5,7 +5,7 @@ Each run calls `hyperdecay.cli.main` in-process with its own temporary
 `--out` directory, then prints one block:
 
     == <argv>
-    exit <code>
+    exit <code>               (or the type name of an exception that escapes main)
     stdout <hash>
     <file name> <hash>        (one line per output file, sorted)
 
@@ -17,7 +17,7 @@ is one `diff`:
     PYTHONPATH=src python3 tools/cli_digest.py > change.txt
     diff parent.txt change.txt
 
-The whole list takes about 7 s on 2 vCPUs; `simulate anisotropic_elastic_2d`
+The whole list takes about 10 s on 2 vCPUs; `simulate anisotropic_elastic_2d`
 is most of it.
 """
 
@@ -48,7 +48,16 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
            # two times leave fewer than three points in the fit window
-           ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"]])
+           ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"]]
+        # every flag of the block that `simulate` and `profile` share
+        + [[cmd, "mgt", "--k", "1", "--s", "0.5", "--tmin", "50", "--tmax", "2e4", "--points", "17"]
+           for cmd in ("simulate", "profile")]
+        # configuration errors: exit 1 and no output
+        + [["simulate", "mgt", "--points", "0"], ["simulate", "mgt", "--tmin", "1e4", "--tmax", "1e2"],
+           ["profile", "mgt", "--points", "0"], ["predict", "mgt", "--n", "0"],
+           ["semilinear", "mgt", "--p", "5", "--modes", "0"],
+           # 1e-5 was the registry's default, so a tree that accepts it runs unchanged
+           ["--tol", "confluence_rtol=1e-5", "classify", "mgt"]])
 
 
 def _hash(data: bytes) -> str:
@@ -59,7 +68,10 @@ def digest(argv: list[str]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["--out", tmp] + argv)
+            try:
+                code = main(["--out", tmp] + argv)
+            except Exception as exc:     # an escaped exception is recorded by its type
+                code = type(exc).__name__
         lines = [f"== {' '.join(argv)}", f"exit {code}", f"stdout {_hash(stdout.getvalue().encode())}"]
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
