@@ -11,7 +11,11 @@ system of lambda Q(lambda), whose roots are the mode's roots and 0, so
 confluent modes need no separate route.  Roots, Phi and W are solved once per
 distinct symbol-coefficient row and scattered to the modes that share it.  A
 step that moves the L2 norm by more than the cap is rejected and retried from
-the saved state at half the step size.
+the saved state at half the step size; a step that used at most GROW_BELOW of
+the cap doubles the next one, up to the requested dt0, so every step size is
+dt0 / 2^j and a propagator built once serves the rest of the run.  A run ends
+when the time left is rounding noise (below END_RTOL of T), and its last time
+is then T itself, so no sliver step builds a propagator of its own.
 
 The fields are real and Q has real coefficients, so the Fourier state is
 Hermitian and only its `rfftn` half is kept: n // 2 + 1 columns on the last
@@ -35,6 +39,16 @@ from .solver import exp_newton
 from .symbols import OperatorStack, symbol_coeffs
 
 BLOWUP_FACTOR = 1e6
+# a rejected step is retried at 1 / STEP_FACTOR of its size; an accepted step that
+# moved the L2 norm by at most GROW_BELOW of the cap multiplies the step size by
+# STEP_FACTOR (up to dt0).  One factor both ways keeps every step size on the ladder
+# dt0 / STEP_FACTOR^j, and as GROW_BELOW * STEP_FACTOR = 1/2 the grown step moves
+# the norm, to first order, by at most half the cap, so it is not rejected at once
+STEP_FACTOR = 2.0
+GROW_BELOW = 0.25
+# time left below this share of T is the rounding of summed steps, which grows
+# with T and the step count, not with the step size
+END_RTOL = 1e-9
 
 
 @dataclass
@@ -123,6 +137,8 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError("the nonlinearity derivative order must lie in [0, m-2]")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"the time step must be finite and > 0, got {dt}")
+    if not np.isfinite(sign):
+        raise ValueError(f"the sign must be finite, got {sign}")
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"the power p must be finite and > 0, got {p}")
     if modes_per_axis < 1:
@@ -229,12 +245,18 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     A step that changes the L2 norm by more than rel_change_cap times the
     larger of its previous value and the data scale is rejected: the run goes
     back to its saved state and retries at half the step size, counted in
-    `rejected_steps`.  At a step size of 1e-4 or less the step is kept.
+    `rejected_steps`.  At a step size of 1e-4 or less the step is kept.  An
+    accepted step that changed the norm by at most GROW_BELOW times that bound
+    doubles the step size, never above dt0.  The run ends once T - t is below
+    END_RTOL * T, and then reports T as its last time; a remainder within that
+    floor of the step size is taken as a full step.  T must be finite and > 0.
     Initial data: a centered unit-width Gaussian of the given amplitude in one
     derivative slot (top slot by default).  The run stops early on blow-up.
     """
     if not np.isfinite(T):
         raise ValueError(f"the end time T must be finite, got {T}")
+    if not T > 0:
+        raise ValueError(f"the end time T must be > 0, got {T}")
     if not np.isfinite(amplitude):
         raise ValueError(f"the amplitude must be finite, got {amplitude}")
 
@@ -243,8 +265,9 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
 
     run = build_run(stack, p, sign, nu, box_halfwidth, modes_per_axis, dim,
                     initial=gauss, initial_slot=initial_slot, dt=dt0)
-    while run.t < T and not run.blowup_flag:
-        dt = min(run.dt, T - run.t)
+    floor = END_RTOL * T
+    while T - run.t > floor and not run.blowup_flag:
+        dt = run.dt if T - run.t > run.dt - floor else T - run.t
         prev = run.l2_series[-1]
         saved_state, saved_t, kept = run.state, run.t, len(run.times)
         step(run, dt)
@@ -252,16 +275,22 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
         # relative to the larger of the previous value and the data scale, so a
         # norm ramping up from zero does not trigger spurious refinement
         ref = max(prev, run.initial_scale)
-        if ref > 0 and np.isfinite(cur) and abs(cur - prev) > rel_change_cap * ref:
+        bound = rel_change_cap * ref
+        if ref > 0 and np.isfinite(cur) and abs(cur - prev) > bound:
             if run.dt > 1e-4:
                 # step() replaces run.state, so the saved array is untouched;
                 # its nu-field is transformed again when next read
                 run.state, run.t = saved_state, saved_t
                 del run.times[kept:], run.l2_series[kept:], run.linf_series[kept:]
                 run.rejected_steps += 1
-                run.dt = run.dt / 2.0
+                run.dt = run.dt / STEP_FACTOR
             elif cur > 100.0 * run.initial_scale and cur > 2.0 * prev:
                 # runaway growth beyond the integrator's resolution
                 run.blowup_flag = True
                 run.blowup_time = run.t
+        elif abs(cur - prev) <= GROW_BELOW * bound:
+            run.dt = min(STEP_FACTOR * run.dt, dt0)
+    if not run.blowup_flag:
+        # the summed steps end within rounding of T
+        run.t = run.times[-1] = float(T)
     return run

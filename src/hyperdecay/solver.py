@@ -284,10 +284,12 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     measure) or (n_dirs, n_modes) for an equal-weight direction set.  The
     grid must be 1-d, finite, positive and strictly ascending.  The radial
     integral is a trapezoid rule in log rho; the last octave of the grid must
-    contribute less than tail_fraction of the total.  The norm needs 2s + n > 0:
-    below that the weight rho^(2s + n - 1) is not integrable at rho -> 0, and
-    the grid's first point would set the value.
+    contribute less than tail_fraction of the total.  The norm needs a finite s
+    with 2s + n > 0: below that the weight rho^(2s + n - 1) is not integrable
+    at rho -> 0, and the grid's first point would set the value.
     """
+    if not np.isfinite(s):
+        raise ValueError(f"the homogeneous s-norm needs a finite s, got {s}")
     if not 2.0 * s + n > 0:
         raise ValueError(f"the homogeneous s-norm needs 2s + n > 0, got s = {s} and n = {n}")
     rho = np.asarray(rho_grid, dtype=float)

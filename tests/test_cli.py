@@ -162,6 +162,9 @@ def test_divergent_norm_is_a_config_error(tmp_path, capsys):
     # 2s + n = -3: the norm would be set by the radial grid's first point
     assert main(["--out", str(tmp_path), "simulate", "mgt", "--s", "-3"]) == 1
     assert "2s + n > 0, got s = -3.0 and n = 3" in capsys.readouterr().err
+    # s = inf passes 2s + n > 0, and its weight rho^(2s + n - 1) is no norm at all
+    assert main(["--out", str(tmp_path), "simulate", "mgt", "--s", "inf"]) == 1
+    assert "finite s, got inf" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -198,6 +201,8 @@ def test_box_inputs_are_config_errors(tmp_path, capsys):
     for extra, message in ((["--modes", "0"], "modes_per_axis >= 1, got 0"),
                            (["--box", "0"], "half-width must be finite and > 0, got 0.0"),
                            (["--amplitude", "nan"], "amplitude must be finite, got nan"),
+                           (["--T", "-5"], "end time T must be > 0, got -5.0"),
+                           (["--sign", "nan"], "sign must be finite, got nan"),
                            (["--T", "nan"], "end time T must be finite, got nan"),
                            (["--T", "inf"], "end time T must be finite, got inf")):
         assert main(run + extra) == 1, extra

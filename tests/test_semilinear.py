@@ -169,6 +169,36 @@ def test_over_cap_steps_are_rejected():
     assert np.all((change <= cap * ref) | at_floor)
 
 
+def test_step_size_grows_back_after_a_rejection():
+    """One early rejection no longer halves the rest of the run: dt climbs back to dt0."""
+    stack, dt0, T = mgt_stack(dim=2), 0.25, 50.0
+    kwargs = dict(p=5.0, sign=1.0, nu=0, box_halfwidth=45.0, modes_per_axis=64, dim=2)
+    run = run_semilinear(stack, T=T, dt0=dt0, amplitude=1e-3, **kwargs)
+    assert run.rejected_steps == 1
+    assert len(run.times) - 1 <= 220          # 398 when dt stayed halved
+    # every step size is on the dyadic ladder, so the propagator cache stays small
+    assert set(run._prop_cache) <= {dt0 / 2**j for j in range(12)}
+    assert run.times[-1] - run.times[-2] == pytest.approx(dt0)
+    # the small-data run is all but linear, so a fixed-step run reaches the same norm
+    fixed = build_run(stack, initial=lambda x, y: 1e-3 * np.exp(-0.5 * (x**2 + y**2)), dt=0.125,
+                      **kwargs)
+    while fixed.t < T - 1e-9:
+        step(fixed, 0.125)
+    assert run.l2_series[-1] == pytest.approx(fixed.l2_series[-1], rel=1e-10)
+
+
+def test_run_ends_at_T_without_a_sliver_step():
+    """Summed steps end within rounding of T; no step of that size follows."""
+    run = run_semilinear(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, T=5.0, dt0=0.05,
+                         modes_per_axis=64, dim=2)
+    assert len(run.times) - 1 == 100
+    assert run.t == run.times[-1] == 5.0
+    assert list(run._prop_cache) == [0.05]
+    # the floor scales with T, so a T far below dt0 still takes its one step
+    tiny = run_semilinear(mgt_stack(dim=1), p=5.0, sign=1.0, nu=0, T=1e-12, modes_per_axis=16, dim=1)
+    assert tiny.times == [0.0, 1e-12] and tiny.t == 1e-12
+
+
 def test_nu_reads_state_coordinate():
     stack = mgt_stack(dim=1)
     run = build_run(stack, p=2.0, sign=1.0, nu=1, box_halfwidth=30.0, modes_per_axis=64,
@@ -185,6 +215,9 @@ def test_build_run_validation():
     for dt in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time step must be finite and > 0"):
             build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1, dt=dt)
+    for sign in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sign must be finite"):
+            build_run(stack, 2.0, sign, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1)
     for p in (0.0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="power p must be finite and > 0"):
             build_run(stack, p, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1)
@@ -201,6 +234,8 @@ def test_run_semilinear_rejects_a_non_finite_end_time_or_amplitude():
     # T = inf comes last: without the check the run never ends while it decays
     for bad, match in (({"amplitude": np.nan}, "amplitude must be finite"),
                        ({"amplitude": np.inf}, "amplitude must be finite"),
+                       ({"T": 0.0}, "end time T must be > 0"),
+                       ({"T": -5.0}, "end time T must be > 0"),
                        ({"T": np.nan}, "end time T must be finite"),
                        ({"T": np.inf}, "end time T must be finite")):
         with pytest.raises(ValueError, match=match):

@@ -173,6 +173,13 @@ def test_sobolev_norm_needs_positive_2s_plus_n():
     assert sobolev_norm(3, rho, snap, -1.4) > 0
 
 
+def test_sobolev_norm_rejects_a_non_finite_s():
+    rho = np.geomspace(1e-4, 30, 2000)
+    for s in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"finite s, got {s}"):
+            sobolev_norm(3, rho, np.exp(-(rho**2) / 2), s)
+
+
 def test_simulate_mgt_slope(stacks):
     times = np.geomspace(1e2, 1e4, 25)
     series = hd.simulate(stacks["mgt"], gaussian_data(3, 2), times, 0, 0.0)

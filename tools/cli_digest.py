@@ -56,6 +56,9 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [["simulate", "mgt", "--points", "0"], ["simulate", "mgt", "--tmin", "1e4", "--tmax", "1e2"],
            ["profile", "mgt", "--points", "0"], ["predict", "mgt", "--n", "0"],
            ["semilinear", "mgt", "--p", "5", "--modes", "0"],
+           ["semilinear", "mgt", "--p", "5", "--dim", "1", "--modes", "16", "--T", "-5"],
+           ["semilinear", "mgt", "--p", "5", "--dim", "1", "--modes", "16", "--T", "1", "--sign", "nan"],
+           ["simulate", "mgt", "--s", "inf"],
            # 1e-5 was the registry's default, so a tree that accepts it runs unchanged
            ["--tol", "confluence_rtol=1e-5", "classify", "mgt"]])
 
