@@ -32,10 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .fitting import fit_loglog
-from .rootkit import RootBranchSet, assign, root_groups, roots
-from .stability import real_root_table
+from .rootkit import RootBranchSet, assign, roots
+from .stability import AnchorCases, anchor_cases, real_root_table
 from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly, stack_rows
-from .tolerances import TOL
 
 
 class Regime(enum.Enum):
@@ -87,13 +86,6 @@ class ExpansionRecord:
         return max(-min(p for p, _ in self.terms), 0.0)
 
 
-def _closest(value: float, pool: np.ndarray) -> tuple[int, float]:
-    if not len(pool):
-        return -1, np.inf
-    ix = int(np.argmin(np.abs(pool - value)))
-    return ix, float(abs(pool[ix] - value))
-
-
 def constant_limits(stack: OperatorStack) -> list[complex]:
     """Roots of the pure-time polynomial sum_j c_{m-j,0} z^(ell-j).
 
@@ -119,33 +111,25 @@ def constant_limits(stack: OperatorStack) -> list[complex]:
     return sorted(zs, key=lambda w: (w.real, w.imag))
 
 
-def _constant_records(stack: OperatorStack, regime: Regime) -> list[ExpansionRecord]:
-    recs = []
-    for i, z in enumerate(constant_limits(stack)):
-        recs.append(ExpansionRecord(
-            branch=stack.m - stack.ell + i, regime=regime, case=ExpansionCase.CONSTANT,
-            terms=((0.0, z),)))
-    return recs
-
-
 @dataclass(frozen=True)
 class _Levels:
     """The restrictions R_0, R_1, ... along one direction (see the module
-    docstring), with their sorted real roots."""
+    docstring), with their sorted real roots and the cases of the level-0 roots."""
 
     sigma: float
     roots: tuple[np.ndarray, ...]
     polys: tuple[UnivariatePoly, ...]
-    tol: float
+    cases: AnchorCases
 
 
 def _levels(stack: OperatorStack, d: Direction, regime: Regime) -> _Levels:
     rows = stack_rows(stack, d.vector()[None, :])[0]
     tables = [real_root_table(r[None, :]) for r in rows]
     order = range(stack.ell, -1, -1) if regime is Regime.LOW else range(stack.ell + 1)
-    return _Levels(1.0 if regime is Regime.LOW else -1.0, tuple(tables[k].re[0] for k in order),
+    re = tuple(tables[k].re[0] for k in order)
+    return _Levels(1.0 if regime is Regime.LOW else -1.0, re,
                    tuple(UnivariatePoly.of(rows[k]) for k in order),
-                   TOL.root_match_rtol * float(max(t.scale[0] for t in tables)))
+                   anchor_cases(re[0], re[1], max(t.scale[0] for t in tables)))
 
 
 def _signed(z: complex, sigma: float) -> complex:
@@ -168,15 +152,14 @@ def _expansions(stack: OperatorStack, d: Direction, regime: Regime) -> list[tupl
             f"{regime.value.lower()}-frequency expansions need stack depth >= 1")
     t = _levels(stack, d, regime)
     s = t.sigma
-    base, mid = t.roots[0], t.roots[1]
+    base, mid, c = t.roots[0], t.roots[1], t.cases
     out: list[tuple[ExpansionRecord, complex]] = []
-    for j, size in zip(*np.unique(root_groups(base, t.tol), return_counts=True)):
-        j = int(j)
+    for j in np.flatnonzero(c.group == np.arange(len(base))):  # the first root of each group
+        j, size = int(j), int(c.multiplicity[j])
         anchor = float(base[j])
         head = (1.0, 1j * anchor)
         if size == 1:
-            mid_ix, mid_dist = _closest(anchor, mid)
-            shared = mid_dist <= t.tol
+            mid_ix, mid_dist, shared = int(c.nearest[j]), float(c.distance[j]), bool(c.shared[j])
             if shared and low and stack.ell != 2:
                 raise UnclassifiableExpansionError(
                     f"root {anchor} shared with the next symbol is only handled at depth 2 "
@@ -226,7 +209,9 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
     depth-2 stacks, where the degenerate formulas are available); the
     remaining ell branches are the CONSTANT ones.
     """
-    return [r for r, _ in _expansions(stack, d, Regime.LOW)] + _constant_records(stack, Regime.LOW)
+    return [r for r, _ in _expansions(stack, d, Regime.LOW)] + [
+        ExpansionRecord(branch=stack.m - stack.ell + i, regime=Regime.LOW, case=ExpansionCase.CONSTANT,
+                        terms=((0.0, z),)) for i, z in enumerate(constant_limits(stack))]
 
 
 def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRecord]:
@@ -250,15 +235,15 @@ def kappa_solutions(stack: OperatorStack, d: Direction, j: int, regime: Regime) 
 def _kappa_pair(t: _Levels, j: int) -> tuple[complex, complex]:
     """kappa_solutions on a level table: the roots of
     p0''(a)/2 kappa^2 - sigma p1'(a) kappa + p2(a), largest real part first."""
-    base, mid = t.roots[0], t.roots[1]
+    base, mid, c = t.roots[0], t.roots[1], t.cases
     if j < 0 or j + 1 >= len(base):
         raise UnclassifiableExpansionError(f"index {j} does not start a double root")
-    if base[j + 1] - base[j] > t.tol:
+    if c.group[j + 1] != c.group[j]:
         raise UnclassifiableExpansionError(
-            f"roots {base[j]}, {base[j + 1]} are not a double pair within {t.tol}")
+            f"roots {base[j]}, {base[j + 1]} are not a double pair within {float(c.tol)}")
     anchor = float(0.5 * (base[j] + base[j + 1]))
-    mid_ix, mid_dist = _closest(anchor, mid)
-    if mid_dist > t.tol:
+    mid_ix, mid_dist = int(c.nearest[j]), float(c.distance[j])
+    if mid_dist > c.tol:
         raise UnclassifiableExpansionError(
             f"double root {anchor} is not matched by a middle-symbol root (distance {mid_dist})")
     a_coef = check_poly(t.polys[0], base, {j, j + 1}, anchor)

@@ -458,14 +458,6 @@ def get_preset(name: str) -> PresetModel:
 # fixture comparison
 
 
-def _term_distance(a: TermList, b: TermList) -> float:
-    da = {round(p, 9): c for p, c in a}
-    db = {round(p, 9): c for p, c in b}
-    if set(da) != set(db):
-        return float("inf")
-    return max(abs(da[p] - db[p]) for p in da)
-
-
 def compare_expansions(records: Sequence[ExpansionRecord], expected: Sequence[TermList],
                        rtol: float = 1e-8) -> tuple[bool, list[str]]:
     """Match computed records to expected term lists and check coefficients.
@@ -475,16 +467,16 @@ def compare_expansions(records: Sequence[ExpansionRecord], expected: Sequence[Te
     """
     if len(records) != len(expected):
         return False, [f"expected {len(expected)} records, got {len(records)}"]
-    cost = np.zeros((len(expected), len(records)))
-    for i, exp in enumerate(expected):
-        for j, rec in enumerate(records):
-            d = _term_distance(exp, list(rec.terms))
-            cost[i, j] = min(d, 1e9)
+    exp_t = [{round(p, 9): c for p, c in terms} for terms in expected]
+    rec_t = [{round(p, 9): c for p, c in rec.terms} for rec in records]
+    cost = np.full((len(expected), len(records)), 1e9)  # a pair whose powers differ
+    for i, de in enumerate(exp_t):
+        for j, dr in enumerate(rec_t):
+            if set(de) == set(dr):
+                cost[i, j] = min(max(abs(de[p] - dr[p]) for p in de), 1e9)
     problems = []
     for i, j in enumerate(assign(cost)):
-        exp, rec = expected[i], records[j]
-        de = {round(p, 9): c for p, c in exp}
-        dr = {round(p, 9): c for p, c in rec.terms}
+        de, dr = exp_t[i], rec_t[j]
         if set(de) != set(dr):
             problems.append(f"record {j}: powers {sorted(dr)} != expected {sorted(de)}")
             continue

@@ -302,6 +302,9 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     integrand = rho ** (2.0 * s + n) * dens  # extra rho from the log substitution
     lr = np.log(rho)
     total = np.trapezoid(integrand, lr)
+    if np.isnan(total):  # the integrand is >= 0 where it is a number, so only a NaN in it gives one
+        raise ValueError(f"the s-norm integrand is NaN at rho = {rho[np.argmax(np.isnan(integrand))]:.6g}; "
+                         "the field is not finite")
     if total > 0:
         tail_mask = rho >= rho[-1] / 2.0
         if np.count_nonzero(tail_mask) >= 2:

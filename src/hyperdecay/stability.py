@@ -15,6 +15,7 @@ margins to an "inconclusive" exit code.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -253,23 +254,39 @@ def classify_interlacing(p_low: UnivariatePoly, p_high: UnivariatePoly) -> Inter
     return InterlacingClass(cls.klass, cls.margin, None if cls.witness is None else cls.witness[1:])
 
 
+AnchorCases = namedtuple("AnchorCases", "group multiplicity nearest distance shared tol")
+
+
+def anchor_cases(base: np.ndarray, mid: np.ndarray, scale) -> AnchorCases:
+    """The one decision of double and shared anchor roots, behind both the scenario flags
+    and the expansion cases.  Per sorted real root of base[..., k]: its `root_groups` label
+    at tol = root_match_rtol * scale[...] (the first index of its group), the group's size,
+    the index of and distance to the nearest root of mid[..., k'] (-1 and inf without one),
+    and whether it is shared: simple and within tol of that root."""
+    tol = TOL.root_match_rtol * np.asarray(scale, dtype=float)
+    group = root_groups(base, tol)
+    multiplicity = np.count_nonzero(group[..., :, None] == group[..., None, :], axis=-1)
+    dist = np.abs(base[..., :, None] - mid[..., None, :])
+    distance = np.min(dist, axis=-1, initial=np.inf)
+    nearest = np.argmin(dist, axis=-1) if mid.shape[-1] else np.full(base.shape, -1)
+    return AnchorCases(group, multiplicity, nearest, distance,
+                       (multiplicity == 1) & (distance <= tol[..., None]), tol)
+
+
 def _scenario_flags(stack: OperatorStack, tables: Sequence[_RootTable]) -> frozenset[str]:
     """Scenario flags over the rows at which every restriction is real-rooted: a
     double root of P_m (of P_{m-2}) flags DERIVATIVE_LOSS (DECAY_LOSS), a simple
     one shared with P_{m-1} flags REG_LOSS_DECAY (SLOW_LOW)."""
     ok = np.logical_and.reduce([t.real for t in tables])
-    tol = TOL.root_match_rtol * np.max([t.scale for t in tables], axis=0)[ok, None]
-    b = tables[1].re[ok] if stack.ell >= 1 else np.empty((int(ok.sum()), 0))
+    scale = np.max([t.scale for t in tables], axis=0)[ok]
     flags: set[str] = set()
     levels = [(0, SCENARIO_DERIVATIVE_LOSS, SCENARIO_REG_LOSS_DECAY),
               (2, SCENARIO_DECAY_LOSS, SCENARIO_SLOW_LOW)]
     for j, double_flag, shared_flag in levels[: 2 if stack.ell >= 2 else 1]:
-        r = tables[j].re[ok]
-        labels = root_groups(r, tol[:, 0])
-        in_pair = np.count_nonzero(labels[:, :, None] == labels[:, None, :], axis=2) >= 2
-        if in_pair.any():
+        cases = anchor_cases(tables[j].re[ok], tables[1].re[ok], scale)
+        if np.any(cases.multiplicity >= 2):
             flags.add(double_flag)
-        if b.shape[1] and np.any(~in_pair & (np.min(np.abs(b[:, None, :] - r[:, :, None]), axis=2) <= tol)):
+        if np.any(cases.shared):
             flags.add(shared_flag)
     return frozenset(flags)
 

@@ -98,6 +98,8 @@ class Direction:
     components: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.components)):
+            raise ValueError(f"direction {tuple(map(float, self.components))} has a non-finite component")
         norm = math.sqrt(sum(x * x for x in self.components))
         if abs(norm - 1.0) > TOL.unit_direction:
             raise ValueError(f"direction norm {norm!r} deviates from 1 beyond {TOL.unit_direction}")
@@ -108,7 +110,8 @@ class Direction:
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector into a direction")
-        return Direction(tuple(v / norm))
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN, which __post_init__ rejects
+            return Direction(tuple(v / norm))
 
     @property
     def dim(self) -> int:
@@ -134,6 +137,8 @@ def _validate_terms(order: int, dim: int, coeffs: Mapping[tuple[int, MultiIndex]
             raise ModelFormatError(f"multi-index {alpha} does not match dimension {dim}")
         if any(a < 0 for a in alpha) or k < 0:
             raise ModelFormatError(f"negative exponent in term (k={k}, alpha={alpha})")
+        if not math.isfinite(c):
+            raise ModelFormatError(f"term (k={k}, alpha={alpha}) has the non-finite coefficient {c}")
         if k + sum(alpha) != order:
             raise ModelFormatError(
                 f"term (k={k}, alpha={alpha}) violates k+|alpha|={order} for a symbol of order {order}"

@@ -171,3 +171,23 @@ def test_shared_simple_margin_recorded(stacks):
     recs = hd.low_freq_expansions(stacks["fourth_order_weak"], axis_direction(1))
     shared = [r for r in recs if r.case is ExpansionCase.SHARED_SIMPLE]
     assert shared and all(r.classification_margin < 1e-9 for r in shared)
+
+
+def test_scenario_flags_agree_with_the_axis_expansion_cases(stacks):
+    """The flags and the expansion cases read one classifier of anchor roots:
+    on every preset a double (shared simple) root of P_m in the high-frequency
+    records goes with DERIVATIVE_LOSS (REG_LOSS_DECAY), and at depth 2 one of
+    P_{m-2} in the low-frequency records with DECAY_LOSS (SLOW_LOW)."""
+    seen = set()
+    for name, stack in stacks.items():
+        flags = hd.classify_stack(stack).scenario_flags
+        seen |= flags
+        d = axis_direction(stack.dim)
+        pairs = [(hd.high_freq_expansions, "DERIVATIVE_LOSS", "REG_LOSS_DECAY")]
+        if stack.ell == 2:
+            pairs.append((hd.low_freq_expansions, "DECAY_LOSS", "SLOW_LOW"))
+        for expansions, double_flag, shared_flag in pairs:
+            cases = {r.case for r in expansions(stack, d)}
+            assert (ExpansionCase.DOUBLE in cases) == (double_flag in flags), (name, double_flag)
+            assert (ExpansionCase.SHARED_SIMPLE in cases) == (shared_flag in flags), (name, shared_flag)
+    assert seen == {"DERIVATIVE_LOSS", "REG_LOSS_DECAY", "DECAY_LOSS", "SLOW_LOW"}

@@ -9,7 +9,7 @@ import numpy as np
 from hyperdecay.cli import main
 from hyperdecay.presets import mgt_stack
 from hyperdecay.solver import default_rho_grid
-from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, save_model
+from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, save_model, stack_to_dict
 
 
 _WITHOUT_SCIPY = """
@@ -346,6 +346,28 @@ def test_asymptotics_direction_flag(tmp_path):
     rc = main(["--out", str(tmp_path), "asymptotics", "anisotropic_elastic_2d",
                "--direction", "1,0,0"])
     assert rc == 1  # wrong component count
+
+
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
+    """A non-finite direction, model coefficient or norm exits 1 with a message,
+    not with a root-finding traceback or a run that reads as an underflow."""
+    for argv in (["anisotropic_elastic_2d", "--direction", "nan,1"], ["mgt", "--direction", "inf,0,0"]):
+        assert main(["--out", str(tmp_path), "asymptotics"] + argv) == 1, argv
+        assert "non-finite component" in capsys.readouterr().err
+    model = json.loads(json.dumps(stack_to_dict(mgt_stack(), "mgt")))
+    model["symbols"][0]["terms"][0]["c"] = float("nan")
+    mpath = tmp_path / "nan_model.json"
+    mpath.write_text(json.dumps(model))
+    for cmd in ("classify", "simulate"):
+        assert main(["--out", str(tmp_path), cmd, str(mpath)]) == 1, cmd
+        assert "has the non-finite coefficient nan" in capsys.readouterr().err
+    data = {"profiles": [{"kind": "zero"}, {"kind": "zero"},
+                         {"kind": "gaussian", "amplitude": float("nan")}]}
+    dpath = tmp_path / "nan_data.json"
+    dpath.write_text(json.dumps(data))
+    assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
+    assert "integrand is NaN" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_data.json", "nan_model.json"]
 
 
 def test_reproduce_second_preset(tmp_path):

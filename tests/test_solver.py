@@ -180,6 +180,15 @@ def test_sobolev_norm_rejects_a_non_finite_s():
             sobolev_norm(3, rho, np.exp(-(rho**2) / 2), s)
 
 
+def test_sobolev_norm_rejects_a_nan_integrand():
+    # a NaN field is an error, not an underflow to a zero norm
+    rho = np.geomspace(1e-4, 30, 2000)
+    snap = np.exp(-(rho**2) / 2)
+    snap[700] = np.nan
+    with pytest.raises(ValueError, match=f"integrand is NaN at rho = {rho[700]:.6g}"):
+        sobolev_norm(3, rho, snap, 0.0)
+
+
 def test_simulate_mgt_slope(stacks):
     times = np.geomspace(1e2, 1e4, 25)
     series = hd.simulate(stacks["mgt"], gaussian_data(3, 2), times, 0, 0.0)

@@ -160,6 +160,25 @@ def test_model_json_roundtrip(tmp_path):
         stack_from_dict(bad)
 
 
+def test_direction_rejects_non_finite_components():
+    # |nan - 1| > tol is false, and inf / inf normalizes to NaN
+    for comps in ((np.nan, 1.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="non-finite component"):
+            Direction.of(comps)
+    with pytest.raises(ValueError, match="non-finite component"):
+        Direction((np.nan, 1.0))
+
+
+def test_non_finite_coefficient_is_a_model_error():
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelFormatError, match=r"term \(k=0, alpha=\(2,\)\) has the non-finite"):
+            HomogeneousSymbol(2, 1, {(2, (0,)): 1.0, (0, (2,)): c})
+    doc = stack_to_dict(mgt_stack(), "mgt")
+    doc["symbols"][0]["terms"][0]["c"] = float("nan")  # json.load reads NaN as well
+    with pytest.raises(ModelFormatError, match="non-finite coefficient nan"):
+        stack_from_dict(json.loads(json.dumps(doc)))
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         Direction((0.5, 0.5))
