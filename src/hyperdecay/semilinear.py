@@ -195,8 +195,8 @@ def _build_propagator(run: SemilinearRun, dt: float):
     zero = np.zeros((n, 1))
     tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
     tmat[:, m, :m] = -run._coeffs[:, :m]
-    e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt)[0]
-    e = e[:, :m].transpose(1, 2, 0)
+    e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt, 0,
+                   lead=m)[0].transpose(1, 2, 0)
     w = np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1)
     return np.take(e[:, :m], run._rows, axis=-1), w
 

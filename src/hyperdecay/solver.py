@@ -4,9 +4,10 @@ Each mode evolves by the characteristic roots of the full symbol.  One kernel,
 `exp_newton`, writes d_t^k u_hat in Newton form: divided differences of
 lambda^k e^(lambda t) at the roots, taken by a Taylor series over clusters of
 close roots and by the recurrence elsewhere, times Newton vectors of the
-companion state.  It is batched over modes and times and needs no separate
-route for confluent roots.  There is no time stepping, so slope fits probe the
-operator, not an integrator.
+companion state.  It is batched over modes and times, returns only the leading
+state coordinates its caller names, and needs no separate route for confluent
+roots.  There is no time stepping, so slope fits probe the operator, not an
+integrator.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ class GaussianProfile:
     """u = amplitude * exp(-|x|^2 / (2 width^2)) under u_hat(xi) = int e^(-i x.xi) u dx."""
     amplitude: float = 1.0
     width: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"a gaussian profile needs a finite width > 0, got {self.width}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"a gaussian profile needs a finite amplitude, got {self.amplitude}")
 
     def radial(self, rho: np.ndarray, n: int) -> np.ndarray:
         a = self.amplitude * (2.0 * np.pi) ** (n / 2.0) * self.width**n
@@ -185,30 +192,36 @@ def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray
     return np.stack(top, axis=-1)
 
 
-def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int = 0) -> np.ndarray:
-    """C^k e^(C t) y0 for the companion matrices C of coeffs[N, M+1], whose roots are nodes[N, M].
+def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int,
+               lead: int) -> np.ndarray:
+    """The first `lead` state coordinates of C^k e^(C t) y0 for the companion matrices C of coeffs[N, M+1].
 
-    The Newton form sum_j f[lambda_0 .. lambda_j] v_j of f(lambda) =
-    lambda^k e^(lambda t), with v_j = prod_(i<j) (C - lambda_i) y0, is exact
-    when the nodes are all the roots with multiplicity, confluent or not.
-    y0 has shape (N, M, R) and the result (T, N, M, R).  Modes go through in
+    nodes[N, M] are the roots of coeffs.  The Newton form sum_j f[lambda_0 ..
+    lambda_j] v_j of f(lambda) = lambda^k e^(lambda t), with v_j = prod_(i<j)
+    (C - lambda_i) y0, is exact when the nodes are all the roots with
+    multiplicity, confluent or not.  y0 has shape (N, M, R).  The Newton
+    vectors need every coordinate, but only their first `lead` enter the
+    final contraction, so the result is (T, N, lead, R).  Modes go through in
     blocks of BATCH_ROWS.
     """
     if k < 0:
         raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((len(times),) + y0.shape, dtype=complex)
+    out = np.empty((len(times), len(y0), lead, y0.shape[2]), dtype=complex)
     for rows in (slice(s, s + BATCH_ROWS) for s in range(0, len(nodes), BATCH_ROWS)):
         lam = _chain(nodes[rows])
         tail = coeffs[rows, :-1] / coeffs[rows, -1:]
-        v = [np.asarray(y0[rows], dtype=complex)]
+        v = np.asarray(y0[rows], dtype=complex)
+        kept = [v[:, :lead]]
         for j in range(lam.shape[1] - 1):
             # C v: coordinates shift up, the last is -sum_r tail_r v_r
-            cv = np.concatenate([v[-1][:, 1:], -np.einsum("nr,nrk->nk", tail, v[-1])[:, None]], axis=1)
-            v.append(cv - lam[:, j, None, None] * v[-1])
+            cv = np.concatenate([v[:, 1:], -np.einsum("nr,nrk->nk", tail, v)[:, None]], axis=1)
+            v = cv - lam[:, j, None, None] * v
+            kept.append(v[:, :lead])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            dd = _divided_differences(lam, times, k)
-            out[:, rows] = np.einsum("tnj,jnmr->tnmr", dd, np.stack(v))
+            # no name holds the divided differences, so they are freed before the next block's
+            out[:, rows] = np.einsum("tnj,jnmr->tnmr", _divided_differences(lam, times, k),
+                                     np.stack(kept))
     return out
 
 
@@ -216,10 +229,11 @@ def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k:
     """d_t^k u_hat for modes with symbol coefficients coeffs[N, m+1], roots lams[N, m], data[m, N]; shape (T, N).
 
     The mode state (u, d_t u, ..., d_t^(m-1) u) evolves by its companion
-    matrix C, and d_t^k u is coordinate 0 of C^k e^(C t) y0 for every k >= 0.
+    matrix C, and d_t^k u is coordinate 0 of C^k e^(C t) y0 for every k >= 0,
+    the only coordinate `exp_newton` is asked for.
     """
     y0 = np.asarray(data, dtype=complex).T[..., None]
-    return exp_newton(coeffs, lams, y0, times, k)[:, :, 0, 0].copy()
+    return exp_newton(coeffs, lams, y0, times, k, lead=1)[:, :, 0, 0]
 
 
 def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[complex],
@@ -354,7 +368,8 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
 
     It checks the slot count and the time grid: nonempty, 1-d, finite, >= 0 and strictly ascending,
     as `_norm_series` cuts a prefix at underflow.  Unless given, the radial grid is the default and
-    the directions `sample_directions`, every 4th angle for an anisotropic 2-d stack.
+    the directions `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each
+    direction's `RadialPropagator` writes its slice of one preallocated field array.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
@@ -368,8 +383,10 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
         if not stack.isotropic and stack.dim == 2:
             directions = directions[::4]  # 64 angles suffice for the norm average
     dvals = data.values(rho, stack.dim)
-    return rho, times, np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, k)
-                                 for d in directions], axis=1)
+    out = np.empty((len(times), len(directions), len(rho)), dtype=complex)
+    for i, d in enumerate(directions):
+        out[:, i] = RadialPropagator(stack, d, rho).propagate(dvals, times, k)
+    return rho, times, out
 
 
 def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.ndarray, k: int,

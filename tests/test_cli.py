@@ -366,6 +366,11 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
     dpath = tmp_path / "nan_data.json"
     dpath.write_text(json.dumps(data))
     assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
+    assert "a gaussian profile needs a finite amplitude, got nan" in capsys.readouterr().err
+    # a profile kind with no check of its own reaches the norm's NaN check
+    data["profiles"][2] = {"kind": "ring", "r0": float("nan"), "sigma": 0.2}
+    dpath.write_text(json.dumps(data))
+    assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
     assert "integrand is NaN" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nan_data.json", "nan_model.json"]
 
@@ -396,6 +401,20 @@ def test_data_file_parsing(tmp_path, capsys):
                  "--tmin", "10", "--tmax", "100", "--points", "5"]) == 1
     assert "slot 2" in capsys.readouterr().err
     assert not (out / "mgt_profile_fit.json").exists()
+
+
+def test_gaussian_width_must_be_positive(tmp_path, capsys):
+    """A width of 0 made the data zero and a negative width negated them (width^n), both with exit 0."""
+    dpath = tmp_path / "data.json"
+    for width in (0, -1):
+        dpath.write_text(json.dumps({"profiles": [{"kind": "zero"}, {"kind": "zero"},
+                                                  {"kind": "gaussian", "width": width}]}))
+        out = tmp_path / f"width_{width}"
+        for cmd in ("simulate", "profile"):
+            assert main(["--out", str(out), cmd, "mgt", "--data", str(dpath)]) == 1, (cmd, width)
+            err = capsys.readouterr().err
+            assert f"a gaussian profile needs a finite width > 0, got {float(width)}" in err
+        assert not out.exists()
 
 
 def test_reproduce_writes_what_the_subcommands_write(tmp_path):

@@ -5,7 +5,7 @@ from hyperdecay import semilinear
 from hyperdecay.presets import mgt_stack
 from hyperdecay.rootkit import RootfindingError, roots_batch
 from hyperdecay.semilinear import build_run, run_semilinear, step
-from hyperdecay.solver import propagate_mode
+from hyperdecay.solver import exp_newton, propagate_mode
 from hyperdecay.symbols import symbol_coeffs
 
 
@@ -74,6 +74,21 @@ def test_build_run_solves_each_distinct_row_once(monkeypatch):
     # every mode gets the roots it would get from its own row
     full = symbol_coeffs(stack, run._freqs.reshape(2, -1).T)
     assert np.array_equal(run._lams[run._rows], roots_batch(full / full[:, -1:]))
+
+
+def test_semilinear_propagator_is_the_all_rows_slice():
+    """Phi and W read the first m of the m + 1 rows; asking for only those changes no bit."""
+    run = build_run(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32,
+                    dim=2)
+    m, n = run.m, len(run._lams)
+    phi, w = semilinear._build_propagator(run, 0.05)
+    zero = np.zeros((n, 1))
+    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
+    tmat[:, m, :m] = -run._coeffs[:, :m]
+    e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0,
+                   lead=m + 1)[0][:, :m].transpose(1, 2, 0)
+    assert np.array_equal(phi, np.take(e[:, :m], run._rows, axis=-1))
+    assert np.array_equal(w, np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1))
 
 
 def test_build_run_certifies_roots(monkeypatch):

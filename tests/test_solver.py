@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import hyperdecay as hd
+from hyperdecay import solver
 from hyperdecay.presets import damped_wave_stack, em_elastic_stack, mgt_stack
-from hyperdecay.solver import (DataSpec, RadialPropagator, RingProfile, ZeroProfile, _propagate,
-                               default_rho_grid, gaussian_data, sobolev_norm)
+from hyperdecay.solver import (DataSpec, GaussianProfile, RadialPropagator, RingProfile, ZeroProfile,
+                               _field, _propagate, default_rho_grid, exp_newton, gaussian_data,
+                               sobolev_norm)
 from hyperdecay.symbols import axis_direction, full_symbol_at, symbol_coeffs
 from tests.oracles import _propagate_companion
 from tests.test_stability import random_interlaced_stack
@@ -96,6 +98,69 @@ def test_derivatives_beyond_the_state_on_a_confluent_ray(stacks, rng):
     assert np.max(np.abs(one - prop.propagate(data, times, 5)[:, 3])) <= 1e-12 * np.max(np.abs(one))
     series = hd.simulate(stack, gaussian_data(5, 4), np.geomspace(1e2, 1e4, 5), k=5)
     assert np.all(np.isfinite(series.values)) and np.all(series.values > 0)
+
+
+def test_selected_coordinate_is_the_all_coordinates_slice(stacks, rng, monkeypatch):
+    """`exp_newton` asked for coordinate 0 gives bit for bit that coordinate of the full state.
+
+    em_elastic (m = 5) on the default axis grid: its near-confluent rows at small rho take
+    the Taylor series, the others the recurrence.
+    """
+    stack, d = stacks["em_elastic"], axis_direction(3)
+    rho = default_rho_grid()
+    prop = RadialPropagator(stack, d, rho)
+    coeffs = symbol_coeffs(stack, rho[:, None] * d.vector()[None, :])
+    data = rng.normal(size=(5, len(rho))) + 1j * rng.normal(size=(5, len(rho)))
+    times = np.geomspace(1e2, 1e4, 25)
+    series_calls = []
+    series = solver._series
+    monkeypatch.setattr(solver, "_series", lambda *a: series_calls.append(1) or series(*a))
+    for k in range(4):
+        full = exp_newton(coeffs, prop.lams, data.T[..., None], times, k, lead=5)
+        assert full.shape == (25, len(rho), 5, 1)
+        assert np.array_equal(prop.propagate(data, times, k), full[:, :, 0, 0]), k
+    assert series_calls
+
+
+def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
+    from hyperdecay.stability import sample_directions
+
+    stack, data = stacks["anisotropic_elastic_2d"], gaussian_data(4, 3)
+    rho, times = default_rho_grid()[::16], np.geomspace(1e2, 1e4, 5)
+    directions = sample_directions(2, False)[::4]
+    _, _, got = _field(stack, data, times, 1, rho)
+    dvals = data.values(rho, 2)
+    ref = np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, 1) for d in directions],
+                   axis=1)
+    assert got.shape == (5, 64, len(rho)) and np.array_equal(got, ref)
+
+
+def test_simulate_traced_peak_memory(stacks):
+    """One em_elastic norm run holds one (T, N) field and no full companion state.
+
+    Traced peak: 19.8 MB when `exp_newton` returned all 5 coordinates and the
+    field was a stacked list, 13.9 MB now; the bound lies between the two.
+    """
+    import tracemalloc
+
+    times = np.geomspace(1e2, 1e4, 25)
+    tracemalloc.start()
+    try:
+        hd.simulate(stacks["em_elastic"], gaussian_data(5, 4), times, s=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.5e6, peak
+
+
+def test_gaussian_profile_is_checked():
+    for width in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite width > 0"):
+            GaussianProfile(1.0, width)
+    for amplitude in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite amplitude"):
+            gaussian_data(3, 2, amplitude=amplitude)
+    assert GaussianProfile(-1.0, 0.5).at_zero(1) == pytest.approx(-0.5 * np.sqrt(2.0 * np.pi))
 
 
 def test_ode_residual_by_finite_differences(rng):

@@ -48,7 +48,9 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
            # two times leave fewer than three points in the fit window
-           ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"]]
+           ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"],
+           # the largest m (5) with k > 0 through the coordinate-0 contraction of `exp_newton`
+           ["simulate", "em_elastic", "--k", "2"], ["profile", "em_elastic", "--k", "1"]]
         # every flag of the block that `simulate` and `profile` share
         + [[cmd, "mgt", "--k", "1", "--s", "0.5", "--tmin", "50", "--tmax", "2e4", "--points", "17"]
            for cmd in ("simulate", "profile")]
