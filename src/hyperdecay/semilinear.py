@@ -171,12 +171,21 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
 def _prepare_roots(run: SemilinearRun) -> None:
     """Roots of each distinct monic symbol row; modes sharing a row share its solve.
 
-    A row gets the same roots from `roots_batch` inside any batch, so every
-    mode's roots are those of its own row.
+    The rows are sorted by one `lexsort` over their numbers, column by column
+    and real part before imaginary, the order of `np.unique(..., axis=0)`;
+    the first of each run of equal rows is kept.  A row gets the same roots
+    from `roots_batch` inside any batch, so every mode's roots are those of
+    its own row.
     """
     coeffs = symbol_coeffs(run.stack, run._freqs.reshape(run.dim, -1).T)
-    run._coeffs, rows = np.unique(coeffs / coeffs[:, -1:], axis=0, return_inverse=True)
-    run._rows = rows.reshape(-1)
+    monic = coeffs / coeffs[:, -1:]
+    order = np.lexsort([part for col in monic.T[::-1] for part in (col.imag, col.real)])
+    monic = monic[order]
+    first = np.ones(len(monic), dtype=bool)
+    first[1:] = np.any(monic[1:] != monic[:-1], axis=1)
+    run._coeffs = monic[first]
+    run._rows = np.empty(len(order), dtype=np.intp)
+    run._rows[order] = np.cumsum(first) - 1
     run._lams = roots_batch(run._coeffs)
 
 

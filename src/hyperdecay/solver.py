@@ -124,6 +124,7 @@ def gaussian_data(m: int, j: int, amplitude: float = 1.0, width: float = 1.0) ->
 
 SERIES_RADIUS = 1.0     # spans with |lambda_a - lambda_i| * t at most this use the Taylor series
 SERIES_TERMS = 18       # series remainder below radius^18 / 18! ~ 2e-16 of the leading term
+SERIES_CHUNK = 2048     # (time, row) entries per gathered contraction in `_series`
 
 
 def _chain(nodes: np.ndarray) -> np.ndarray:
@@ -142,13 +143,18 @@ def _chain(nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int, ti: np.ndarray,
+            ri: np.ndarray) -> np.ndarray:
     """f[lam, lam + omega_1, ..., lam + omega_L] of f = lambda^k e^(lambda t), by Taylor series about lam.
 
     f(lam + omega) = e^(lam t) sum_p c_p omega^p with
     c_p = sum_a C(k, a) lam^(k-a) t^(p-a) / (p-a)!, and the divided difference
     is e^(lam t) sum_n c_(n+L) h_n(omega), h_n the complete homogeneous
-    polynomial.  lam, t have shape (K,), omega (K, L), and |omega| t <= 1.
+    polynomial.  lam has shape (R,) and omega (R, L), one per row, and t (T,);
+    the K entries are the pairs (t[ti], row ri), each with |omega| t <= 1.
+    The table h_n is built once per row, (terms, R), and t^q / q! once per
+    time, (k + L + terms, T); both are gathered to the entries SERIES_CHUNK
+    at a time, so every temporary is bounded whatever K is.
     """
     span = omega.shape[1]
     terms = SERIES_TERMS + k
@@ -157,39 +163,52 @@ def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int) -> np.nda
     for r in range(span):
         for n in range(1, terms):
             h[n] += omega[:, r] * h[n - 1]
-    tq = np.zeros((k + span + terms, len(lam)))     # t^q / q! in row k + q, zero rows for q < 0
+    tq = np.zeros((k + span + terms, len(t)))     # t^q / q! in row k + q, zero rows for q < 0
     tq[k] = 1.0
     for q in range(1, span + terms):
         tq[k + q] = tq[k + q - 1] * t / q
-    total = np.zeros(len(lam), dtype=complex)
-    for a in range(k + 1):
-        q0 = k + span - a
-        total += math.comb(k, a) * lam ** (k - a) * np.einsum("nk,nk->k", tq[q0 : q0 + terms], h)
-    return np.exp(lam * t) * total
+    out = np.empty(len(ti), dtype=complex)
+    for c in range(0, len(ti), SERIES_CHUNK):
+        tc, rc = ti[c : c + SERIES_CHUNK], ri[c : c + SERIES_CHUNK]
+        lc, hc = lam[rc], np.take(h, rc, axis=1)
+        total = np.zeros(len(tc), dtype=complex)
+        for a in range(k + 1):
+            q0 = k + span - a
+            total += math.comb(k, a) * lc ** (k - a) * np.einsum(
+                "nk,nk->k", np.take(tq[q0 : q0 + terms], tc, axis=1), hc)
+        out[c : c + SERIES_CHUNK] = np.exp(lc * t[tc]) * total
+    return out
 
 
 def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     """f[nodes_0 .. nodes_j] of f(lambda) = lambda^k e^(lambda t) for chain-ordered nodes[N, M]; shape (T, N, M).
 
-    The table is built by span length L.  A span i..i+L whose nodes lie
-    within SERIES_RADIUS / t of node i takes the Taylor series about node i
+    The table is built by span length L, in place in one (T, N, M) array
+    whose column i holds D[i, i + L].  A span i..i+L whose nodes lie within
+    SERIES_RADIUS / t of node i takes the Taylor series about node i
     (McCurdy, Ng and Parlett 1984); any other span the recurrence
-    (D[i+1, i+L] - D[i, i+L-1]) / (lambda_(i+L) - lambda_i), for all i at once.
+    (D[i+1, i+L] - D[i, i+L-1]) / (lambda_(i+L) - lambda_i), for all i at
+    once.  Each level's top entry D[0, L] goes to column L of the output.
     """
     m = nodes.shape[1]
     d = nodes**k * np.exp(t[:, None, None] * nodes)        # D[i, i + L] in column i
-    top = [d[..., 0]]
+    out = np.empty_like(d)
+    out[..., 0] = d[..., 0]
     for span in range(1, m):
         # omega[n, i, r] = nodes[n, i + 1 + r] - nodes[n, i]
         omega = np.stack([nodes[:, 1 + r : m - span + 1 + r] - nodes[:, : m - span]
                           for r in range(span)], axis=-1)
-        d = (d[..., 1:] - d[..., :-1]) / omega[..., -1]
+        cur = d[..., : m - span]
+        np.subtract(d[..., 1 : m - span + 1], cur, out=cur)
+        cur /= omega[..., -1]
         near = t[:, None, None] * np.max(np.abs(omega), axis=-1) <= SERIES_RADIUS
-        for i in range(m - span):       # one series call per column bounds its temporaries
-            ti, ni = np.nonzero(near[..., i])
-            d[ti, ni, i] = _series(nodes[ni, i], omega[ni, i], t[ti], k)
-        top.append(d[..., 0])
-    return np.stack(top, axis=-1)
+        for i in range(m - span):       # one series call per column, over the rows it reaches
+            rows = np.flatnonzero(near[..., i].any(axis=0))
+            if len(rows):
+                ti, ri = np.nonzero(near[:, rows, i])
+                cur[ti, rows[ri], i] = _series(nodes[rows, i], omega[rows, i], t, k, ti, ri)
+        out[..., span] = cur[..., 0]
+    return out
 
 
 def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int,

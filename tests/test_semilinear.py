@@ -76,6 +76,19 @@ def test_build_run_solves_each_distinct_row_once(monkeypatch):
     assert np.array_equal(run._lams[run._rows], roots_batch(full / full[:, -1:]))
 
 
+def test_distinct_rows_are_those_of_np_unique():
+    """The lexsort over row numbers keeps `np.unique`'s rows, order and inverse, bit for bit.
+
+    The 256^2 box of the benchmark's nonlinear run: 33,024 modes, 7,400 distinct rows.
+    """
+    stack = mgt_stack(dim=2)
+    run = build_run(stack, p=5.0, sign=1.0, nu=0, box_halfwidth=80.0, modes_per_axis=256, dim=2)
+    full = symbol_coeffs(stack, run._freqs.reshape(2, -1).T)
+    rows, inverse = np.unique(full / full[:, -1:], axis=0, return_inverse=True)
+    assert run._coeffs.tobytes() == rows.tobytes() and len(rows) == 7400
+    assert np.array_equal(run._rows, inverse.reshape(-1))
+
+
 def test_semilinear_propagator_is_the_all_rows_slice():
     """Phi and W read the first m of the m + 1 rows; asking for only those changes no bit."""
     run = build_run(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32,

@@ -122,6 +122,62 @@ def test_selected_coordinate_is_the_all_coordinates_slice(stacks, rng, monkeypat
     assert series_calls
 
 
+def test_divided_differences_match_mpmath_at_clustered_nodes(monkeypatch):
+    """f[lambda_0 .. lambda_L] of lambda^k e^(lambda t) at a clustered row, against 50-digit mpmath.
+
+    Each row is an anchor and 1-3 nodes within tau / t of it (spans 1-3), for a
+    low-frequency anchor near the imaginary axis and for -1, em_elastic's double
+    root; tau runs from 0.05 to 30, so spans fall on both sides of SERIES_RADIUS
+    and both the Taylor series and the recurrence are checked.  The reference is the
+    recurrence in 50 digits at the same double nodes and times.  Rounding lambda t
+    alone costs eps |lambda| t, so the bound is 256 eps (1 + |anchor| t); the
+    largest error seen is 22 eps (1 + |anchor| t).
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    series_calls = []
+    series = solver._series
+    monkeypatch.setattr(solver, "_series", lambda *a: series_calls.append(1) or series(*a))
+
+    def reference(row, t, k):
+        with mp.workdps(50):
+            z = [mp.mpc(x.real, x.imag) for x in row]
+            d = [zi**k * mp.exp(zi * mp.mpf(t)) for zi in z]
+            top = [d[0]]
+            for span in range(1, len(z)):
+                d = [(d[i + 1] - d[i]) / (z[i + span] - z[i]) for i in range(len(d) - 1)]
+                top.append(d[0])
+            return np.array([complex(v) for v in top])
+
+    for anchor, times in ((complex(-1e-4, 0.5), (1.0, 1e2, 1e4)), (-1.0 + 0j, (1.0, 10.0, 1e2))):
+        for m in (2, 3, 4):
+            for t in times:
+                for tau in (0.05, 0.5, 0.9, 3.0, 30.0):
+                    u = rng.uniform(0.2, 1.0, (4, m - 1)) * np.exp(2j * np.pi * rng.uniform(size=(4, m - 1)))
+                    nodes = solver._chain(np.hstack([np.full((4, 1), anchor), anchor + tau / t * u]))
+                    bound = 256 * eps * (1.0 + abs(anchor) * t)
+                    for k in (0, 2, 4):
+                        got = solver._divided_differences(nodes, np.array([t]), k)[0]
+                        for row, value in zip(nodes, got):
+                            ref = reference(row, t, k)
+                            assert np.all(np.abs(value - ref) <= bound * np.abs(ref)), (anchor, m, t, tau, k)
+    assert series_calls
+
+
+def test_series_chunk_does_not_change_the_field(stacks, monkeypatch):
+    """Gathering the series entries 7 at a time leaves em_elastic's field bit for bit the same."""
+    stack, d = stacks["em_elastic"], axis_direction(3)
+    rho = default_rho_grid()
+    prop = RadialPropagator(stack, d, rho)
+    data = gaussian_data(5, 4).values(rho, 3)
+    times = np.geomspace(1e2, 1e4, 25)
+    ref = [prop.propagate(data, times, k) for k in (0, 2)]
+    monkeypatch.setattr(solver, "SERIES_CHUNK", 7)
+    for k, want in zip((0, 2), ref):
+        assert np.array_equal(prop.propagate(data, times, k), want), k
+
+
 def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
     from hyperdecay.stability import sample_directions
 
@@ -136,10 +192,13 @@ def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
 
 
 def test_simulate_traced_peak_memory(stacks):
-    """One em_elastic norm run holds one (T, N) field and no full companion state.
+    """One em_elastic norm run holds one (T, N) field, no full companion state and no per-entry tables.
 
     Traced peak: 19.8 MB when `exp_newton` returned all 5 coordinates and the
-    field was a stacked list, 13.9 MB now; the bound lies between the two.
+    field was a stacked list; 13.9 MB when `_series` built its Taylor tables per
+    (time, row) entry and the divided-difference recurrence kept every level;
+    8.8 MB now, with tables per row and per time and the recurrence in place.
+    The bound lies between the last two.
     """
     import tracemalloc
 
@@ -150,7 +209,7 @@ def test_simulate_traced_peak_memory(stacks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16.5e6, peak
+    assert peak < 11.5e6, peak
 
 
 def test_gaussian_profile_is_checked():

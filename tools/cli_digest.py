@@ -9,13 +9,20 @@ Each run calls `hyperdecay.cli.main` in-process with its own temporary
     stdout <hash>
     <file name> <hash>        (one line per output file, sorted)
 
-Hashes are the first 16 hex digits of SHA-256.  Two trees whose outputs are
-byte-identical print identical digests, so comparing a change with its parent
-is one `diff`:
+Hashes are the first 16 hex digits of SHA-256.  The first line is a header
+naming the numpy version and the platform, since the last bits of a float
+output can change with either.  Two trees whose outputs are byte-identical
+print identical digests, so comparing a change with its parent is one `diff`:
 
     PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.txt
     PYTHONPATH=src python3 tools/cli_digest.py > change.txt
     diff parent.txt change.txt
+
+`tests/data/cli_digest.txt` is this script's output at the current tree, and
+`tests/test_cli_digest.py` compares against it; after a change that means to
+move an output, regenerate it with
+
+    PYTHONPATH=src python3 tools/cli_digest.py > tests/data/cli_digest.txt
 
 The whole list takes about 10 s on 2 vCPUs; `simulate anisotropic_elastic_2d`
 is most of it.
@@ -26,9 +33,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from hyperdecay.cli import main
 from hyperdecay.presets import PRESETS
@@ -65,6 +75,10 @@ RUNS = ([["reproduce", name] for name in PRESETS]
            ["--tol", "confluence_rtol=1e-5", "classify", "mgt"]])
 
 
+def header() -> str:
+    return f"# numpy {np.__version__} on {platform.system()} {platform.machine()}"
+
+
 def _hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -85,6 +99,7 @@ def digest(argv: list[str]) -> list[str]:
 
 
 if __name__ == "__main__":
+    print(header())
     for argv in RUNS:
         print("\n".join(digest(argv)), flush=True)
     sys.exit(0)
