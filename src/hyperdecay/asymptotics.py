@@ -89,8 +89,11 @@ class ExpansionRecord:
 def constant_limits(stack: OperatorStack) -> list[complex]:
     """Roots of the pure-time polynomial sum_j c_{m-j,0} z^(ell-j).
 
-    Depths 1 and 2 use closed forms (the quadratic keeps a discriminant-zero
-    double root exact); deeper stacks fall back to the numeric root finder.
+    Depths 1 and 2 use closed forms that read the polynomial as monic (the
+    quadratic also keeps a discriminant-zero double root exact); deeper stacks
+    fall back to the numeric root finder.  The root finder would divide by
+    c_{m,0}, which normalization leaves at 1 - eps for some leading
+    coefficients (49, say), and so move the last bit of -c_{m-1,0}.
     """
     cs = stack.pure_time_coeffs()
     ell = stack.ell

@@ -188,7 +188,8 @@ def cmd_asymptotics(args) -> int:
     d = _parse_direction(args.direction, stack.dim)
     regime = asy.Regime.LOW if args.regime == "low" else asy.Regime.HIGH
     records = _records(stack, d, args.regime)
-    grid = np.geomspace(1e-4, 1e-1, 121) if regime is asy.Regime.LOW else np.geomspace(1e1, 1e4, 121)
+    grid = (np.geomspace(1e-4, asy.LOW_RHO_MAX, 121) if regime is asy.Regime.LOW
+            else np.geomspace(asy.HIGH_RHO_MIN, 1e4, 121))
     bs = track_branches(stack, d, grid)
     assign = asy.match_records_to_branches(bs, records, regime)
     fits = []

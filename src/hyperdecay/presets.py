@@ -2,9 +2,12 @@
 
 Each preset builds its stack from named physical parameters and carries
 fixtures: the stability verdict, the low/high expansion coefficients from
-independent closed-form arithmetic (quadratic formulas and explicit deleted
-root products, no calls into the root finder), the closed-form profile at
-moment M = 1 and, where wired, a decay-rate band for the simulation pipeline.
+independent closed-form arithmetic (no calls into the root finder), the
+closed-form profile at moment M = 1 and, where wired, a decay-rate band for
+the simulation pipeline.  Each closed form is written once: `_quadratic_roots`
+is the one quadratic formula, `_conjugate_pair` writes the conjugate of a
+non-real record (Q has real coefficients), and `_oscillating_pairs` the
+deleted-root coefficients of the high-frequency pairs +-i r.
 Each preset is one registry row: its builder, its parameters and its
 fixtures, every fixture function called once with the parameters.
 `compare_expansions` checks computed records against fixtures by
@@ -116,14 +119,35 @@ def damped_wave_stack(c: float = 1.0, dim: int = 1) -> OperatorStack:
 # closed-form fixtures: expansions and profiles (independent arithmetic, not the library paths)
 
 
+def _quadratic_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
+    """The roots (-b + sqrt(disc)) / 2a and (-b - sqrt(disc)) / 2a of a z^2 + b z + c, disc = b^2 - 4ac."""
+    root = np.sqrt(complex(b * b - 4.0 * a * c))
+    return complex((-b + root) / (2.0 * a)), complex((-b - root) / (2.0 * a))
+
+
 def _quartic_even_roots(b2: float, c0: float) -> tuple[float, float]:
     """Positive roots (small, large) of z^4 - b2 z^2 + c0 with b2^2 > 4 c0 > 0."""
-    disc = b2 * b2 - 4.0 * c0
-    if disc <= 0:
+    s_large, s_small = _quadratic_roots(1.0, -b2, c0)
+    if s_large.imag or s_large == s_small:
         raise ValueError("expected two distinct positive squared roots")
-    s_small = (b2 - math.sqrt(disc)) / 2.0
-    s_large = (b2 + math.sqrt(disc)) / 2.0
-    return math.sqrt(s_small), math.sqrt(s_large)
+    return math.sqrt(s_small.real), math.sqrt(s_large.real)
+
+
+def _conjugate_pair(terms: TermList) -> list[TermList]:
+    """A record and its complex conjugate: Q has real coefficients, so its non-real roots pair up."""
+    return [terms, [(p, c.conjugate()) for p, c in terms]]
+
+
+def _oscillating_pairs(lower: Callable[[float], float], r1: float, r2: float,
+                       zero_root: bool = False) -> list[TermList]:
+    """The pairs (1, +-i r), (0, -lower(r) / prod) at the simple roots +-i r1, +-i r2 of the
+    leading symbol, prod the deleted-root product (r - other)(r + other)(2r), times r when
+    0 is a root too."""
+    out = []
+    for r, other in ((r1, r2), (r2, r1)):
+        prod = (r - other) * (r + other) * (2.0 * r) * (r if zero_root else 1.0)
+        out += _conjugate_pair([(1.0, 1j * r), (0.0, complex(-lower(r) / prod))])
+    return out
 
 
 def _radial(value):
@@ -132,11 +156,7 @@ def _radial(value):
 
 
 def mgt_low_expected(tau: float, b: float, c: float) -> list[TermList]:
-    return [
-        [(1.0, 1j * c), (2.0, -b / 2.0 + 0j)],
-        [(1.0, -1j * c), (2.0, -b / 2.0 + 0j)],
-        [(0.0, complex(-1.0 / tau))],
-    ]
+    return _conjugate_pair([(1.0, 1j * c), (2.0, -b / 2.0 + 0j)]) + [[(0.0, complex(-1.0 / tau))]]
 
 
 def mgt_high_expected(tau: float, b: float, c: float) -> list[TermList]:
@@ -144,11 +164,7 @@ def mgt_high_expected(tau: float, b: float, c: float) -> list[TermList]:
     s = math.sqrt(s2)
     outer = -b / (2.0 * tau**2 * s2)
     inner = -(c**2) / (tau * s2)
-    return [
-        [(1.0, 1j * s), (0.0, complex(outer))],
-        [(1.0, -1j * s), (0.0, complex(outer))],
-        [(1.0, 0j), (0.0, complex(inner))],
-    ]
+    return _conjugate_pair([(1.0, 1j * s), (0.0, complex(outer))]) + [[(1.0, 0j), (0.0, complex(inner))]]
 
 
 def mgt_profile_expected(tau: float, b: float, c: float):
@@ -156,9 +172,7 @@ def mgt_profile_expected(tau: float, b: float, c: float):
 
 
 def bc_low_expected(tau: float, a: float, b: float, c: float) -> list[TermList]:
-    return [
-        [(1.0, 1j * c), (2.0, -b / 2.0 + 0j)],
-        [(1.0, -1j * c), (2.0, -b / 2.0 + 0j)],
+    return _conjugate_pair([(1.0, 1j * c), (2.0, -b / 2.0 + 0j)]) + [
         [(1.0, 0j), (2.0, complex(-a))],
         [(0.0, complex(-1.0 / tau))],
     ]
@@ -166,15 +180,8 @@ def bc_low_expected(tau: float, a: float, b: float, c: float) -> list[TermList]:
 
 def bc_high_expected(tau: float, a: float, b: float, c: float) -> list[TermList]:
     a3, a4 = _quartic_even_roots(c**2 + (a + b) / tau, a * c**2 / tau)
-    out = []
-    for r in (a4, a3):
-        # deleted-root product of the quartic at +-r; P3 = (z^3 - c^2 z)/tau
-        other = a3 if r == a4 else a4
-        prod = (r - other) * (r + other) * (2.0 * r)
-        coef = -((r**3 - c**2 * r) / tau) / prod
-        out.append([(1.0, 1j * r), (0.0, complex(coef))])
-        out.append([(1.0, -1j * r), (0.0, complex(coef))])
-    return out
+    # P3 = (z^3 - c^2 z) / tau
+    return _oscillating_pairs(lambda z: (z**3 - c**2 * z) / tau, a4, a3)
 
 
 def bc_profile_expected(tau: float, a: float, b: float, c: float):
@@ -183,10 +190,7 @@ def bc_profile_expected(tau: float, a: float, b: float, c: float):
 
 
 def em_elastic_low_expected(mu: float, c: float, gamma: float, sigma: float) -> list[TermList]:
-    rmu = math.sqrt(mu)
-    return [
-        [(1.0, 1j * rmu), (2.0, complex(-(gamma**2) / (2.0 * sigma)))],
-        [(1.0, -1j * rmu), (2.0, complex(-(gamma**2) / (2.0 * sigma)))],
+    return _conjugate_pair([(1.0, 1j * math.sqrt(mu)), (2.0, complex(-(gamma**2) / (2.0 * sigma)))]) + [
         [(1.0, 0j), (2.0, complex(-(c**2) / sigma))],
         [(0.0, complex(-sigma))],
         [(0.0, complex(-sigma))],
@@ -199,14 +203,8 @@ def em_elastic_high_expected(mu: float, c: float, gamma: float, sigma: float) ->
     def p4(z: float) -> float:
         return sigma * (2.0 * z**4 - (2 * mu + c**2 + gamma**2) * z**2 + c**2 * mu)
 
-    out = []
-    for r, other in ((a5, a4), (a4, a5)):
-        prod = r * (r - other) * (r + other) * (2.0 * r)
-        coef = -p4(r) / prod
-        out.append([(1.0, 1j * r), (0.0, complex(coef))])
-        out.append([(1.0, -1j * r), (0.0, complex(coef))])
-    out.append([(1.0, 0j), (0.0, complex(-sigma))])  # deleted product at 0 is a4^2 a5^2 = c^2 mu
-    return out
+    # deleted product at 0 is a4^2 a5^2 = c^2 mu
+    return _oscillating_pairs(p4, a5, a4, zero_root=True) + [[(1.0, 0j), (0.0, complex(-sigma))]]
 
 
 def em_elastic_profile_expected(mu: float, c: float, gamma: float, sigma: float):
@@ -228,17 +226,7 @@ def em_elastic_dissipative_low_expected(a: float, sigma: float, mu: float, c: fl
 def em_elastic_dissipative_high_expected(a: float, sigma: float, mu: float, c: float,
                                          gamma: float) -> list[TermList]:
     a3, a4 = _quartic_even_roots(mu + c**2 + gamma**2, c**2 * mu)
-
-    def p3(z: float) -> float:
-        return (a + sigma) * z**3 - (a * c**2 + mu * sigma) * z
-
-    out = []
-    for r, other in ((a4, a3), (a3, a4)):
-        prod = (r - other) * (r + other) * (2.0 * r)
-        coef = -p3(r) / prod
-        out.append([(1.0, 1j * r), (0.0, complex(coef))])
-        out.append([(1.0, -1j * r), (0.0, complex(coef))])
-    return out
+    return _oscillating_pairs(lambda z: (a + sigma) * z**3 - (a * c**2 + mu * sigma) * z, a4, a3)
 
 
 def em_elastic_dissipative_profile_expected(a: float, sigma: float, mu: float, c: float,
@@ -253,14 +241,8 @@ def em_elastic_dissipative_profile_expected(a: float, sigma: float, mu: float, c
 def anisotropic_kappas(a1: float, a2: float, mu: float, nu_lame: float,
                        d: Sequence[float]) -> tuple[complex, complex]:
     d1, d2 = float(d[0]), float(d[1])
-    qa = a1 * a2
     qb = a1 * (mu + (mu + nu_lame) * d2**2) + a2 * (mu + (mu + nu_lame) * d1**2)
-    qc = mu * (2.0 * mu + nu_lame)
-    disc = complex(qb * qb - 4.0 * qa * qc)
-    root = np.sqrt(disc)
-    k1 = (-qb + root) / (2.0 * qa)
-    k2 = (-qb - root) / (2.0 * qa)
-    return complex(k1), complex(k2)
+    return _quadratic_roots(a1 * a2, qb, mu * (2.0 * mu + nu_lame))
 
 
 def anisotropic_low_expected(d: Sequence[float], a1: float, a2: float, mu: float,
@@ -277,39 +259,23 @@ def anisotropic_low_expected(d: Sequence[float], a1: float, a2: float, mu: float
 def anisotropic_high_expected(d: Sequence[float], a1: float, a2: float, mu: float,
                               nu_lame: float) -> list[TermList]:
     d1, d2 = float(d[0]), float(d[1])
-    r1, r2 = math.sqrt(mu), math.sqrt(2.0 * mu + nu_lame)
 
     def p3(z: float) -> float:
         return (a1 + a2) * z**3 - (a1 * (mu + (mu + nu_lame) * d2**2)
                                    + a2 * (mu + (mu + nu_lame) * d1**2)) * z
 
-    out = []
-    for r, other in ((r1, r2), (r2, r1)):
-        prod = (2.0 * r) * (r - other) * (r + other)
-        coef = -p3(r) / prod
-        out.append([(1.0, 1j * r), (0.0, complex(coef))])
-        out.append([(1.0, -1j * r), (0.0, complex(coef))])
-    return out
+    return _oscillating_pairs(p3, math.sqrt(mu), math.sqrt(2.0 * mu + nu_lame))
 
 
 def mgt_cd_low_expected(tau: float, b: float, c: float) -> list[TermList]:
-    disc = complex(1.0 / tau**2 - 4.0 * b / tau)
-    root = np.sqrt(disc)
-    z1 = (-1.0 / tau + root) / 2.0
-    z2 = (-1.0 / tau - root) / 2.0
-    return [
-        [(1.0, 0j), (2.0, complex(-(c**2) / b))],
-        [(0.0, complex(z1))],
-        [(0.0, complex(z2))],
-    ]
+    return [[(1.0, 0j), (2.0, complex(-(c**2) / b))]] + [
+        [(0.0, z)] for z in _quadratic_roots(1.0, 1.0 / tau, b / tau)]
 
 
 def mgt_cd_high_expected(tau: float, b: float, c: float) -> list[TermList]:
-    return [
-        [(1.0, 1j * c), (-1.0, 1j * b / (2.0 * c * tau)), (-2.0, complex(-b / (2.0 * c**2 * tau**2)))],
-        [(1.0, -1j * c), (-1.0, -1j * b / (2.0 * c * tau)), (-2.0, complex(-b / (2.0 * c**2 * tau**2)))],
-        [(1.0, 0j), (0.0, complex(-1.0 / tau))],
-    ]
+    return _conjugate_pair([(1.0, 1j * c), (-1.0, 1j * b / (2.0 * c * tau)),
+                            (-2.0, complex(-b / (2.0 * c**2 * tau**2)))]) + [
+        [(1.0, 0j), (0.0, complex(-1.0 / tau))]]
 
 
 def mgt_cd_profile_expected(tau: float, b: float, c: float):
@@ -318,26 +284,14 @@ def mgt_cd_profile_expected(tau: float, b: float, c: float):
 
 def fourth_order_low_expected(c: float) -> list[TermList]:
     g = (c**2 - 1.0) / 2.0
-    z1 = complex(-0.5, math.sqrt(3.0) / 2.0)
-    z2 = complex(-0.5, -math.sqrt(3.0) / 2.0)
-    return [
-        [(1.0, 1j), (3.0, -1j * g), (4.0, complex(-g))],
-        [(1.0, -1j), (3.0, 1j * g), (4.0, complex(-g))],
-        [(0.0, z1)],
-        [(0.0, z2)],
-    ]
+    return _conjugate_pair([(1.0, 1j), (3.0, -1j * g), (4.0, complex(-g))]) + [
+        [(0.0, z)] for z in _quadratic_roots(1.0, 1.0, 1.0)]
 
 
 def fourth_order_high_expected(c: float) -> list[TermList]:
-    kplus = complex(-1.0, math.sqrt(4.0 * c**2 - 1.0)) / (2.0 * c**2)
-    kminus = complex(-1.0, -math.sqrt(4.0 * c**2 - 1.0)) / (2.0 * c**2)
     outer = -(c**2 - 1.0) / (2.0 * c**2)
-    return [
-        [(1.0, 1j * c), (0.0, complex(outer))],
-        [(1.0, -1j * c), (0.0, complex(outer))],
-        [(1.0, 0j), (0.0, kplus)],
-        [(1.0, 0j), (0.0, kminus)],
-    ]
+    return _conjugate_pair([(1.0, 1j * c), (0.0, complex(outer))]) + [
+        [(1.0, 0j), (0.0, kappa)] for kappa in _quadratic_roots(c**2, 1.0, 1.0)]
 
 
 def fourth_order_profile_expected(c: float):
@@ -358,13 +312,8 @@ def example_ell3_high_expected(a: float, b: float, c1: float, c2: float, c3: flo
     the double root 0 split by a^2 kappa^2 + c3 a^2 kappa + c2 b^2 = 0."""
     shift = c2 * (a**2 - b**2) / (2.0 * a**3)
     damp = -c2 * c3 * (a**2 - b**2) / (2.0 * a**4) + c1 / (2.0 * a**2)
-    root = np.sqrt(complex(c3**2 * a**4 - 4.0 * a**2 * c2 * b**2))
-    return [
-        [(1.0, 1j * a), (-1.0, 1j * shift), (-2.0, complex(damp))],
-        [(1.0, -1j * a), (-1.0, -1j * shift), (-2.0, complex(damp))],
-        [(1.0, 0j), (0.0, complex((-c3 * a**2 + root) / (2.0 * a**2)))],
-        [(1.0, 0j), (0.0, complex((-c3 * a**2 - root) / (2.0 * a**2)))],
-    ]
+    return _conjugate_pair([(1.0, 1j * a), (-1.0, 1j * shift), (-2.0, complex(damp))]) + [
+        [(1.0, 0j), (0.0, kappa)] for kappa in _quadratic_roots(a**2, c3 * a**2, c2 * b**2)]
 
 
 def example_ell3_profile_expected(a: float, b: float, c1: float, c2: float, c3: float):

@@ -83,8 +83,6 @@ def moment(data: DataSpec, stack: OperatorStack) -> float:
     total = 0.0
     for j, c in enumerate(cs):
         idx = stack.m - 1 - j
-        if idx < 0:
-            break
         if not np.isfinite(zeros[idx]):
             raise ValueError(f"data slot {idx} has no finite value at xi = 0, which the moment needs")
         total += c * zeros[idx]

@@ -331,15 +331,18 @@ class RadialRootSolver:
         return np.take_along_axis(lam, order, axis=1), np.take_along_axis(rho[:, None] * noise, order, axis=1)
 
 
-def spectral_abscissa(stack: OperatorStack, xi: Sequence[float]) -> float:
-    """max_j Re lambda_j(xi) for the full symbol at one frequency."""
-    xi = np.asarray(xi, dtype=float)
+def _lambdas_at(stack: OperatorStack, xi: np.ndarray) -> np.ndarray:
+    """The m roots of Q(lambda, i xi) at one frequency: along its ray, or of the pure-time
+    polynomial at xi = 0."""
     rho = float(np.linalg.norm(xi))
     if rho == 0.0:
-        zs = roots(full_symbol_at(stack, xi))
-    else:
-        zs = RadialRootSolver(stack, Direction.of(xi)).lambdas(rho)
-    return float(np.max(zs.real))
+        return roots(full_symbol_at(stack, xi))
+    return RadialRootSolver(stack, Direction.of(xi)).lambdas(rho)
+
+
+def spectral_abscissa(stack: OperatorStack, xi: Sequence[float]) -> float:
+    """max_j Re lambda_j(xi) for the full symbol at one frequency."""
+    return float(np.max(_lambdas_at(stack, np.asarray(xi, dtype=float)).real))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .fitting import fit_loglog, last_decades_window
-from .rootkit import BATCH_ROWS, RadialRootSolver, is_confluent, roots_batch
+from .rootkit import BATCH_ROWS, RadialRootSolver, _lambdas_at, is_confluent
 from .stability import sample_directions
 from .symbols import Direction, OperatorStack, symbol_coeffs
 from .tolerances import TOL
@@ -46,8 +46,7 @@ class GaussianProfile:
             raise ValueError(f"a gaussian profile needs a finite amplitude, got {self.amplitude}")
 
     def radial(self, rho: np.ndarray, n: int) -> np.ndarray:
-        a = self.amplitude * (2.0 * np.pi) ** (n / 2.0) * self.width**n
-        return a * np.exp(-0.5 * self.width**2 * rho**2)
+        return self.at_zero(n) * np.exp(-0.5 * self.width**2 * rho**2)
 
     def at_zero(self, n: int) -> float:
         return self.amplitude * (2.0 * np.pi) ** (n / 2.0) * self.width**n
@@ -266,12 +265,7 @@ def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[com
     if len(data) != stack.m:
         raise ValueError(f"need {stack.m} data values, got {len(data)}")
     coeffs = symbol_coeffs(stack, xi[None, :])
-    rho = float(np.linalg.norm(xi))
-    if rho > 0:
-        lams = RadialRootSolver(stack, Direction.of(xi)).lambdas(rho)
-    else:
-        lams = roots_batch(coeffs)[0]
-    out = _propagate(coeffs, lams[None, :], data[:, None], t, k)[:, 0]
+    out = _propagate(coeffs, _lambdas_at(stack, xi)[None, :], data[:, None], t, k)[:, 0]
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -305,8 +299,6 @@ class RadialPropagator:
 
 def sphere_measure(n: int) -> float:
     """Surface measure of the unit sphere in R^n (2 points for n = 1)."""
-    if n == 1:
-        return 2.0
     return float(2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
 

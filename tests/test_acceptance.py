@@ -126,13 +126,14 @@ def test_criterion_3_root_asymptotics():
 
 def test_criterion_4_degenerate_regimes():
     stack = PRESETS["mgt_classical_damping"].build()
-    bs = hd.track_branches(stack, axis_direction(3), np.geomspace(1e1, 1e3, 81))
+    cfg = PRESETS["mgt_classical_damping"].expected["high_re_slope"]
+    bs = hd.track_branches(stack, axis_direction(3), np.geomspace(cfg["range"][0], cfg["range"][1], 81))
     slopes = []
     for j in range(bs.m):
         if np.max(np.abs(bs.branches[j].imag)) > 1.0:  # the oscillating pair
             sl, _ = fit_loglog(bs.rho_grid, np.abs(bs.branches[j].real))
             slopes.append(sl)
-    ok_high = len(slopes) == 2 and all(abs(s + 2.0) <= 0.1 for s in slopes)
+    ok_high = len(slopes) == 2 and all(abs(s - cfg["slope"]) <= cfg["tol"] for s in slopes)
 
     stack4 = PRESETS["fourth_order_weak"].build()
     cfg = PRESETS["fourth_order_weak"].expected["low_re_slope"]

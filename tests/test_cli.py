@@ -311,14 +311,20 @@ def test_profile_command(tmp_path, capsys):
 
 
 def test_semilinear_command_small(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "semilinear", "fourth_order_weak",
-               "--p", "3", "--dim", "1", "--modes", "64", "--box", "30",
-               "--amplitude", "1e-3", "--T", "5", "--dt", "0.25"])
-    assert rc == 0
-    doc = json.loads((tmp_path / "fourth_order_weak_semilinear.json").read_text())
-    assert doc["verdict"] == "decaying"
-    rows = (tmp_path / "fourth_order_weak_semilinear.csv").read_text().splitlines()
-    assert doc["accepted_steps"] == len(rows) - 2  # header and t = 0
+    # a small datum decays; a large mgt datum with p = 2 grows by T = 3 and blows up near t = 3.09
+    large = ["mgt", "--p", "2", "--dim", "1", "--modes", "64", "--box", "20", "--amplitude", "30",
+             "--dt", "0.05"]
+    for argv, verdict in ((["fourth_order_weak", "--p", "3", "--dim", "1", "--modes", "64", "--box", "30",
+                            "--amplitude", "1e-3", "--T", "5", "--dt", "0.25"], "decaying"),
+                          (large + ["--T", "3"], "growing"),
+                          (large + ["--T", "6"], "blowup")):
+        out = tmp_path / verdict
+        assert main(["--out", str(out), "semilinear", *argv]) == 0
+        doc = json.loads((out / f"{argv[0]}_semilinear.json").read_text())
+        assert doc["verdict"] == verdict
+        rows = (out / f"{argv[0]}_semilinear.csv").read_text().splitlines()
+        assert doc["accepted_steps"] == len(rows) - 2  # header and t = 0
+    assert 3.0 < doc["blowup_time"] < 3.2
 
 
 def test_semilinear_readme_line_builds_3d_preset_in_2d(tmp_path, capsys):

@@ -267,6 +267,7 @@ def test_sobolev_norm_window():
                           np.geomspace(2.0, 100.0, 6000)[1:]])
     snap = np.where((rho >= 1.0) & (rho <= 2.0), 1.0 / rho, 0.0)
     assert sobolev_norm(1, rho, snap, 1.0) == pytest.approx(np.sqrt(2.0), abs=2e-3)
+    assert solver.sphere_measure(1) == 2.0  # the two points of the 0-sphere, from the general formula
 
 
 def test_sobolev_tail_check_raises():

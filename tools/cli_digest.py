@@ -57,6 +57,9 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
+           # a large datum with p = 2: "growing" by T = 3, "blowup" near t = 3.09 by T = 6
+           *[["semilinear", "mgt", "--p", "2", "--dim", "1", "--modes", "64", "--box", "20",
+              "--amplitude", "30", "--dt", "0.05", "--T", T] for T in ("3", "6")],
            # two times leave fewer than three points in the fit window
            ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"],
            # the largest m (5) with k > 0 through the coordinate-0 contraction of `exp_newton`
