@@ -15,16 +15,19 @@ the saved state at half the step size; a step that used at most GROW_BELOW of
 the cap doubles the next one, up to the requested dt0, so every step size is
 dt0 / 2^j and a propagator built once serves the rest of the run.  A run ends
 when the time left is rounding noise (below END_RTOL of T), and its last time
-is then T itself, so no sliver step builds a propagator of its own.
+is then T itself, so no sliver step builds a propagator of its own.  The run
+drops its propagators when it returns.
 
-The fields are real and Q has real coefficients, so the Fourier state is
-Hermitian and only its `rfftn` half is kept: n // 2 + 1 columns on the last
-axis.  The L2 norm comes from that half by Parseval.  The nonlinearity is
-evaluated on the physical grid from the requested time-derivative coordinate
-of the state (the companion state carries exact derivatives, so no numerical
-differentiation happens), then dealiased by the two-thirds rule; that field is
-transformed once per step and also serves the sup norm.  Blow-up is a
-heuristic flag: overflow or 1e6-fold growth.
+The fields and the operator's coefficients are real, so Q(lambda, -i xi) is
+the conjugate of Q(lambda, i xi), even where an odd-order term makes it
+complex.  The Fourier state is then Hermitian and only its `rfftn` half is
+kept: n // 2 + 1 columns on the last axis.  The L2 norm comes from that half
+by Parseval.  The nonlinearity is evaluated on the physical grid from the
+requested time-derivative coordinate of the state (the companion state
+carries exact derivatives, so no numerical differentiation happens), then
+dealiased by the two-thirds rule; that field is transformed once per step and
+also serves the sup norm.  Blow-up is a heuristic flag: overflow or 1e6-fold
+growth.
 """
 
 from __future__ import annotations
@@ -197,7 +200,8 @@ def _build_propagator(run: SemilinearRun, dt: float):
     the top), z is the companion state of lambda Q(lambda), whose roots are 0
     and the mode's roots; the first m rows of e^(B dt) and of e^(C dt) T agree.
     Solved once per distinct row, then scattered to the modes; W is zero at the
-    modes the two-thirds rule removes from the source.
+    modes the two-thirds rule removes from the source.  When every row is real
+    (no odd-order spatial term), Phi and W are returned real.
     """
     m = run.m
     n = len(run._lams)
@@ -206,6 +210,9 @@ def _build_propagator(run: SemilinearRun, dt: float):
     tmat[:, m, :m] = -run._coeffs[:, :m]
     e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt, 0,
                    lead=m)[0].transpose(1, 2, 0)
+    if not np.any(run._coeffs.imag):
+        # a real companion matrix has a real exponential: the imaginary parts are rounding
+        e = e.real
     w = np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1)
     return np.take(e[:, :m], run._rows, axis=-1), w
 
@@ -302,4 +309,6 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     if not run.blowup_flag:
         # the summed steps end within rounding of T
         run.t = run.times[-1] = float(T)
+    # a finished run is a result; a later `step` rebuilds what it needs
+    run._prop_cache.clear()
     return run

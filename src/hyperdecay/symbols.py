@@ -194,8 +194,8 @@ class HomogeneousSymbol:
         """Deterministic iteration: descending time order, then lexicographic multi-index."""
         return sorted(self.coeffs.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
 
-    def scaled(self, factor: float) -> "HomogeneousSymbol":
-        return HomogeneousSymbol(self.order, self.dim, {key: c * factor for key, c in self.coeffs.items()})
+    def divided(self, divisor: float) -> "HomogeneousSymbol":
+        return HomogeneousSymbol(self.order, self.dim, {key: c / divisor for key, c in self.coeffs.items()})
 
     def restrict(self, d: Direction) -> UnivariatePoly:
         """Restriction P(lambda, d) as a real-coefficient polynomial of degree <= order
@@ -261,7 +261,8 @@ class OperatorStack:
         top = symbols[0].pure_time_coeff
         if top <= 0:
             raise ModelFormatError(f"leading pure-time coefficient must be positive, got {top}")
-        scaled = tuple(s.scaled(1.0 / top) for s in symbols)
+        # c / top, not c * (1 / top): the leading coefficient is then exactly 1
+        scaled = tuple(s.divided(top) for s in symbols)
         if len(scaled) > 1 and scaled[-1].pure_time_coeff <= 0:
             raise ModelFormatError("the lowest symbol needs a positive pure-time coefficient")
         iso = _detect_isotropy(scaled)

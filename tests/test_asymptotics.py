@@ -70,11 +70,13 @@ def test_constant_limits_discriminant_split():
     st_double = PRESETS["em_elastic"].build()  # c1^2 = 4 c0 exactly
     zs = constant_limits(st_double)
     assert zs[0] == zs[1] == -1.0
-    # a depth-1 stack's one limit is -c_{m-1,0} exactly, also where normalization
-    # leaves c_{m,0} = 1 - eps (tau = 49) and the root finder would move the last bit
-    depth1 = [st for st in (pm.build() for pm in PRESETS.values()) if st.ell == 1] + [mgt_stack(tau=49.0)]
-    assert len(depth1) == 3 and depth1[-1].pure_time_coeffs()[0] != 1.0
+    # a depth-1 stack's one limit is -c_{m-1,0} exactly, also for leading coefficients
+    # (tau = 49, 98) whose reciprocal, multiplied back, would leave c_{m,0} = 1 - eps
+    depth1 = [st for st in (pm.build() for pm in PRESETS.values()) if st.ell == 1] + \
+        [mgt_stack(tau=49.0), mgt_stack(tau=98.0)]
+    assert len(depth1) == 4
     for st in depth1:
+        assert st.pure_time_coeffs()[0] == 1.0
         assert constant_limits(st) == [-st.pure_time_coeffs()[1]]
 
 

@@ -6,7 +6,32 @@ from hyperdecay.presets import mgt_stack
 from hyperdecay.rootkit import RootfindingError, roots_batch
 from hyperdecay.semilinear import build_run, run_semilinear, step
 from hyperdecay.solver import exp_newton, propagate_mode
-from hyperdecay.symbols import symbol_coeffs
+from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, symbol_coeffs
+
+
+def _transport_stack():
+    """P_3 = lambda^3 - 2 lambda xi^2, P_2 = lambda^2 + 0.3 lambda xi - xi^2 in 1-d.
+
+    The odd lambda xi term turns into i 0.3 lambda xi in Q(lambda, i xi), so the
+    monic rows are complex (|Im| up to 1.5 on 64 modes of the half-width-20 box).
+    """
+    p3 = HomogeneousSymbol(3, 1, {(3, (0,)): 1.0, (1, (2,)): -2.0})
+    p2 = HomogeneousSymbol(2, 1, {(2, (0,)): 1.0, (1, (1,)): 0.3, (0, (2,)): -1.0})
+    return OperatorStack.build([p3, p2])
+
+
+def _record_builds(monkeypatch):
+    """(dt, Phi dtype) of every propagator build from here on."""
+    built = []
+
+    def recording(run, dt):
+        phi, w = build(run, dt)
+        built.append((dt, phi.dtype))
+        return phi, w
+
+    build = semilinear._build_propagator
+    monkeypatch.setattr(semilinear, "_build_propagator", recording)
+    return built
 
 
 def _gaussian_slot_run(amplitude, p=3.0, sign=1.0, dt=0.1, n=96, box=30.0, slot=None):
@@ -90,18 +115,47 @@ def test_distinct_rows_are_those_of_np_unique():
 
 
 def test_semilinear_propagator_is_the_all_rows_slice():
-    """Phi and W read the first m of the m + 1 rows; asking for only those changes no bit."""
-    run = build_run(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32,
-                    dim=2)
-    m, n = run.m, len(run._lams)
-    phi, w = semilinear._build_propagator(run, 0.05)
-    zero = np.zeros((n, 1))
-    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
-    tmat[:, m, :m] = -run._coeffs[:, :m]
-    e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0,
-                   lead=m + 1)[0][:, :m].transpose(1, 2, 0)
-    assert np.array_equal(phi, np.take(e[:, :m], run._rows, axis=-1))
-    assert np.array_equal(w, np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1))
+    """Phi and W read the first m of the m + 1 rows; asking for only those changes no bit.
+
+    A real symbol keeps the real part of that slice, a complex one all of it.
+    """
+    for stack, dim, n_axis, real in ((mgt_stack(dim=2), 2, 32, True), (_transport_stack(), 1, 64, False)):
+        run = build_run(stack, p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=n_axis,
+                        dim=dim)
+        m, n = run.m, len(run._lams)
+        phi, w = semilinear._build_propagator(run, 0.05)
+        zero = np.zeros((n, 1))
+        tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
+        tmat[:, m, :m] = -run._coeffs[:, :m]
+        e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0,
+                       lead=m + 1)[0][:, :m].transpose(1, 2, 0)
+        if real:
+            assert not np.any(run._coeffs.imag)
+            e = e.real
+            assert phi.dtype == w.dtype == np.float64
+        else:
+            assert np.max(np.abs(run._coeffs.imag)) > 1.0
+            assert phi.dtype == w.dtype == np.complex128 and np.any(phi.imag)
+        assert np.array_equal(phi, np.take(e[:, :m], run._rows, axis=-1))
+        assert np.array_equal(w, np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1))
+
+
+def test_transport_symbol_run_matches_exact_propagation(monkeypatch):
+    """A complex symbol runs on complex propagators and matches the exact linear flow."""
+    built = _record_builds(monkeypatch)
+    stack = _transport_stack()
+    kwargs = dict(p=2.0, nu=0, box_halfwidth=20.0, modes_per_axis=64, dim=1)
+    u0 = build_run(stack, sign=0.0, initial=lambda x: 0.1 * np.exp(-0.5 * x**2), **kwargs).state
+    run = run_semilinear(stack, sign=0.0, T=3.0, dt0=0.05, amplitude=0.1, **kwargs)
+    assert built == [(0.05, np.complex128)] and run.t == 3.0
+    k1 = run._freqs[0]
+    for i in [0, 1, 5, 17, 31, 32]:
+        for c in range(stack.m):
+            exact = propagate_mode(stack, np.array([k1[i]]), u0[:, i], run.t, c)
+            assert abs(run.state[c, i] - exact) <= 1e-8 * (1.0 + abs(exact))
+    # the nonlinear run takes the same route through W
+    nl = run_semilinear(stack, sign=1.0, T=3.0, dt0=0.05, amplitude=0.1, **kwargs)
+    assert not nl.blowup_flag and nl.t == 3.0 and built[-1][1] == np.complex128
 
 
 def test_build_run_certifies_roots(monkeypatch):
@@ -197,15 +251,19 @@ def test_over_cap_steps_are_rejected():
     assert np.all((change <= cap * ref) | at_floor)
 
 
-def test_step_size_grows_back_after_a_rejection():
+def test_step_size_grows_back_after_a_rejection(monkeypatch):
     """One early rejection no longer halves the rest of the run: dt climbs back to dt0."""
+    built = _record_builds(monkeypatch)
     stack, dt0, T = mgt_stack(dim=2), 0.25, 50.0
     kwargs = dict(p=5.0, sign=1.0, nu=0, box_halfwidth=45.0, modes_per_axis=64, dim=2)
     run = run_semilinear(stack, T=T, dt0=dt0, amplitude=1e-3, **kwargs)
     assert run.rejected_steps == 1
     assert len(run.times) - 1 <= 220          # 398 when dt stayed halved
-    # every step size is on the dyadic ladder, so the propagator cache stays small
-    assert set(run._prop_cache) <= {dt0 / 2**j for j in range(12)}
+    # every step size is on the dyadic ladder and each is built once, so the
+    # propagator cache stays small
+    sizes = [dt for dt, _ in built]
+    assert sizes and len(set(sizes)) == len(sizes)
+    assert set(sizes) <= {dt0 / 2**j for j in range(12)}
     assert run.times[-1] - run.times[-2] == pytest.approx(dt0)
     # the small-data run is all but linear, so a fixed-step run reaches the same norm
     fixed = build_run(stack, initial=lambda x, y: 1e-3 * np.exp(-0.5 * (x**2 + y**2)), dt=0.125,
@@ -215,16 +273,59 @@ def test_step_size_grows_back_after_a_rejection():
     assert run.l2_series[-1] == pytest.approx(fixed.l2_series[-1], rel=1e-10)
 
 
-def test_run_ends_at_T_without_a_sliver_step():
+def test_run_ends_at_T_without_a_sliver_step(monkeypatch):
     """Summed steps end within rounding of T; no step of that size follows."""
+    built = _record_builds(monkeypatch)
     run = run_semilinear(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, T=5.0, dt0=0.05,
                          modes_per_axis=64, dim=2)
     assert len(run.times) - 1 == 100
     assert run.t == run.times[-1] == 5.0
-    assert list(run._prop_cache) == [0.05]
+    assert [dt for dt, _ in built] == [0.05]
     # the floor scales with T, so a T far below dt0 still takes its one step
     tiny = run_semilinear(mgt_stack(dim=1), p=5.0, sign=1.0, nu=0, T=1e-12, modes_per_axis=16, dim=1)
     assert tiny.times == [0.0, 1e-12] and tiny.t == 1e-12
+
+
+def test_a_returned_run_holds_no_propagator(monkeypatch):
+    """The cache lives while the run steps; one more step on the result rebuilds and runs."""
+    built = _record_builds(monkeypatch)
+    stack = mgt_stack(dim=1)
+    run = run_semilinear(stack, p=2.0, sign=1.0, nu=0, T=1.0, dt0=0.1, box_halfwidth=20.0,
+                         modes_per_axis=32, dim=1, amplitude=0.1)
+    assert run._prop_cache == {} and [dt for dt, _ in built] == [0.1]
+    before = run.state
+    step(run)
+    assert [dt for dt, _ in built] == [0.1, 0.1] and list(run._prop_cache) == [0.1]
+    assert run.t == pytest.approx(1.1) and run.times[-1] == run.t
+    assert not np.array_equal(run.state, before) and np.all(np.isfinite(run.state))
+    # a blow-up exit drops them too
+    blown = run_semilinear(stack, p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=30.0,
+                           modes_per_axis=96, dim=1, amplitude=3.0, initial_slot=0)
+    assert blown.blowup_flag and blown._prop_cache == {}
+
+
+def test_box_traced_memory():
+    """The 128^2 growth run of the benchmark: traced peak, and what the returned run holds.
+
+    Complex propagators kept after the run: peak 15.3 MB, 13.8 MB still held.
+    Real propagators dropped on return: peak 9.4 MB, 1.0 MB held (10.7 and 2.3 MB
+    when this test runs alone, before any other box run).  The bounds lie
+    between the two.
+    """
+    import tracemalloc
+
+    stack = mgt_stack(dim=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = run_semilinear(stack, p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
+                             modes_per_axis=128, dim=2, amplitude=1.0, initial_slot=0)
+        held, peak = (v - base for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert run.rejected_steps > 0
+    assert peak < 13.5e6, peak
+    assert held < 6e6, held
 
 
 def test_nu_reads_state_coordinate():
