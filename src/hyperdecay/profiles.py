@@ -144,15 +144,19 @@ def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s:
     `_field` resolves the run as it does for `simulate`, so the first series
     is the one `simulate` returns.  The profile is taken on the field's own radial
     grid along the first of them, the axis, so the leading-term cancellation
-    is not polluted by discretization.
+    is not polluted by discretization.  The profile is written into one (T, N)
+    array, and the gap is formed in place there.
     """
     if stack.dim > 1 and not stack.isotropic:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
     spec = build_profile(stack, moment(data, stack))
     rho, times, sol = _field(stack, data, times, k, rho_grid)
-    prof = np.stack([spec.fourier_value(t, rho, k=k) for t in times])
+    gap = np.empty((len(times), len(rho)), dtype=complex)
+    for i, t in enumerate(times):
+        gap[i] = spec.fourier_value(t, rho, k=k)
+    np.subtract(sol[:, 0], gap, out=gap)
     return (_norm_series(stack.dim, rho, sol, times, k, s),
-            _norm_series(stack.dim, rho, sol[:, 0] - prof, times, k, s))
+            _norm_series(stack.dim, rho, gap, times, k, s))
 
 
 def profile_gap_series(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,

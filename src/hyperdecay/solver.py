@@ -6,8 +6,11 @@ lambda^k e^(lambda t) at the roots, taken by a Taylor series over clusters of
 close roots and by the recurrence elsewhere, times Newton vectors of the
 companion state.  It is batched over modes and times, returns only the leading
 state coordinates its caller names, and needs no separate route for confluent
-roots.  There is no time stepping, so slope fits probe the operator, not an
-integrator.
+roots.  Its divided-difference table is mode-last, (M, T, N) for M roots, T
+times and N modes, so each level of the recurrence runs over contiguous (T, N)
+planes, and it writes each block of modes into the caller's array (`out=`): a
+norm run's directions fill their slices of one field.  There is no time
+stepping, so slope fits probe the operator, not an integrator.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ def gaussian_data(m: int, j: int, amplitude: float = 1.0, width: float = 1.0) ->
 
 SERIES_RADIUS = 1.0     # spans with |lambda_a - lambda_i| * t at most this use the Taylor series
 SERIES_TERMS = 18       # series remainder below radius^18 / 18! ~ 2e-16 of the leading term
-SERIES_CHUNK = 2048     # (time, row) entries per gathered contraction in `_series`
 
 
 def _chain(nodes: np.ndarray) -> np.ndarray:
@@ -149,69 +151,66 @@ def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int, ti: np.nd
     f(lam + omega) = e^(lam t) sum_p c_p omega^p with
     c_p = sum_a C(k, a) lam^(k-a) t^(p-a) / (p-a)!, and the divided difference
     is e^(lam t) sum_n c_(n+L) h_n(omega), h_n the complete homogeneous
-    polynomial.  lam has shape (R,) and omega (R, L), one per row, and t (T,);
+    polynomial.  lam has shape (R,) and omega (L, R), one per row, and t (T,);
     the K entries are the pairs (t[ti], row ri), each with |omega| t <= 1.
     The table h_n is built once per row, (terms, R), and t^q / q! once per
-    time, (k + L + terms, T); both are gathered to the entries SERIES_CHUNK
-    at a time, so every temporary is bounded whatever K is.
+    time, (k + L + terms, T); each binomial term contracts them once into a
+    (T, R) table, the sum and the factor e^(lam t) are taken on that table,
+    and the K entries are read from it at the end, with no per-entry gather.
     """
-    span = omega.shape[1]
+    span = omega.shape[0]
     terms = SERIES_TERMS + k
     h = np.zeros((terms, len(lam)), dtype=complex)
     h[0] = 1.0
     for r in range(span):
         for n in range(1, terms):
-            h[n] += omega[:, r] * h[n - 1]
+            h[n] += omega[r] * h[n - 1]
     tq = np.zeros((k + span + terms, len(t)))     # t^q / q! in row k + q, zero rows for q < 0
     tq[k] = 1.0
     for q in range(1, span + terms):
         tq[k + q] = tq[k + q - 1] * t / q
-    out = np.empty(len(ti), dtype=complex)
-    for c in range(0, len(ti), SERIES_CHUNK):
-        tc, rc = ti[c : c + SERIES_CHUNK], ri[c : c + SERIES_CHUNK]
-        lc, hc = lam[rc], np.take(h, rc, axis=1)
-        total = np.zeros(len(tc), dtype=complex)
-        for a in range(k + 1):
-            q0 = k + span - a
-            total += math.comb(k, a) * lc ** (k - a) * np.einsum(
-                "nk,nk->k", np.take(tq[q0 : q0 + terms], tc, axis=1), hc)
-        out[c : c + SERIES_CHUNK] = np.exp(lc * t[tc]) * total
-    return out
+    total = np.zeros((len(t), len(lam)), dtype=complex)
+    for a in range(k + 1):
+        q0 = k + span - a
+        total += math.comb(k, a) * lam ** (k - a) * np.einsum("nt,nr->tr", tq[q0 : q0 + terms], h)
+    # e^(lam t) stays the left factor: a vectorized complex product with fused
+    # multiply-adds is not commutative in its last bit
+    return (np.exp(lam * t[:, None]) * total)[ti, ri]
 
 
 def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """f[nodes_0 .. nodes_j] of f(lambda) = lambda^k e^(lambda t) for chain-ordered nodes[N, M]; shape (T, N, M).
+    """f[nodes_0 .. nodes_j] of f(lambda) = lambda^k e^(lambda t) for chain-ordered nodes[M, N]; shape (M, T, N).
 
-    The table is built by span length L, in place in one (T, N, M) array
-    whose column i holds D[i, i + L].  A span i..i+L whose nodes lie within
-    SERIES_RADIUS / t of node i takes the Taylor series about node i
+    The table is built by span length L, in place in one (M, T, N) array
+    whose plane i holds D[i, i + L], so each level is one subtract, one divide
+    and one test over contiguous (T, N) planes.  A span i..i+L whose nodes lie
+    within SERIES_RADIUS / t of node i takes the Taylor series about node i
     (McCurdy, Ng and Parlett 1984); any other span the recurrence
     (D[i+1, i+L] - D[i, i+L-1]) / (lambda_(i+L) - lambda_i), for all i at
-    once.  Each level's top entry D[0, L] goes to column L of the output.
+    once.  Each level's top plane D[0, L] goes to plane L of the output.
     """
-    m = nodes.shape[1]
-    d = nodes**k * np.exp(t[:, None, None] * nodes)        # D[i, i + L] in column i
+    m = nodes.shape[0]
+    d = nodes[:, None] ** k * np.exp(t[:, None] * nodes[:, None])     # D[i, i + L] in plane i
     out = np.empty_like(d)
-    out[..., 0] = d[..., 0]
+    out[0] = d[0]
     for span in range(1, m):
-        # omega[n, i, r] = nodes[n, i + 1 + r] - nodes[n, i]
-        omega = np.stack([nodes[:, 1 + r : m - span + 1 + r] - nodes[:, : m - span]
-                          for r in range(span)], axis=-1)
-        cur = d[..., : m - span]
-        np.subtract(d[..., 1 : m - span + 1], cur, out=cur)
-        cur /= omega[..., -1]
-        near = t[:, None, None] * np.max(np.abs(omega), axis=-1) <= SERIES_RADIUS
-        for i in range(m - span):       # one series call per column, over the rows it reaches
-            rows = np.flatnonzero(near[..., i].any(axis=0))
+        # omega[r, i] = nodes[i + 1 + r] - nodes[i]
+        omega = np.stack([nodes[1 + r : m - span + 1 + r] - nodes[: m - span] for r in range(span)])
+        cur = d[: m - span]
+        np.subtract(d[1 : m - span + 1], cur, out=cur)
+        cur /= omega[-1, :, None]
+        near = t[:, None] * np.max(np.abs(omega), axis=0)[:, None] <= SERIES_RADIUS
+        for i in range(m - span):       # one series call per plane, over the rows it reaches
+            rows = np.flatnonzero(near[i].any(axis=0))
             if len(rows):
-                ti, ri = np.nonzero(near[:, rows, i])
-                cur[ti, rows[ri], i] = _series(nodes[rows, i], omega[rows, i], t, k, ti, ri)
-        out[..., span] = cur[..., 0]
+                ti, ri = np.nonzero(near[i][:, rows])
+                cur[i, ti, rows[ri]] = _series(nodes[i, rows], omega[:, i, rows], t, k, ti, ri)
+        out[span] = cur[0]
     return out
 
 
 def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int,
-               lead: int) -> np.ndarray:
+               lead: int, out: np.ndarray | None = None) -> np.ndarray:
     """The first `lead` state coordinates of C^k e^(C t) y0 for the companion matrices C of coeffs[N, M+1].
 
     nodes[N, M] are the roots of coeffs.  The Newton form sum_j f[lambda_0 ..
@@ -220,12 +219,17 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
     multiplicity, confluent or not.  y0 has shape (N, M, R).  The Newton
     vectors need every coordinate, but only their first `lead` enter the
     final contraction, so the result is (T, N, lead, R).  Modes go through in
-    blocks of BATCH_ROWS.
+    blocks of BATCH_ROWS, each contracted straight into its rows of `out`
+    (allocated when not given, as in numpy), which is returned.
     """
     if k < 0:
         raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((len(times), len(y0), lead, y0.shape[2]), dtype=complex)
+    shape = (len(times), len(y0), lead, y0.shape[2])
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the result {shape}")
     for rows in (slice(s, s + BATCH_ROWS) for s in range(0, len(nodes), BATCH_ROWS)):
         lam = _chain(nodes[rows])
         tail = coeffs[rows, :-1] / coeffs[rows, -1:]
@@ -237,21 +241,23 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
             v = cv - lam[:, j, None, None] * v
             kept.append(v[:, :lead])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            # no name holds the divided differences, so they are freed before the next block's
-            out[:, rows] = np.einsum("tnj,jnmr->tnmr", _divided_differences(lam, times, k),
-                                     np.stack(kept))
+            np.einsum("jtn,jnmr->tnmr", _divided_differences(np.ascontiguousarray(lam.T), times, k),
+                      np.stack(kept), out=out[:, rows])
     return out
 
 
-def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k: int) -> np.ndarray:
+def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """d_t^k u_hat for modes with symbol coefficients coeffs[N, m+1], roots lams[N, m], data[m, N]; shape (T, N).
 
     The mode state (u, d_t u, ..., d_t^(m-1) u) evolves by its companion
     matrix C, and d_t^k u is coordinate 0 of C^k e^(C t) y0 for every k >= 0,
-    the only coordinate `exp_newton` is asked for.
+    the only coordinate `exp_newton` is asked for.  A given (T, N) `out`
+    receives the result.
     """
     y0 = np.asarray(data, dtype=complex).T[..., None]
-    return exp_newton(coeffs, lams, y0, times, k, lead=1)[:, :, 0, 0]
+    return exp_newton(coeffs, lams, y0, times, k, lead=1,
+                      out=None if out is None else out[:, :, None, None])[:, :, 0, 0]
 
 
 def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[complex],
@@ -287,10 +293,11 @@ class RadialPropagator:
         self.lams = RadialRootSolver(stack, d).lambdas_grid(self.rho)
         self.confluent = is_confluent(self.lams)
 
-    def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0) -> np.ndarray:
-        """d_t^k u_hat on the grid; shape (n_times, n_modes)."""
+    def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """d_t^k u_hat on the grid; shape (n_times, n_modes), written into `out` when given."""
         xi = self.rho[:, None] * self.direction.vector()[None, :]
-        return _propagate(symbol_coeffs(self.stack, xi), self.lams, data, times, k)
+        return _propagate(symbol_coeffs(self.stack, xi), self.lams, data, times, k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,7 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
     dvals = data.values(rho, stack.dim)
     out = np.empty((len(times), len(directions), len(rho)), dtype=complex)
     for i, d in enumerate(directions):
-        out[:, i] = RadialPropagator(stack, d, rho).propagate(dvals, times, k)
+        RadialPropagator(stack, d, rho).propagate(dvals, times, k, out=out[:, i])
     return rho, times, out
 
 

@@ -172,3 +172,25 @@ def test_diffusion_phenomenon_preset(stacks):
     assert s1.fitted_slope == pytest.approx(s0.fitted_slope - 1.0, abs=0.1)
     g1 = profile_gap_series(stack, data, times, 1, 0.0)
     assert g1.fitted_slope - s1.fitted_slope <= -0.35
+
+
+def test_profile_gap_traced_peak_memory(stacks):
+    """One mgt gap run holds the solution field and one (T, N) gap array, formed in place.
+
+    Traced peak: 7.2 MB when the series gathered to its entries, each direction's
+    result was copied into the field and the gap was a stacked profile list
+    minus the field; 4.9 MB now.  The bound lies between the two.  A first call
+    runs before the traced one: its slope fits load numpy submodules (about
+    1.4 MB), which the bound does not cover.
+    """
+    import tracemalloc
+
+    times = np.geomspace(1e2, 1e4, 25)
+    profile_gap_series(stacks["mgt"], gaussian_data(3, 2), times)
+    tracemalloc.start()
+    try:
+        profile_gap_series(stacks["mgt"], gaussian_data(3, 2), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0e6, peak

@@ -140,6 +140,21 @@ def test_semilinear_propagator_is_the_all_rows_slice():
         assert np.array_equal(w, np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1))
 
 
+def test_semilinear_propagator_call_writes_into_out():
+    """The `lead=m` call writes into a strided slice exactly the array it returns without `out`."""
+    run = build_run(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32, dim=2)
+    m, n = run.m, len(run._lams)
+    zero = np.zeros((n, 1))
+    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
+    tmat[:, m, :m] = -run._coeffs[:, :m]
+    args = (np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0)
+    big = np.full((2, n, m + 1, 2 * (m + 1)), np.nan, dtype=complex)
+    out = big[1:, :, 1:, ::2]
+    assert exp_newton(*args, lead=m, out=out) is out
+    assert np.array_equal(out, exp_newton(*args, lead=m))
+    assert np.all(np.isnan(big[0])) and np.all(np.isnan(big[1, :, 0])) and np.all(np.isnan(big[..., 1::2]))
+
+
 def test_transport_symbol_run_matches_exact_propagation(monkeypatch):
     """A complex symbol runs on complex propagators and matches the exact linear flow."""
     built = _record_builds(monkeypatch)

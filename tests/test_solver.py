@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -158,24 +160,71 @@ def test_divided_differences_match_mpmath_at_clustered_nodes(monkeypatch):
                     nodes = solver._chain(np.hstack([np.full((4, 1), anchor), anchor + tau / t * u]))
                     bound = 256 * eps * (1.0 + abs(anchor) * t)
                     for k in (0, 2, 4):
-                        got = solver._divided_differences(nodes, np.array([t]), k)[0]
+                        got = solver._divided_differences(nodes.T, np.array([t]), k)[:, 0].T
                         for row, value in zip(nodes, got):
                             ref = reference(row, t, k)
                             assert np.all(np.abs(value - ref) <= bound * np.abs(ref)), (anchor, m, t, tau, k)
     assert series_calls
 
 
-def test_series_chunk_does_not_change_the_field(stacks, monkeypatch):
-    """Gathering the series entries 7 at a time leaves em_elastic's field bit for bit the same."""
+def _per_entry_series(lam, omega, t, k, ti, ri):
+    """`_series` in its per-entry form: each (time, row) entry gathers its own columns of both tables."""
+    span = omega.shape[0]
+    terms = solver.SERIES_TERMS + k
+    h = np.zeros((terms, len(lam)), dtype=complex)
+    h[0] = 1.0
+    for r in range(span):
+        for n in range(1, terms):
+            h[n] += omega[r] * h[n - 1]
+    tq = np.zeros((k + span + terms, len(t)))
+    tq[k] = 1.0
+    for q in range(1, span + terms):
+        tq[k + q] = tq[k + q - 1] * t / q
+    lc, hc = lam[ri], np.take(h, ri, axis=1)
+    total = np.zeros(len(ti), dtype=complex)
+    for a in range(k + 1):
+        q0 = k + span - a
+        total += math.comb(k, a) * lc ** (k - a) * np.einsum(
+            "nk,nk->k", np.take(tq[q0 : q0 + terms], ti, axis=1), hc)
+    return np.exp(lc * t[ti]) * total
+
+
+def test_series_is_the_per_entry_contraction(stacks, monkeypatch):
+    """`_series` gives bit for bit its per-entry gathered form, on em_elastic's default-axis rows."""
     stack, d = stacks["em_elastic"], axis_direction(3)
     rho = default_rho_grid()
     prop = RadialPropagator(stack, d, rho)
     data = gaussian_data(5, 4).values(rho, 3)
     times = np.geomspace(1e2, 1e4, 25)
-    ref = [prop.propagate(data, times, k) for k in (0, 2)]
-    monkeypatch.setattr(solver, "SERIES_CHUNK", 7)
-    for k, want in zip((0, 2), ref):
-        assert np.array_equal(prop.propagate(data, times, k), want), k
+    series, checked = solver._series, []
+
+    def compare(*args):
+        got = series(*args)
+        checked.append((args[3], np.array_equal(got, _per_entry_series(*args))))
+        return got
+
+    monkeypatch.setattr(solver, "_series", compare)
+    for k in (0, 2, 4):
+        prop.propagate(data, times, k)
+    assert {k for k, _ in checked} == {0, 2, 4} and all(same for _, same in checked)
+
+
+def test_out_receives_each_directions_field(stacks):
+    """Written into strided slices of a larger array, each direction's field is the one returned without `out`."""
+    from hyperdecay.stability import sample_directions
+
+    stack, data = stacks["anisotropic_elastic_2d"], gaussian_data(4, 3)
+    rho, times = default_rho_grid()[::16], np.geomspace(1e2, 1e4, 5)
+    dvals = data.values(rho, 2)
+    big = np.full((len(times), 7, len(rho)), np.nan, dtype=complex)
+    for i, d in enumerate(sample_directions(2, False)[::4][:3]):
+        prop = RadialPropagator(stack, d, rho)
+        got = prop.propagate(dvals, times, 1, out=big[:, 2 * i + 1])
+        assert np.shares_memory(got, big)
+        assert np.array_equal(big[:, 2 * i + 1], prop.propagate(dvals, times, 1)), i
+    assert np.all(np.isnan(big[:, ::2]))
+    with pytest.raises(ValueError, match="out has shape"):
+        prop.propagate(dvals, times, 1, out=big[1:, 0])
 
 
 def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
@@ -197,8 +246,11 @@ def test_simulate_traced_peak_memory(stacks):
     Traced peak: 19.8 MB when `exp_newton` returned all 5 coordinates and the
     field was a stacked list; 13.9 MB when `_series` built its Taylor tables per
     (time, row) entry and the divided-difference recurrence kept every level;
-    8.8 MB now, with tables per row and per time and the recurrence in place.
-    The bound lies between the last two.
+    8.8 MB with tables per row and per time and the recurrence in place, but
+    the series gathered to its entries and each direction's (T, N) result
+    copied into the field; 6.4 MB now, with the series contracted on (T, R)
+    tables and `exp_newton` writing into the field.  The bound lies between
+    the last two.
     """
     import tracemalloc
 
@@ -209,7 +261,7 @@ def test_simulate_traced_peak_memory(stacks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11.5e6, peak
+    assert peak < 7.5e6, peak
 
 
 def test_gaussian_profile_is_checked():
