@@ -89,17 +89,14 @@ class ExpansionRecord:
 def constant_limits(stack: OperatorStack) -> list[complex]:
     """Roots of the pure-time polynomial sum_j c_{m-j,0} z^(ell-j).
 
-    Depths 1 and 2 use closed forms that read the polynomial as monic, which it
-    is: normalization divides by the leading coefficient, so c_{m,0} is exactly
-    1.  The quadratic keeps a discriminant-zero double root exact; at depth 1
-    the root finder would return the same -c_{m-1,0}.  Deeper stacks fall back
-    to the numeric root finder.
+    Depth 2 uses the quadratic formula, which reads the polynomial as monic,
+    which it is: normalization divides by the leading coefficient, so c_{m,0}
+    is exactly 1.  It keeps a discriminant-zero double root exact.  Other
+    depths use the root finder, which at depth 1 returns exactly -c_{m-1,0}.
     """
     cs = stack.pure_time_coeffs()
     ell = stack.ell
-    if ell == 1:
-        zs = [complex(-cs[1])]
-    elif ell == 2:
+    if ell == 2:
         c1, c0 = cs[1], cs[2]
         disc = c1 * c1 - 4.0 * c0
         if disc >= 0:
@@ -278,7 +275,7 @@ def match_records_to_branches(branchset: RootBranchSet, records: Sequence[Expans
     anchor_i = 0 if regime is Regime.LOW else len(branchset.rho_grid) - 1
     rho = float(branchset.rho_grid[anchor_i])
     pred = np.array([r.evaluate(rho) for r in records])
-    perm = assign(np.abs(pred[:, None] - branchset.values_at(anchor_i)[None, :]))
+    perm = assign(np.abs(pred[:, None] - branchset.branches[None, :, anchor_i]))
     return {i: int(c) for i, c in enumerate(perm)}
 
 
@@ -304,9 +301,7 @@ def verify_expansion(branchset: RootBranchSet, record: ExpansionRecord,
         raise ValueError("need at least two decades of rho inside the regime for a stable fit")
     lam = branchset.branches[branch_index][mask]
     r = lam - record.evaluate(sub)
-    floor = np.full(len(sub), 1e-12)
-    if branchset.noise is not None:
-        floor = np.maximum(floor, 10.0 * branchset.noise[branch_index][mask])
+    floor = np.maximum(1e-12, 10.0 * branchset.noise[branch_index][mask])
     if np.all(np.abs(r) < floor):
         # exact to tracking accuracy: the fit would only see rounding noise
         return np.inf, 0.0

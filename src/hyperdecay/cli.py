@@ -90,8 +90,6 @@ def _write_simulate(out: Path, name: str, series) -> None:
 
 def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
     """A preset or a model file; `dim` rebuilds an isotropic preset in that dimension."""
-    if spec.startswith("preset:"):
-        spec = spec.split(":", 1)[1]
     if spec in preset_mod.PRESETS:
         pm = preset_mod.get_preset(spec)
         stack = pm.build()

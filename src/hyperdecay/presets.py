@@ -33,7 +33,6 @@ TermList = list[tuple[float, complex]]
 @dataclass(frozen=True)
 class PresetModel:
     name: str
-    params: dict
     build: Callable[[], OperatorStack]
     expected: dict
 
@@ -332,7 +331,7 @@ def _preset(name: str, builder: Callable[..., OperatorStack], params: dict, **ex
     """One registry row: `params` bound once into the builder, and each fixture given as a
     function called once with them as keywords; other fixtures are stored as given."""
     fixtures = {key: value(**params) if callable(value) else value for key, value in expected.items()}
-    return PresetModel(name, params, functools.partial(builder, **params), fixtures)
+    return PresetModel(name, functools.partial(builder, **params), fixtures)
 
 
 PRESETS = {pm.name: pm for pm in (

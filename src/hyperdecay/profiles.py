@@ -25,7 +25,7 @@ import numpy as np
 
 from .asymptotics import ExpansionCase, Regime, _expansions, _power_sum
 from .solver import DataSpec, NormTimeSeries, _field, _norm_series
-from .symbols import Direction, OperatorStack, axis_direction
+from .symbols import OperatorStack, axis_direction
 from .tolerances import TOL
 
 
@@ -93,8 +93,8 @@ def moment(data: DataSpec, stack: OperatorStack) -> float:
 # builders
 
 
-def build_profile(stack: OperatorStack, M: float, d: Direction | None = None) -> ProfileSpec:
-    """The leading low-frequency profile of the stack along one direction.
+def build_profile(stack: OperatorStack, M: float) -> ProfileSpec:
+    """The leading low-frequency profile of the stack along the first axis.
 
     The anchor records choose the kind: shared simple anchor roots give the
     quartic-phase weak profile, a double anchor root gives the split-pair
@@ -105,8 +105,7 @@ def build_profile(stack: OperatorStack, M: float, d: Direction | None = None) ->
     """
     if stack.ell < 1:
         raise ValueError("profiles need at least one dissipative symbol")
-    d = d if d is not None else axis_direction(stack.dim)
-    slow = _expansions(stack, d, Regime.LOW)
+    slow = _expansions(stack, axis_direction(stack.dim), Regime.LOW)
     cases = {r.case for r, _ in slow}
     if ExpansionCase.SHARED_SIMPLE in cases:
         kind, case = ProfileKind.W_WEAK, ExpansionCase.SHARED_SIMPLE

@@ -12,7 +12,7 @@ the scenario flags read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import count, permutations
 from typing import Sequence
@@ -356,15 +356,12 @@ class RootBranchSet:
     direction: Direction
     rho_grid: np.ndarray
     branches: np.ndarray  # shape (m, len(rho_grid))
-    cluster_events: list[tuple[float, tuple[int, ...], float]] = field(default_factory=list)
-    noise: np.ndarray | None = None  # same shape; per-value rounding floor
+    cluster_events: list[tuple[float, tuple[int, ...], float]]
+    noise: np.ndarray     # same shape; per-value rounding floor
 
     @property
     def m(self) -> int:
         return self.branches.shape[0]
-
-    def values_at(self, i: int) -> np.ndarray:
-        return self.branches[:, i]
 
 
 @cache
@@ -443,7 +440,7 @@ def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.max(np.maximum(ratio, centre_ratio), axis=1, initial=0.0), perm
 
 
-def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
+def _bisect(solver: RadialRootSolver, grid: np.ndarray):
     """Every solved point as (rho[P], lam[P, m], noise[P, m]), roots in canonical
     order, and the accepted steps in ascending rho: their right ends b[S], a
     flag for collisions and their matchings perm[S, m].  A step is accepted at
@@ -457,12 +454,12 @@ def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
         ratio, perm = _step_ratios(lam[a], lam[b])
         ok = ratio <= 0.25
         # at the depth cap, a step whose ratio bisection no longer reduces is a collision
-        collide = ~ok & (ratio >= 0.8 * parent_ratio) & (depth >= max_bisections)
+        collide = ~ok & (ratio >= 0.8 * parent_ratio) & (depth >= MAX_BISECTIONS)
         keep = ok | collide
         accepted.append((a[keep], b[keep], collide[keep], perm[keep]))
         if keep.all():
             break
-        if depth >= max_bisections:
+        if depth >= MAX_BISECTIONS:
             i = np.argmin(keep)
             raise BisectionLimitError(float(rho[a[i]]), float(rho[b[i]]),
                                       f"movement/gap ratio {ratio[i]:.3g} after {depth} bisections")
@@ -477,8 +474,7 @@ def _bisect(solver: RadialRootSolver, grid: np.ndarray, max_bisections: int):
     return rho, lam, noise, b[order], collide[order], perm[order]
 
 
-def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float],
-                   max_bisections: int = MAX_BISECTIONS) -> RootBranchSet:
+def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]) -> RootBranchSet:
     """Continuation of the m root branches along rho * d for ascending rho > 0.
 
     A step is accepted when every root whose nearest neighbour in the previous
@@ -492,7 +488,7 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     split pair moving together by many gaps per step is not bisected.  The
     test reads the two root sets in canonical order, not their labels, so
     bisection runs level by level with one `lambdas_with_noise` call per
-    level.  At depth `max_bisections` a failing step whose ratio kept 0.8 of
+    level.  At depth MAX_BISECTIONS a failing step whose ratio kept 0.8 of
     its parent's is a collision (branches genuinely meet) and is accepted with a
     cluster event; any other raises BisectionLimitError.  Branch j starts at the
     first point's rank-j root and follows the accepted steps' own matchings;
@@ -505,7 +501,7 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     if not np.all(np.isfinite(grid) & (grid > 0)) or np.any(np.diff(grid) <= 0):
         raise ValueError("rho_grid must be finite, positive and strictly ascending")
 
-    rho, lam, noise, b, collide, steps = _bisect(RadialRootSolver(stack, d), grid, max_bisections)
+    rho, lam, noise, b, collide, steps = _bisect(RadialRootSolver(stack, d), grid)
     ranks = [np.arange(lam.shape[1])]   # canonical rank of each branch's root at each accepted point
     for step in steps:
         ranks.append(step[ranks[-1]])

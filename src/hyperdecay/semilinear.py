@@ -42,6 +42,8 @@ from .solver import exp_newton
 from .symbols import OperatorStack, symbol_coeffs
 
 BLOWUP_FACTOR = 1e6
+# a step that moves the L2 norm by more than this share of its reference is rejected
+REL_CHANGE_CAP = 0.1
 # a rejected step is retried at 1 / STEP_FACTOR of its size; an accepted step that
 # moved the L2 norm by at most GROW_BELOW of the cap multiplies the step size by
 # STEP_FACTOR (up to dt0).  One factor both ways keeps every step size on the ladder
@@ -148,6 +150,8 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError(f"the box needs modes_per_axis >= 1, got {modes_per_axis}")
     if not (np.isfinite(box_halfwidth) and box_halfwidth > 0):
         raise ValueError(f"the box half-width must be finite and > 0, got {box_halfwidth}")
+    if initial_slot is not None and not 0 <= initial_slot < stack.m:
+        raise ValueError(f"the initial slot must lie in [0, {stack.m - 1}], got {initial_slot}")
     run = SemilinearRun(stack=stack, p=float(p), sign=float(sign), nu=int(nu),
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dim=dim, dt=float(dt))
@@ -225,10 +229,13 @@ def _propagator(run: SemilinearRun, dt: float):
 
 
 def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
-    """One exponential-time-differencing step; returns the (mutated) run."""
+    """One exponential-time-differencing step of dt (finite and > 0; by default
+    run.dt); returns the (mutated) run."""
+    dt = run.dt if dt is None else float(dt)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"the time step must be finite and > 0, got {dt}")
     if run.blowup_flag:
         return run
-    dt = run.dt if dt is None else float(dt)
     phi, w = _propagator(run, dt)
     flat = run.state.reshape(run.m, -1)
     new = phi[:, 0] * flat[0]
@@ -254,11 +261,10 @@ def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
 
 def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: float,
                    dt0: float = 0.05, box_halfwidth: float = 60.0, modes_per_axis: int = 128,
-                   dim: int = 2, amplitude: float = 1e-3, initial_slot: int | None = None,
-                   rel_change_cap: float = 0.1) -> SemilinearRun:
+                   dim: int = 2, amplitude: float = 1e-3, initial_slot: int | None = None) -> SemilinearRun:
     """Integrate to time T, halving the step when one moves the norm too much.
 
-    A step that changes the L2 norm by more than rel_change_cap times the
+    A step that changes the L2 norm by more than REL_CHANGE_CAP times the
     larger of its previous value and the data scale is rejected: the run goes
     back to its saved state and retries at half the step size, counted in
     `rejected_steps`.  At a step size of 1e-4 or less the step is kept.  An
@@ -291,7 +297,7 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
         # relative to the larger of the previous value and the data scale, so a
         # norm ramping up from zero does not trigger spurious refinement
         ref = max(prev, run.initial_scale)
-        bound = rel_change_cap * ref
+        bound = REL_CHANGE_CAP * ref
         if ref > 0 and np.isfinite(cur) and abs(cur - prev) > bound:
             if run.dt > 1e-4:
                 # step() replaces run.state, so the saved array is untouched;

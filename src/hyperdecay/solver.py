@@ -113,10 +113,12 @@ class DataSpec:
         return np.array([p.at_zero(n) for p in self.profiles], dtype=float)
 
 
-def gaussian_data(m: int, j: int, amplitude: float = 1.0, width: float = 1.0) -> DataSpec:
-    """Zero data except a Gaussian in slot j."""
+def gaussian_data(m: int, j: int, amplitude: float = 1.0) -> DataSpec:
+    """Zero data except a unit-width Gaussian in slot j, 0 <= j <= m-1."""
+    if not 0 <= j < m:
+        raise ValueError(f"the data slot j must lie in [0, {m - 1}], got {j}")
     profiles = [ZeroProfile()] * m
-    profiles[j] = GaussianProfile(amplitude, width)
+    profiles[j] = GaussianProfile(amplitude)
     return DataSpec(tuple(profiles))
 
 
@@ -216,9 +218,12 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
     nodes[N, M] are the roots of coeffs.  The Newton form sum_j f[lambda_0 ..
     lambda_j] v_j of f(lambda) = lambda^k e^(lambda t), with v_j = prod_(i<j)
     (C - lambda_i) y0, is exact when the nodes are all the roots with
-    multiplicity, confluent or not.  y0 has shape (N, M, R).  The Newton
-    vectors need every coordinate, but only their first `lead` enter the
-    final contraction, so the result is (T, N, lead, R).  Modes go through in
+    multiplicity, confluent or not.  d_t^k goes through lambda^k in f, not
+    through C^k y0: at low frequency a slow branch's derivative is a tiny
+    difference of O(1) fast-branch terms, which the lambda^k weight removes
+    exactly.  y0 has shape (N, M, R).  The Newton vectors need every
+    coordinate, but only their first `lead` enter the final contraction, so
+    the result is (T, N, lead, R).  Modes go through in
     blocks of BATCH_ROWS, each contracted straight into its rows of `out`
     (allocated when not given, as in numpy), which is returned.
     """

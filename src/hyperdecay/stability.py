@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootkit import NonRealRootsError, RadialRootSolver, _residuals, is_real_root, root_groups, roots_batch
+from .rootkit import NonRealRootsError, _residuals, is_real_root, root_groups, roots_batch
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction,
                       restriction_coeffs, stack_rows)
 from .tolerances import TOL
@@ -149,7 +149,7 @@ class _RootTable:
                       else np.zeros((len(coeffs), 0), dtype=complex))
         self.root_is_real = is_real_root(self.roots)
         self.real = np.all(self.root_is_real, axis=1)
-        self.re = np.sort(self.roots.real, axis=1)
+        self.re = self.roots.real   # `roots_batch` orders each row by real part first
         self.scale = 1.0 + np.max(np.abs(self.re), axis=1, initial=0.0)
 
     def nonreal_error(self, row: int) -> NonRealRootsError:
@@ -404,17 +404,3 @@ def routh_hurwitz_cubic(a2: float, a1: float, a0: float) -> bool:
     if a2 <= 0 or a1 <= 0 or a0 <= 0:
         raise ValueError("all coefficients must be positive")
     return a0 < a1 * a2
-
-
-def abscissa_verdict(stack: OperatorStack) -> tuple[bool, float]:
-    """Direct check max Re lambda < -abscissa_margin over sampled xi != 0.
-
-    Returns (verdict, worst_abscissa).  Sampling: about 64 points with radii
-    in [1e-2, 1e2], on the first two sampled directions of isotropic or 1-d
-    stacks and on 8 spread directions otherwise.
-    """
-    dirs = sample_directions(stack.dim, stack.isotropic)
-    dirs = dirs[:2] if stack.isotropic or stack.dim == 1 else dirs[:: max(1, len(dirs) // 8)][:8]
-    radii = np.geomspace(1e-2, 1e2, max(1, 64 // len(dirs)))
-    worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
-    return worst < -TOL.abscissa_margin, worst

@@ -80,12 +80,6 @@ class UnivariatePoly:
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.array())
 
-    def derivative(self) -> "UnivariatePoly":
-        if self.degree < 1:
-            return UnivariatePoly.of([0.0])
-        c = self.array()
-        return UnivariatePoly.of(c[1:] * np.arange(1, len(c)))
-
 
 # ---------------------------------------------------------------------------
 # directions
@@ -121,9 +115,10 @@ class Direction:
         return np.asarray(self.components, dtype=float)
 
 
-def axis_direction(dim: int, axis: int = 0) -> Direction:
+def axis_direction(dim: int) -> Direction:
+    """The unit vector along the first axis."""
     v = [0.0] * dim
-    v[axis] = 1.0
+    v[0] = 1.0
     return Direction(tuple(v))
 
 
@@ -204,16 +199,6 @@ class HomogeneousSymbol:
             raise DimensionMismatchError(f"direction dim {d.dim} != symbol dim {self.dim}")
         return UnivariatePoly.of(restriction_coeffs(self, d.vector()[None, :])[0])
 
-    def evaluate(self, lam: complex, xi: Sequence[float]) -> complex:
-        """Value of the real symbol P(lambda, xi) at a point."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim,):
-            raise DimensionMismatchError(f"xi shape {xi.shape} != ({self.dim},)")
-        total = 0.0 + 0.0j
-        for (k, alpha), c in self.terms():
-            total += c * lam**k * np.prod(xi ** np.asarray(alpha))
-        return total
-
 
 def _compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`, lexicographic."""
@@ -279,10 +264,6 @@ class OperatorStack:
     @property
     def dim(self) -> int:
         return self.symbols[0].dim
-
-    def symbol(self, j: int) -> HomogeneousSymbol:
-        """The order m-j piece (j = 0..ell)."""
-        return self.symbols[j]
 
     def pure_time_coeffs(self) -> list[float]:
         """[c_{m,0}, c_{m-1,0}, ..., c_{m-ell,0}] after normalization."""

@@ -24,9 +24,8 @@ class Tolerances:
     triple_root_rtol: float = 1e-8       # common-triple-root residual threshold
     # branch tracking / propagation
     cluster_rtol: float = 1e-6
-    # quadrature and verdicts
+    # quadrature
     tail_fraction: float = 1e-6
-    abscissa_margin: float = 1e-10
 
 
 TOL = Tolerances()

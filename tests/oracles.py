@@ -9,6 +9,11 @@ per point, the step test root by root on the labelled previous set (a unit
 pair's centre and members, any other root alone), a brute-force matcher of
 its own and a union-find cluster search at every accepted point.  The
 level-wise tracker must return exactly what it returns.
+
+`symbol_value` evaluates a symbol at one point term by term, the reference
+for the batched coefficient views.  `abscissa_verdict` checks strict
+stability directly from the largest real part of the roots, the cross-check
+of the interlacing criteria.
 """
 
 from itertools import permutations
@@ -18,6 +23,8 @@ from scipy.linalg import expm
 
 from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
                                 _polyder, _polyval, _TINY, companion, roots_batch)
+from hyperdecay.stability import sample_directions
+from hyperdecay.symbols import DimensionMismatchError
 from hyperdecay.tolerances import TOL
 
 _SUBSTEP_NORM = 4.0
@@ -199,3 +206,31 @@ def track_branches_recursive(stack, d, rho_grid, max_bisections: int = 20) -> Ro
     noise = np.stack(noises, axis=1)
     return RootBranchSet(direction=d, rho_grid=np.asarray(rhos), branches=branches,
                          cluster_events=events, noise=noise)
+
+
+def symbol_value(sym, lam: complex, xi) -> complex:
+    """Value of the real symbol P(lambda, xi) at a point."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (sym.dim,):
+        raise DimensionMismatchError(f"xi shape {xi.shape} != ({sym.dim},)")
+    total = 0.0 + 0.0j
+    for (k, alpha), c in sym.terms():
+        total += c * lam**k * np.prod(xi ** np.asarray(alpha))
+    return total
+
+
+ABSCISSA_MARGIN = 1e-10
+
+
+def abscissa_verdict(stack) -> tuple[bool, float]:
+    """Direct check max Re lambda < -ABSCISSA_MARGIN over sampled xi != 0.
+
+    Returns (verdict, worst_abscissa).  Sampling: about 64 points with radii
+    in [1e-2, 1e2], on the first two sampled directions of isotropic or 1-d
+    stacks and on 8 spread directions otherwise.
+    """
+    dirs = sample_directions(stack.dim, stack.isotropic)
+    dirs = dirs[:2] if stack.isotropic or stack.dim == 1 else dirs[:: max(1, len(dirs) // 8)][:8]
+    radii = np.geomspace(1e-2, 1e2, max(1, 64 // len(dirs)))
+    worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
+    return worst < -ABSCISSA_MARGIN, worst

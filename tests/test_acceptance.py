@@ -18,10 +18,10 @@ from hyperdecay.presets import (PRESETS, blackstock_crighton_stack, compare_expa
 from hyperdecay.profiles import moment, profile_gap_series
 from hyperdecay.semilinear import run_semilinear
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
-from hyperdecay.stability import abscissa_verdict, classify_stack, sample_directions
+from hyperdecay.stability import classify_stack, sample_directions
 from hyperdecay.symbols import Direction, axis_direction, full_symbol_at
 from hyperdecay.tolerances import TOL
-from tests.oracles import _propagate_companion
+from tests.oracles import _propagate_companion, abscissa_verdict
 from tests.test_stability import break_interlacing, random_interlaced_stack
 
 

@@ -280,7 +280,7 @@ def test_bad_tolerance_is_config_error(tmp_path):
     from hyperdecay.tolerances import TOL
     saved = dict(vars(TOL))
     try:
-        for override in ("nope=1", "path_agreement_rtol=1", "confluence_rtol=1e-5",
+        for override in ("nope=1", "path_agreement_rtol=1", "confluence_rtol=1e-5", "abscissa_margin=1e-10",
                          "interlace_margin_rtol=nan", "tail_fraction=nan", "cluster_rtol=inf",
                          "root_residual_rtol=-1"):
             assert main(["--out", str(tmp_path), "--tol", override, "classify", "mgt"]) == 1, override

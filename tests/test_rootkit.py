@@ -123,8 +123,8 @@ def test_track_damped_wave_collision():
     rho_events = [e[0] for e in bs.cluster_events]
     assert min(abs(r - 0.5) for r in rho_events) < 0.05
     # real before the collision, conjugate after
-    first = bs.values_at(0)
-    last = bs.values_at(len(bs.rho_grid) - 1)
+    first = bs.branches[:, 0]
+    last = bs.branches[:, -1]
     assert np.all(np.abs(first.imag) < 1e-10)
     assert np.any(np.abs(last.imag) > 0.1)
 
@@ -141,7 +141,7 @@ def test_track_single_point_equals_roots(stacks):
     stack = stacks["mgt"]
     bs = track_branches(stack, axis_direction(3), [0.7])
     ref = roots(full_symbol_at(stack, np.array([0.7, 0, 0])))
-    assert np.allclose(np.sort_complex(bs.values_at(0)), np.sort_complex(ref), atol=1e-9)
+    assert np.allclose(np.sort_complex(bs.branches[:, 0]), np.sort_complex(ref), atol=1e-9)
 
 
 def test_vieta_trace_mgt(stacks):
@@ -247,9 +247,10 @@ def _reference_rays():
 
 
 @pytest.mark.parametrize("build, d, grid, cap", _reference_rays())
-def test_track_equals_recursive_reference(build, d, grid, cap):
+def test_track_equals_recursive_reference(build, d, grid, cap, monkeypatch):
     stack = build()
-    got = track_branches(stack, d, grid, max_bisections=cap)
+    monkeypatch.setattr(rootkit, "MAX_BISECTIONS", cap)
+    got = track_branches(stack, d, grid)
     ref = track_branches_recursive(stack, d, grid, max_bisections=cap)
     assert np.array_equal(got.rho_grid, ref.rho_grid)
     assert np.array_equal(got.branches, ref.branches)
@@ -259,13 +260,14 @@ def test_track_equals_recursive_reference(build, d, grid, cap):
 
 
 @pytest.mark.parametrize("cap", [0, 3, 8, 20])
-def test_bisection_limit_names_the_reference_interval(cap):
+def test_bisection_limit_names_the_reference_interval(cap, monkeypatch):
     # em_elastic's axis crosses a real branch point near rho = 0.4
     stack, grid = PRESETS["em_elastic"].build(), np.geomspace(1e-2, 1e2, 161)
     with pytest.raises(BisectionLimitError) as ref:
         track_branches_recursive(stack, axis_direction(3), grid, max_bisections=cap)
+    monkeypatch.setattr(rootkit, "MAX_BISECTIONS", cap)
     with pytest.raises(BisectionLimitError) as got:
-        track_branches(stack, axis_direction(3), grid, max_bisections=cap)
+        track_branches(stack, axis_direction(3), grid)
     assert got.value.interval == ref.value.interval
     assert all(type(r) is float for r in got.value.interval)
     assert "np.float64" not in str(got.value)
@@ -280,7 +282,7 @@ def test_track_solves_each_bisection_level_in_one_call(monkeypatch):
 
     monkeypatch.setattr(rootkit, "roots_batch", counting)
     grid = np.linspace(0.3, 0.7, 21)
-    bs = track_branches(damped_wave_stack(), Direction((1.0,)), grid, max_bisections=20)
+    bs = track_branches(damped_wave_stack(), Direction((1.0,)), grid)
     assert len(bs.rho_grid) == 41
     # depth of each accepted step below the input step that holds it
     outer = np.diff(grid)[np.searchsorted(grid, bs.rho_grid[1:]) - 1]
@@ -345,6 +347,8 @@ def test_roots_batch_equals_roots_row_for_row(rng):
     for m, c in _random_symbol_rows(rng).items():
         got = roots_batch(c)
         assert got.shape == (len(c), m)
+        # the restriction-root tables read the real parts as sorted
+        assert np.all(np.diff(got.real, axis=1) >= 0)
         for row, z in zip(c, got):
             assert np.array_equal(z, roots(UnivariatePoly.of(row)))
 

@@ -255,9 +255,9 @@ def test_blowup_flag_terminates():
 
 def test_over_cap_steps_are_rejected():
     """A step that moves the L2 norm past the cap is retried at half the step size."""
-    cap = 0.1
+    cap = semilinear.REL_CHANGE_CAP
     run = run_semilinear(mgt_stack(dim=1), p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
-                         modes_per_axis=128, dim=1, amplitude=1.0, initial_slot=0, rel_change_cap=cap)
+                         modes_per_axis=128, dim=1, amplitude=1.0, initial_slot=0)
     l2 = np.asarray(run.l2_series)
     change = np.abs(np.diff(l2))
     ref = np.maximum(l2[:-1], run.initial_scale)
@@ -371,6 +371,22 @@ def test_build_run_validation():
     for box in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="half-width must be finite and > 0"):
             build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=box, modes_per_axis=32, dim=1)
+    # a negative slot would index from the end
+    for slot in (-1, 3):
+        with pytest.raises(ValueError, match=rf"initial slot must lie in \[0, 2\], got {slot}"):
+            build_run(stack, 2.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=32, dim=1,
+                      initial=lambda x: np.exp(-0.5 * x**2), initial_slot=slot)
+
+
+def test_step_rejects_a_time_step_that_is_not_finite_and_positive():
+    # NaN would read as a blow-up, a negative dt would step backward and 0 would repeat t
+    run = _gaussian_slot_run(0.1, n=16, box=10.0)
+    for dt in (float("nan"), -0.1, 0.0, float("inf")):
+        with pytest.raises(ValueError, match="time step must be finite and > 0"):
+            step(run, dt)
+    assert run.times == [0.0] and not run.blowup_flag
+    step(run, 0.1)
+    assert run.times == [0.0, 0.1]
 
 
 def test_run_semilinear_rejects_a_non_finite_end_time_or_amplitude():

@@ -11,20 +11,20 @@ from hyperdecay.presets import (blackstock_crighton_stack, damped_wave_stack,
                                 em_elastic_stack, example_ell3_stack,
                                 example_ell3_stable_predicate, mgt_stack)
 from hyperdecay.rootkit import NonRealRootsError
-from hyperdecay.stability import abscissa_verdict
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
 from hyperdecay.tolerances import TOL
+from tests.oracles import abscissa_verdict
 
 
 def test_hyperbolicity_examples():
     d3 = sample_directions(3, isotropic=True)
-    assert classify_hyperbolicity(mgt_stack().symbol(0), d3) is Hyperbolicity.STRICT
+    assert classify_hyperbolicity(mgt_stack().symbols[0], d3) is Hyperbolicity.STRICT
     weak = HomogeneousSymbol.isotropic(2, 3, {2: 2.0})
     assert classify_hyperbolicity(weak, d3) is Hyperbolicity.WEAK
     elliptic = HomogeneousSymbol.isotropic(2, 3, {2: 1.0, 0: 1.0})
     assert classify_hyperbolicity(elliptic, d3) is Hyperbolicity.NONE
     with pytest.raises(ValueError):
-        classify_hyperbolicity(mgt_stack().symbol(0), [])
+        classify_hyperbolicity(mgt_stack().symbols[0], [])
 
 
 def test_interlacing_examples():
@@ -33,10 +33,10 @@ def test_interlacing_examples():
     # shared outer roots at b = 0
     stack0 = mgt_stack(b=0.0)
     d = axis_direction(3)
-    weak = classify_interlacing(stack0.symbol(1).restrict(d), stack0.symbol(0).restrict(d))
+    weak = classify_interlacing(stack0.symbols[1].restrict(d), stack0.symbols[0].restrict(d))
     assert weak.klass is Interlacing.WEAK
     bc = blackstock_crighton_stack(b=1.0)
-    strict2 = classify_interlacing(bc.symbol(1).restrict(d), bc.symbol(0).restrict(d))
+    strict2 = classify_interlacing(bc.symbols[1].restrict(d), bc.symbols[0].restrict(d))
     assert strict2.klass is Interlacing.STRICT
     with pytest.raises(ValueError):
         classify_interlacing(UnivariatePoly.of([0.0, 1.0]), UnivariatePoly.of([0, 0, 0, 1.0]))
@@ -108,7 +108,7 @@ def test_hermite_biehler_report_anisotropic_depth3():
     the one-point test agrees with it and with the spectral abscissa."""
     base = example_ell3_stack(a=2.0, c1=1.0, c2=2.0, c3=1.0, dim=2)
     p2 = HomogeneousSymbol(2, 2, {(2, (0, 0)): 2.0, (0, (2, 0)): -2.0, (0, (0, 2)): -7.0})
-    stack = OperatorStack.build([base.symbol(0), base.symbol(1), p2, base.symbol(3)])
+    stack = OperatorStack.build([base.symbols[0], base.symbols[1], p2, base.symbols[3]])
     rep = classify_stack(stack)
     assert rep.n_directions == 256 and not rep.strictly_stable
     assert rep.interlacing_upper.klass is Interlacing.FAIL
@@ -163,7 +163,7 @@ def test_derivative_interlaces_strictly(rts):
     if min(np.diff(rts)) < 1e-3:
         return
     p = UnivariatePoly.of(np.polynomial.polynomial.polyfromroots(rts))
-    cls = classify_interlacing(p.derivative(), p)
+    cls = classify_interlacing(UnivariatePoly.of(np.polynomial.polynomial.polyder(p.array())), p)
     assert cls.klass is Interlacing.STRICT
 
 

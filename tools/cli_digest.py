@@ -74,7 +74,7 @@ RUNS = ([["reproduce", name] for name in PRESETS]
            ["semilinear", "mgt", "--p", "5", "--dim", "1", "--modes", "16", "--T", "-5"],
            ["semilinear", "mgt", "--p", "5", "--dim", "1", "--modes", "16", "--T", "1", "--sign", "nan"],
            ["simulate", "mgt", "--s", "inf"], ["asymptotics", "anisotropic_elastic_2d", "--direction", "nan,1"],
-           # 1e-5 was the registry's default, so a tree that accepts it runs unchanged
+           # a name that left the registry is an unknown name
            ["--tol", "confluence_rtol=1e-5", "classify", "mgt"]])
 
 
