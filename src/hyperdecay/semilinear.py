@@ -26,8 +26,10 @@ by Parseval.  The nonlinearity is evaluated on the physical grid from the
 requested time-derivative coordinate of the state (the companion state
 carries exact derivatives, so no numerical differentiation happens), then
 dealiased by the two-thirds rule; that field is transformed once per step and
-also serves the sup norm.  Blow-up is a heuristic flag: overflow or 1e6-fold
-growth.
+also serves the sup norm.  W(dt) lives only on the two-thirds block, the
+wavenumbers 0..K and -K..-1 of every axis, and only the block's columns of
+the source are transformed on the first axis.  Blow-up is a heuristic flag:
+overflow or 1e6-fold growth.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class SemilinearRun:
     rejected_steps: int = 0
     initial_scale: float = 0.0
     _freqs: np.ndarray | None = None
-    _dealias: np.ndarray | None = None
     _prop_cache: dict = field(default_factory=dict)
     _lams: np.ndarray | None = None            # roots of the distinct monic rows _coeffs
     _coeffs: np.ndarray | None = None
@@ -165,7 +166,6 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
     k1 = _wavenumbers(n, run.box_halfwidth)
     # the last axis keeps the rfftn half
     run._freqs = np.stack(np.meshgrid(*[k1] * (dim - 1), k1[:half], indexing="ij"))
-    run._dealias = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * np.max(np.abs(k1)), axis=0)
     _prepare_roots(run)
     run.times.append(0.0)
     run.l2_series.append(run.l2_norm(0))
@@ -196,28 +196,46 @@ def _prepare_roots(run: SemilinearRun) -> None:
     run._lams = roots_batch(run._coeffs)
 
 
+def _block(run: SemilinearRun) -> list[tuple[slice, ...]]:
+    """The modes the two-thirds rule keeps, as index tuples into one mode plane.
+
+    Every axis keeps |k| <= 2/3 max |k|: the wavenumbers 0..K, columns 0..K
+    of the rfftn half, and on the first axis of a 2-d box also -K..-1, rows
+    n-K..n-1.  The block is the product of the axes' sets, in these parts.
+    """
+    n = run.modes_per_axis
+    k1 = np.abs(_wavenumbers(n, run.box_halfwidth))
+    top = np.count_nonzero(k1 <= (2.0 / 3.0) * np.max(k1)) // 2
+    cols = slice(0, top + 1)
+    return [(cols,)] if run.dim == 1 else [(slice(0, top + 1), cols), (slice(n - top, n), cols)]
+
+
 def _build_propagator(run: SemilinearRun, dt: float):
-    """Transition matrices Phi(dt) as (m, m, modes) and Duhamel weights W(dt) as (m, modes).
+    """Transition matrices Phi(dt) as (m, m, modes) and Duhamel weights W(dt) per part of the block.
 
     The state (y, f) of y' = A y + f e_m, f' = 0, has e^(B dt) = [[Phi, W], [0, 1]].
     With z = T (y, f), T = [[I, 0], [-c, 1]] (c the monic coefficients below
     the top), z is the companion state of lambda Q(lambda), whose roots are 0
     and the mode's roots; the first m rows of e^(B dt) and of e^(C dt) T agree.
-    Solved once per distinct row, then scattered to the modes; W is zero at the
-    modes the two-thirds rule removes from the source.  When every row is real
-    (no odd-order spatial term), Phi and W are returned real.
+    Solved once per distinct row, then scattered to the modes; W is kept only
+    on the two-thirds block, the modes the source reaches, as one (m, rows,
+    columns) array per part of `_block`.  When every row is real (no
+    odd-order spatial term), T, Phi and W are real.
     """
     m = run.m
     n = len(run._lams)
+    real = not np.any(run._coeffs.imag)
     zero = np.zeros((n, 1))
-    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
-    tmat[:, m, :m] = -run._coeffs[:, :m]
+    tmat = np.tile(np.eye(m + 1, dtype=float if real else complex), (n, 1, 1))
+    tmat[:, m, :m] = -(run._coeffs[:, :m].real if real else run._coeffs[:, :m])
     e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt, 0,
                    lead=m)[0].transpose(1, 2, 0)
-    if not np.any(run._coeffs.imag):
+    del tmat                       # dead here; freed before the gathers below
+    if real:
         # a real companion matrix has a real exponential: the imaginary parts are rounding
         e = e.real
-    w = np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1)
+    rows = run._rows.reshape(run.state.shape[1:])
+    w = [np.take(e[:, m], rows[part], axis=-1) for part in _block(run)]
     return np.take(e[:, :m], run._rows, axis=-1), w
 
 
@@ -228,6 +246,36 @@ def _propagator(run: SemilinearRun, dt: float):
     return run._prop_cache[key]
 
 
+def _source(run: SemilinearRun) -> np.ndarray:
+    """sign |u_nu|^p on the physical grid, formed in one buffer."""
+    src = np.abs(run._field(run.nu))
+    src **= run.p
+    src *= run.sign
+    return src
+
+
+def _advanced(run: SemilinearRun, phi: np.ndarray, w: list) -> np.ndarray:
+    """Phi state + W fhat, one output coordinate at a time into one new array."""
+    block = _block(run)
+    if run.sign != 0:
+        # numpy's rfftn order, last axis first, on the block's columns only
+        fhat = np.fft.rfft(_source(run), axis=-1)[..., block[0][-1]]
+        if run.dim == 2:
+            fhat = np.fft.fft(fhat, axis=0)
+    flat = run.state.reshape(run.m, -1)
+    new = np.empty_like(flat)
+    for c in range(run.m):
+        out = new[c]
+        np.multiply(phi[c, 0], flat[0], out=out)
+        for j in range(1, run.m):
+            out += phi[c, j] * flat[j]
+        if run.sign != 0:
+            out = out.reshape(run.state.shape[1:])
+            for part, wpart in zip(block, w):
+                out[part] += wpart[c] * fhat[part]
+    return new.reshape(run.state.shape)
+
+
 def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
     """One exponential-time-differencing step of dt (finite and > 0; by default
     run.dt); returns the (mutated) run."""
@@ -236,15 +284,7 @@ def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
         raise ValueError(f"the time step must be finite and > 0, got {dt}")
     if run.blowup_flag:
         return run
-    phi, w = _propagator(run, dt)
-    flat = run.state.reshape(run.m, -1)
-    new = phi[:, 0] * flat[0]
-    for j in range(1, run.m):
-        new += phi[:, j] * flat[j]
-    if run.sign != 0:
-        fval = run.sign * np.abs(run._field(run.nu)) ** run.p
-        new += w * np.fft.rfftn(fval, axes=tuple(range(run.dim))).reshape(-1)
-    run.state = new.reshape(run.state.shape)
+    run.state = _advanced(run, *_propagator(run, dt))
     run.t += dt
     if not np.all(np.isfinite(run.state)):
         run.blowup_flag = True
@@ -266,8 +306,8 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
 
     A step that changes the L2 norm by more than REL_CHANGE_CAP times the
     larger of its previous value and the data scale is rejected: the run goes
-    back to its saved state and retries at half the step size, counted in
-    `rejected_steps`.  At a step size of 1e-4 or less the step is kept.  An
+    back to its saved state, with that state's nu-field, and retries at half
+    the step size, counted in `rejected_steps`.  At a step size of 1e-4 or less the step is kept.  An
     accepted step that changed the norm by at most GROW_BELOW times that bound
     doubles the step size, never above dt0.  The run ends once T - t is below
     END_RTOL * T, and then reports T as its last time; a remainder within that
@@ -291,7 +331,7 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     while T - run.t > floor and not run.blowup_flag:
         dt = run.dt if T - run.t > run.dt - floor else T - run.t
         prev = run.l2_series[-1]
-        saved_state, saved_t, kept = run.state, run.t, len(run.times)
+        saved_state, saved_field, saved_t, kept = run.state, run._nu_field, run.t, len(run.times)
         step(run, dt)
         cur = run.l2_series[-1] if not run.blowup_flag else np.inf
         # relative to the larger of the previous value and the data scale, so a
@@ -300,9 +340,9 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
         bound = REL_CHANGE_CAP * ref
         if ref > 0 and np.isfinite(cur) and abs(cur - prev) > bound:
             if run.dt > 1e-4:
-                # step() replaces run.state, so the saved array is untouched;
-                # its nu-field is transformed again when next read
-                run.state, run.t = saved_state, saved_t
+                # step() replaces run.state, so the saved array is untouched; its
+                # nu-field comes back with it, and the rejected pair is freed now
+                run.state, run._nu_field, run.t = saved_state, saved_field, saved_t
                 del run.times[kept:], run.l2_series[kept:], run.linf_series[kept:]
                 run.rejected_steps += 1
                 run.dt = run.dt / STEP_FACTOR

@@ -14,6 +14,12 @@ level-wise tracker must return exactly what it returns.
 for the batched coefficient views.  `abscissa_verdict` checks strict
 stability directly from the largest real part of the roots, the cross-check
 of the interlacing criteria.
+
+`semilinear_exponential` is the companion exponential of every distinct
+symbol row of a box run, from a complex transform; `reference_step` is one
+ETD1 step of a box run with Phi summed over the input coordinates and W over
+the full spectrum, zero off the two-thirds block, against which the
+library's block-only step is compared bit for bit.
 """
 
 from itertools import permutations
@@ -23,6 +29,7 @@ from scipy.linalg import expm
 
 from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
                                 _polyder, _polyval, _TINY, companion, roots_batch)
+from hyperdecay.solver import exp_newton
 from hyperdecay.stability import sample_directions
 from hyperdecay.symbols import DimensionMismatchError
 from hyperdecay.tolerances import TOL
@@ -234,3 +241,41 @@ def abscissa_verdict(stack) -> tuple[bool, float]:
     radii = np.geomspace(1e-2, 1e2, max(1, 64 // len(dirs)))
     worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
     return worst < -ABSCISSA_MARGIN, worst
+
+
+def semilinear_exponential(run, dt: float, lead: int) -> np.ndarray:
+    """The first `lead` rows of e^(C dt) T for every distinct row of a box run, as (lead, m + 1, rows).
+
+    C is the companion matrix of lambda Q(lambda) and T = [[I, 0], [-c, 1]]
+    (see `semilinear._build_propagator`), here always built complex.
+    """
+    m, n = run.m, len(run._lams)
+    zero = np.zeros((n, 1))
+    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
+    tmat[:, m, :m] = -run._coeffs[:, :m]
+    return exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, dt, 0,
+                      lead=lead)[0].transpose(1, 2, 0)
+
+
+def reference_step(run, dt: float) -> np.ndarray:
+    """The state one ETD1 step of dt after `run.state`, with W(dt) stored on every mode.
+
+    Phi state is phi[:, j] * state[j] summed over j; the source is
+    sign |u_nu|^p by `rfftn`, times W, which is zero where the two-thirds rule
+    drops a mode.  The run is not changed.
+    """
+    m = run.m
+    e = semilinear_exponential(run, dt, m)
+    if not np.any(run._coeffs.imag):
+        e = e.real
+    phi = np.take(e[:, :m], run._rows, axis=-1)
+    keep = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * np.max(np.abs(run._freqs)), axis=0)
+    w = np.take(e[:, m], run._rows, axis=-1) * keep.reshape(-1)
+    flat = run.state.reshape(m, -1)
+    new = phi[:, 0] * flat[0]
+    for j in range(1, m):
+        new += phi[:, j] * flat[j]
+    if run.sign != 0:
+        fval = run.sign * np.abs(run.physical(run.nu)) ** run.p
+        new += w * np.fft.rfftn(fval, axes=tuple(range(run.dim))).reshape(-1)
+    return new.reshape(run.state.shape)

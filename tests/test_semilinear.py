@@ -8,6 +8,8 @@ from hyperdecay.semilinear import build_run, run_semilinear, step
 from hyperdecay.solver import exp_newton, propagate_mode
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, symbol_coeffs
 
+from tests.oracles import reference_step, semilinear_exponential
+
 
 def _transport_stack():
     """P_3 = lambda^3 - 2 lambda xi^2, P_2 = lambda^2 + 0.3 lambda xi - xi^2 in 1-d.
@@ -118,26 +120,36 @@ def test_semilinear_propagator_is_the_all_rows_slice():
     """Phi and W read the first m of the m + 1 rows; asking for only those changes no bit.
 
     A real symbol keeps the real part of that slice, a complex one all of it.
+    W is kept on the two-thirds block only: its parts cover the rule's support
+    once each and hold that slice's bits there.
     """
-    for stack, dim, n_axis, real in ((mgt_stack(dim=2), 2, 32, True), (_transport_stack(), 1, 64, False)):
+    for stack, dim, n_axis, real in ((mgt_stack(dim=2), 2, 32, True), (mgt_stack(dim=2), 2, 33, True),
+                                     (mgt_stack(dim=1), 1, 64, True), (_transport_stack(), 1, 64, False)):
         run = build_run(stack, p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=n_axis,
                         dim=dim)
-        m, n = run.m, len(run._lams)
+        m = run.m
         phi, w = semilinear._build_propagator(run, 0.05)
-        zero = np.zeros((n, 1))
-        tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
-        tmat[:, m, :m] = -run._coeffs[:, :m]
-        e = exp_newton(np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0,
-                       lead=m + 1)[0][:, :m].transpose(1, 2, 0)
+        e = semilinear_exponential(run, 0.05, m + 1)[:m]
         if real:
             assert not np.any(run._coeffs.imag)
             e = e.real
-            assert phi.dtype == w.dtype == np.float64
+            assert phi.dtype == np.float64
         else:
             assert np.max(np.abs(run._coeffs.imag)) > 1.0
-            assert phi.dtype == w.dtype == np.complex128 and np.any(phi.imag)
-        assert np.array_equal(phi, np.take(e[:, :m], run._rows, axis=-1))
-        assert np.array_equal(w, np.take(e[:, m], run._rows, axis=-1) * run._dealias.reshape(-1))
+            assert phi.dtype == np.complex128 and np.any(phi.imag)
+        assert phi.tobytes() == np.take(e[:, :m], run._rows, axis=-1).tobytes()
+        # the two-thirds rule on every axis, from the frequencies
+        kmax = np.max(np.abs(run._freqs))
+        mask = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * kmax, axis=0)
+        full_w = np.take(e[:, m], run._rows, axis=-1).reshape((m,) + mask.shape)
+        covered = np.zeros(mask.shape, dtype=int)
+        parts = semilinear._block(run)
+        assert len(parts) == len(w) == dim
+        for part, wpart in zip(parts, w):
+            covered[part] += 1
+            assert wpart.dtype == phi.dtype
+            assert wpart.tobytes() == np.ascontiguousarray(full_w[(slice(None),) + part]).tobytes()
+        assert np.array_equal(covered, mask) and 0 < mask.sum() < mask.size
 
 
 def test_semilinear_propagator_call_writes_into_out():
@@ -153,6 +165,39 @@ def test_semilinear_propagator_call_writes_into_out():
     assert exp_newton(*args, lead=m, out=out) is out
     assert np.array_equal(out, exp_newton(*args, lead=m))
     assert np.all(np.isnan(big[0])) and np.all(np.isnan(big[1, :, 0])) and np.all(np.isnan(big[..., 1::2]))
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, 2.5, 5.0])
+@pytest.mark.parametrize("sign", [1.0, -0.7])
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("dim,n", [(1, 32), (1, 33), (2, 16), (2, 17)])
+def test_step_equals_the_full_spectrum_reference_bit_for_bit(p, sign, nu, dim, n):
+    """W on the block, one output coordinate at a time and the one-buffer source change no bit.
+
+    p = 0.5 and 2 take numpy's scalar-power fast paths (sqrt and square),
+    which the in-place power keeps.  Two steps: data in slot nu, then every
+    slot filled.
+    """
+    stack = mgt_stack(dim=dim)
+    bump = (lambda x: 0.8 * np.exp(-0.5 * (x - 0.3) ** 2)) if dim == 1 else \
+        (lambda x, y: 0.8 * np.exp(-0.5 * ((x - 0.3) ** 2 + (y + 0.6) ** 2)))
+    run = build_run(stack, p=p, sign=sign, nu=nu, box_halfwidth=6.0, modes_per_axis=n, dim=dim,
+                    initial=bump, initial_slot=nu, dt=0.1)
+    for _ in range(2):
+        expected = reference_step(run, 0.1)
+        step(run)
+        assert run.state.tobytes() == expected.tobytes()
+    assert np.all(run.state != 0)
+
+
+def test_complex_symbol_step_equals_the_full_spectrum_reference_bit_for_bit():
+    for n in (32, 33):
+        run = build_run(_transport_stack(), p=2.5, sign=-0.7, nu=1, box_halfwidth=20.0, modes_per_axis=n,
+                        dim=1, initial=lambda x: 0.8 * np.exp(-0.5 * x**2), initial_slot=1, dt=0.05)
+        for _ in range(2):
+            expected = reference_step(run, 0.05)
+            step(run)
+            assert run.state.dtype == np.complex128 and run.state.tobytes() == expected.tobytes()
 
 
 def test_transport_symbol_run_matches_exact_propagation(monkeypatch):
@@ -266,6 +311,25 @@ def test_over_cap_steps_are_rejected():
     assert np.all((change <= cap * ref) | at_floor)
 
 
+def test_a_rejection_transforms_no_field_twice(monkeypatch):
+    """A rejected step restores the saved state's nu-field along with the state.
+
+    Every step that ends with finite values transforms its new nu-field once
+    for the sup norm, a rejected one included; the restored state's field is
+    not transformed again.  The growth run of criterion 8 on a 32^2 grid.
+    """
+    calls = []
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: calls.append(1) or irfftn(*a, **k))
+    kwargs = dict(p=2.0, sign=1.0, nu=0, box_halfwidth=40.0, modes_per_axis=32, dim=2)
+    build_run(mgt_stack(dim=2), initial=lambda x, y: np.exp(-0.5 * (x**2 + y**2)), initial_slot=0, **kwargs)
+    built = len(calls)
+    calls.clear()
+    run = run_semilinear(mgt_stack(dim=2), T=100.0, dt0=0.1, amplitude=1.0, initial_slot=0, **kwargs)
+    assert run.rejected_steps > 0 and np.all(np.isfinite(run.state))
+    assert len(calls) == built + (len(run.times) - 1) + run.rejected_steps
+
+
 def test_step_size_grows_back_after_a_rejection(monkeypatch):
     """One early rejection no longer halves the rest of the run: dt climbs back to dt0."""
     built = _record_builds(monkeypatch)
@@ -319,28 +383,53 @@ def test_a_returned_run_holds_no_propagator(monkeypatch):
     assert blown.blowup_flag and blown._prop_cache == {}
 
 
-def test_box_traced_memory():
-    """The 128^2 growth run of the benchmark: traced peak, and what the returned run holds.
+def _traced_box_run(**kwargs):
+    """(run, traced peak, traced bytes held) of one 2-d `run_semilinear` of mgt.
 
-    Complex propagators kept after the run: peak 15.3 MB, 13.8 MB still held.
-    Real propagators dropped on return: peak 9.4 MB, 1.0 MB held (10.7 and 2.3 MB
-    when this test runs alone, before any other box run).  The bounds lie
-    between the two.
+    A tiny run first loads the modules numpy imports lazily, so the figures
+    are the run's own whether or not another box run came before.
     """
     import tracemalloc
 
     stack = mgt_stack(dim=2)
+    run_semilinear(stack, p=2.0, sign=1.0, nu=0, T=1.0, dt0=0.1, box_halfwidth=10.0, modes_per_axis=8,
+                   dim=2, amplitude=1.0, initial_slot=0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run = run_semilinear(stack, p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
-                             modes_per_axis=128, dim=2, amplitude=1.0, initial_slot=0)
+        run = run_semilinear(stack, dim=2, **kwargs)
         held, peak = (v - base for v in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return run, peak, held
+
+
+def test_box_traced_memory():
+    """The 128^2 growth run of the benchmark: traced peak, and what the returned run holds.
+
+    Complex propagators kept after the run: peak 15.3 MB, 13.8 MB still held.
+    Real propagators dropped on return: peak 9.2 MB, 1.0 MB held.  W on the
+    two-thirds block only, one-plane temporaries and the rejected state freed
+    at once: peak 7.9 MB.  The bounds lie between the last two.
+    """
+    run, peak, held = _traced_box_run(p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
+                                      modes_per_axis=128, amplitude=1.0, initial_slot=0)
     assert run.rejected_steps > 0
-    assert peak < 13.5e6, peak
+    assert peak < 8.6e6, peak
     assert held < 6e6, held
+
+
+def test_small_data_box_traced_memory():
+    """The benchmark's 256^2 p = 5 run up to T = 5, which includes its one rejection.
+
+    The peak came at the Phi(dt/2) rebuild after that rejection, with the
+    rejected state and its nu-field still held: 15.6 MB.  With them freed,
+    W on the block and one-plane temporaries it is 11.8 MB.
+    """
+    run, peak, _ = _traced_box_run(p=5.0, sign=1.0, nu=0, T=5.0, dt0=0.25, box_halfwidth=80.0,
+                                   modes_per_axis=256, amplitude=1e-3)
+    assert run.rejected_steps == 1 and not run.blowup_flag
+    assert peak < 13.7e6, peak
 
 
 def test_nu_reads_state_coordinate():

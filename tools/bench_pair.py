@@ -16,11 +16,16 @@ n = 4) and spread (Q3 - Q1) / median, plus every run.  Per metric the
 comparison records the pairs the change wins (ties count for neither), the
 relative change of the median, the gap between the medians, the parent's
 interquartile range and the benchmark's bound; it passes no verdict.
+
+Each tree is named by its git commit (`commits`, null outside a git
+checkout) and by a SHA-256 over its sorted `src/hyperdecay/*.py` paths and
+bytes (`sources`), which names the measured code in an exported tree too.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -85,6 +90,16 @@ def commit_of(tree: Path) -> str | None:
     return head.stdout.strip() + (" + uncommitted changes" if dirty else "")
 
 
+def source_digest(tree: Path) -> str:
+    """SHA-256 over each `src/hyperdecay/*.py` file, in sorted order: its path in the tree, its size, its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "hyperdecay").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def machine(threads: str) -> dict:
     import numpy
     cpuinfo = Path("/proc/cpuinfo")
@@ -133,7 +148,8 @@ def main(argv=None) -> int:
     # run.py records the BLAS thread count it fixed in its log of the run
     log = trees["parent"] / "perfbench" / "out" / f"{args.workload}-seed{seeds[-1]}-trace0.json"
     doc.update(label=args.label, machine=machine(json.loads(log.read_text())["threads"]),
-               commits={side: commit_of(tree) for side, tree in trees.items()})
+               commits={side: commit_of(tree) for side, tree in trees.items()},
+               sources={side: source_digest(tree) for side, tree in trees.items()})
     doc["what"] = ("tools/bench_pair.py: perfbench/run.py --seconds "
                    f"{BENCHMARK['run_seconds']} --trace 0 in each tree, alternating pairs (parent "
                    "first in odd pairs, change first in even; both sides of a pair use the same "
