@@ -2,6 +2,15 @@
 
 Roots come from companion-matrix eigenvalues refined by Aberth-Ehrlich sweeps;
 the guarantee is a residual bound |p(z)| <= 1e-10 * sum_i |c_i||z|^i per root.
+A row with real coefficients starts from the eigenvalues of its real
+companion matrix, and its roots come back closed under conjugation bit for
+bit, real roots with an imaginary part of exactly 0.  A row stops sweeping
+once a sweep improves none of its residuals: Aberth cannot separate a double
+root that the real start splits into a conjugate pair.  Such a pair, and any
+two roots of a real row close to each other and to no third, is refined as
+a quadratic factor (Bairstow's Newton step on the division remainder) and
+read from its discriminant as a double root, two real roots or a conjugate
+pair, so its sum and product are those of the rounded coefficients.
 Branch tracking solves the scaled polynomial in mu = lambda/rho (well
 conditioned at both ends of the ray), bisects level by level with one kernel
 call per level, and matches consecutive root sets by a minimum-total-distance
@@ -28,6 +37,9 @@ _TINY = np.finfo(float).tiny
 BATCH_ROWS = 512        # rows per eigvals call and Aberth sweep; bounds the kernel's temporaries
 ASSIGN_MAX_M = 8        # most columns `assign` enumerates: 8! = 40,320 injections
 ASSIGN_CHUNK = 1 << 18  # (row, injection) costs summed at once by `assign`
+PAIR_RTOL = 1e4 * np.sqrt(np.finfo(float).eps)  # roots this close (relative) are refined as a pair
+PAIR_STEPS = 2          # Bairstow steps per refined pair
+DISC_ULPS = 4.0         # a pair's discriminant within this many rounding units of u^2 + 4|v| is zero
 UNIT_FACTOR = 10.0      # a pair is one unit in tracking when every other root is this many gaps away
 
 
@@ -84,33 +96,40 @@ def companion(c: np.ndarray) -> np.ndarray:
     """Companion matrices of the polynomials c[..., m+1] (ascending); shape (..., m, m).
 
     Ones on the superdiagonal and last row -c[:m] / c[m]: the state matrix of
-    the mode equation in the state (u, d_t u, ..., d_t^(m-1) u).
+    the mode equation in the state (u, d_t u, ..., d_t^(m-1) u).  Real
+    coefficients give a real matrix, any other a complex one.
     """
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c)
+    c = c.astype(complex if np.iscomplexobj(c) else float, copy=False)
     m = c.shape[-1] - 1
-    a = np.zeros(c.shape[:-1] + (m, m), dtype=complex)
+    a = np.zeros(c.shape[:-1] + (m, m), dtype=c.dtype)
     a[..., np.arange(m - 1), np.arange(1, m)] = 1.0
     a[..., -1, :] = -c[..., :m] / c[..., m:]
     return a
 
 
-def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+def _companion_eigvals(c: np.ndarray, real: np.ndarray) -> np.ndarray:
     """Starting roots per row, as `np.roots` computes them.
 
     Low-order coefficients that are exactly zero become exact-zero roots
     (listed last); the rest are the eigenvalues of the reduced companion
     matrix in `np.roots`' index-reversed layout, one stacked `eigvals` call
-    per count of such zeros.
+    per count of such zeros and per kind of row.  A row flagged in real[N]
+    (no imaginary part) gets its real companion matrix, whose eigenvalues
+    are exact conjugate pairs, listed positive imaginary part first, and
+    exact reals; any other row gets the complex matrix.
     """
     m = c.shape[1] - 1
     zeros = np.argmax(c != 0, axis=1)
-    if not zeros.any():
-        return np.linalg.eigvals(companion(c)[:, ::-1, ::-1])
+    if not zeros.any() and (real.all() or not real.any()):
+        return np.linalg.eigvals(companion(c.real if real[0] else c)[:, ::-1, ::-1]).astype(complex)
     z = np.zeros((c.shape[0], m), dtype=complex)
-    for k in np.unique(zeros):
-        rows = np.nonzero(zeros == k)[0]
-        if k < m:
-            z[rows, : m - k] = np.linalg.eigvals(companion(c[rows, k:])[:, ::-1, ::-1])
+    for k in np.unique(zeros[zeros < m]):
+        for kind in (True, False):
+            rows = np.nonzero((zeros == k) & (real == kind))[0]
+            if rows.size:
+                block = c[rows, k:]
+                z[rows, : m - k] = np.linalg.eigvals(companion(block.real if kind else block)[:, ::-1, ::-1])
     return z
 
 
@@ -118,8 +137,9 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich sweeps on the rows of z0[N, m], roots of c[N, m+1].
 
     Each row keeps its best iterate by residual and stops on its own: once
-    all its residuals are <= 1e-15, once its largest relative step is below
-    1e-16, or after ABERTH_MAX_SWEEPS sweeps.  Finished rows leave the sweep.
+    all its residuals are <= 1e-15, once a sweep improves none of them, once
+    its largest relative step is below 1e-16, or after ABERTH_MAX_SWEEPS
+    sweeps.  Finished rows leave the sweep.
     Returns the best iterates and their residuals.
     """
     dc = _polyder(c)
@@ -153,7 +173,7 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         improved = res < best_res
         best = np.where(improved, z, best)
         best_res = np.where(improved, res, best_res)
-        done = (np.all(best_res <= 1e-15, axis=1)
+        done = (np.all(best_res <= 1e-15, axis=1) | ~np.any(improved, axis=1)
                 | (np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < 1e-16))
         if done.any():
             out[rows[done]], out_res[rows[done]] = best[done], best_res[done]
@@ -166,14 +186,121 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, out_res
 
 
+def _close_conjugates(c: np.ndarray, start: np.ndarray, z: np.ndarray, res: np.ndarray,
+                      real: np.ndarray) -> None:
+    """Make the roots z[N, m] of each real row closed under conjugation bit for bit, in place.
+
+    Aberth's sweeps keep a real row's roots conjugate-closed only up to
+    rounding.  The start lists each conjugate pair next to each other,
+    positive imaginary part first (the order of a real `eigvals`); the pair
+    becomes its member with the smaller residual and that member's
+    conjugate, which has the same residual.  A root that started real drops
+    the imaginary part the pairs' rounding can give it, and only such roots
+    have their residuals recomputed.
+    """
+    rows, i = np.nonzero(real[:, None] & (start.imag > 0))
+    if rows.size == 0:
+        return      # all-real iterates of a real row stay exactly real through the sweeps
+    j = i + 1
+    zi, zj, ri, rj = z[rows, i], z[rows, j], res[rows, i], res[rows, j]
+    w = np.where(ri <= rj, zi, np.conj(zj))
+    z[rows, i], z[rows, j] = w, np.conj(w)
+    res[rows, i] = res[rows, j] = np.minimum(ri, rj)
+    rows, k = np.nonzero(real[:, None] & (start.imag == 0) & (z.imag != 0))
+    if rows.size:
+        z[rows, k] = z[rows, k].real
+        res[rows, k] = _residuals(c[rows], z[rows, k, None])[:, 0]
+
+
+def _refine_pairs(c: np.ndarray, z: np.ndarray, res: np.ndarray, real: np.ndarray) -> None:
+    """Refine each close pair of a real row's roots z[N, m] as a quadratic factor, in place.
+
+    Two roots of a row flagged in real[N] form a pair when they lie within
+    PAIR_RTOL * (1 + max |z|) of each other and of no other root, a group of
+    exactly two in `root_groups`' sense, read here from the neighbour counts
+    that also let a block with no close roots return at once.  The row being
+    conjugate-closed, a pair of two real roots or a conjugate pair is a real
+    quadratic factor, which `_pair_factor` refines.  The refined pair
+    replaces Aberth's, with its residuals in res, when it passes the residual
+    certificate and its centre lies within the pair tolerance of the old one.
+    Three or more mutually close roots keep Aberth's values, and so does a
+    pair of exact zeros.
+    """
+    m = z.shape[1]
+    idx = np.arange(m)
+    tol = PAIR_RTOL * (1.0 + np.max(np.abs(z), axis=1))
+    near = np.abs(z[:, :, None] - z[:, None, :]) <= tol[:, None, None]
+    near[:, idx, idx] = False
+    if not near.any():
+        return
+    lone = np.count_nonzero(near, axis=2) == 1
+    partner = np.argmax(near, axis=2)
+    rows, i = np.nonzero(lone & np.take_along_axis(lone, partner, axis=1) & (partner > idx) & real[:, None])
+    j = partner[rows, i]
+    zi, zj = z[rows, i], z[rows, j]
+    # in a conjugate-closed row, a lone pair with opposite imaginary parts is two real roots
+    # or a conjugate pair: a real quadratic factor; exact zeros (zero low-order coefficients)
+    # need no refinement
+    factor = (zi.imag == -zj.imag) & ((zi != 0) | (zj != 0))
+    if not factor.all():
+        rows, i, j, zi, zj = rows[factor], i[factor], j[factor], zi[factor], zj[factor]
+    if rows.size == 0:
+        return
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new, new_res = _pair_factor(c[rows], -(zi + zj).real, (zi * zj).real)
+    ok = (np.all(new_res <= TOL.root_residual_rtol, axis=1)
+          & (np.abs(new.sum(axis=1) - (zi + zj)) <= 2.0 * tol[rows]))
+    if not ok.all():
+        rows, i, j, new, new_res = rows[ok], i[ok], j[ok], new[ok], new_res[ok]
+    z[rows, i], z[rows, j] = new.T
+    res[rows, i], res[rows, j] = new_res.T
+
+
+def _pair_factor(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots and residuals, both [P, 2], of the quadratic factor x^2 + u x + v of each real row
+    c[P, m+1], from the start (u, v).
+
+    PAIR_STEPS Newton steps on the remainder of dividing p by the factor
+    (Bairstow's method), then the pair is read from the discriminant
+    D = u^2 - 4 v: a double root -u/2 when |D| is within DISC_ULPS rounding
+    units of u^2 + 4 |v|, two real roots when D is larger, a conjugate pair
+    when it is more negative.
+    """
+    m = c.shape[1] - 1
+    a = c.real
+    zero = np.zeros_like(u)
+    for _ in range(PAIR_STEPS):
+        # b_k = a_k - u b_(k+1) - v b_(k+2) from the top gives the remainder b_1 (x + u) + b_0;
+        # d_k, the same recurrence on b, gives its derivatives: db_k/du = -d_(k+1), db_k/dv = -d_(k+2)
+        b, d = [a[:, m], zero], [a[:, m], zero]
+        for k in range(m - 1, -1, -1):
+            b.insert(0, a[:, k] - u * b[0] - v * b[1])
+            if k:
+                d.insert(0, b[0] - u * d[0] - v * d[1])
+        (b0, b1), (d1, d2, d3) = b[:2], d[:3]
+        det = d2 * d2 - d1 * d3
+        u = u + (b1 * d2 - b0 * d3) / det
+        v = v + (b0 * d2 - b1 * d1) / det
+    disc = u * u - 4.0 * v
+    disc[np.abs(disc) <= DISC_ULPS * np.finfo(float).eps * (u * u + 4.0 * np.abs(v))] = 0.0
+    centre, root = -0.5 * u, 0.5 * np.sqrt(np.abs(disc))
+    q = centre - np.copysign(root, u)      # the real pair's root of larger magnitude; v / q is the other
+    pair = np.stack([np.where(disc > 0, q, centre + 1j * root),
+                     np.where(disc > 0, v / q, centre - 1j * root)], axis=1)
+    return pair, _residuals(c, pair)
+
+
 def roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """All roots of every row of coeffs[N, m+1] (ascending, nonzero leading term); shape (N, m).
 
-    Companion eigenvalues from stacked `eigvals` calls, refined by
-    Aberth-Ehrlich sweeps vectorized over the rows, both over blocks of
-    BATCH_ROWS rows; a row gets the same roots alone as inside any batch.
-    Every root is certified by the residual bound TOL.root_residual_rtol,
-    and each row is sorted canonically.
+    Companion eigenvalues from stacked `eigvals` calls (real matrices for
+    rows with no imaginary part), refined by Aberth-Ehrlich sweeps
+    vectorized over the rows, both over blocks of BATCH_ROWS rows; a real
+    row's roots are then made conjugate-closed (`_close_conjugates`) and its
+    close pairs refined as quadratic factors (`_refine_pairs`).  Each row is
+    decided and solved on its own, so a row gets the same roots alone as
+    inside any batch.  Every root is certified by the residual bound
+    TOL.root_residual_rtol, and each row is sorted canonically.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 2:
@@ -190,8 +317,13 @@ def roots_batch(coeffs: np.ndarray) -> np.ndarray:
         res = _residuals(c, z)
     else:
         z, res = np.empty((n, m), dtype=complex), np.empty((n, m))
+        real = ~np.any(c.imag, axis=1)
         for rows in (slice(b, b + BATCH_ROWS) for b in range(0, n, BATCH_ROWS)):
-            z[rows], res[rows] = _aberth(c[rows], _companion_eigvals(c[rows]))
+            start = _companion_eigvals(c[rows], real[rows])
+            z[rows], res[rows] = _aberth(c[rows], start)
+            if real[rows].any():
+                _close_conjugates(c[rows], start, z[rows], res[rows], real[rows])
+                _refine_pairs(c[rows], z[rows], res[rows], real[rows])
     worst = np.max(res, axis=1)
     bad = np.nonzero(~(worst <= TOL.root_residual_rtol))[0]
     if bad.size:
@@ -208,6 +340,23 @@ def roots(p: UnivariatePoly) -> np.ndarray:
     if p.degree == 0:
         raise RootfindingError("a degree-0 polynomial has no roots")
     return roots_batch(p.array()[None, :])[0]
+
+
+def _rounding_floor(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """How far rounding the coefficients c[..., m+1] can move each root z[..., m].
+
+    The first-order floor eps * bound(p, z) / |p'(z)|, or the second-order
+    sqrt(2 eps * bound(p, z) / |p''(z)|) where that is smaller: at a double
+    root, which a real row's refined pair can give exactly, p' vanishes.
+    """
+    eps = np.finfo(float).eps
+    bound = _polyval(np.abs(c), np.abs(z))
+    dc = _polyder(c)
+    first = eps * bound / np.maximum(np.abs(_polyval(dc, z)), _TINY)
+    if c.shape[-1] < 3:
+        return first
+    second = np.sqrt(2.0 * eps * bound / np.maximum(np.abs(_polyval(_polyder(dc), z)), _TINY))
+    return np.minimum(first, second)
 
 
 def _canonical_order(z: np.ndarray) -> np.ndarray:
@@ -319,13 +468,11 @@ class RadialRootSolver:
         return self.lambdas_grid(np.array([rho]))[0]
 
     def lambdas_with_noise(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Roots at every rho of a 1-d grid plus a first-order rounding floor
-        eps * bound(p, z) / |p'(z)| per root; both (N, m), each row in the
-        canonical (Re, Im) order of lambda, from one kernel call."""
+        """Roots at every rho of a 1-d grid plus their rounding floors (`_rounding_floor`);
+        both (N, m), each row in the canonical (Re, Im) order of lambda, from one
+        kernel call."""
         rho, c, mu = self._mu_roots(rho)
-        bound = _polyval(np.abs(c), np.abs(mu))
-        dval = np.abs(_polyval(_polyder(c), mu))
-        noise = np.finfo(float).eps * bound / np.maximum(dval, _TINY)
+        noise = _rounding_floor(c, mu)
         lam = rho[:, None] * mu
         order = _canonical_order(lam)
         return np.take_along_axis(lam, order, axis=1), np.take_along_axis(rho[:, None] * noise, order, axis=1)

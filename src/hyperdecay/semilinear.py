@@ -10,13 +10,13 @@ Phi(dt) and W(dt) come from one `solver.exp_newton` call on the companion
 system of lambda Q(lambda), whose roots are the mode's roots and 0, so
 confluent modes need no separate route.  Roots, Phi and W are solved once per
 distinct symbol-coefficient row and scattered to the modes that share it.  A
-step that moves the L2 norm by more than the cap is rejected and retried from
-the saved state at half the step size; a step that used at most GROW_BELOW of
-the cap doubles the next one, up to the requested dt0, so every step size is
-dt0 / 2^j and a propagator built once serves the rest of the run.  A run ends
-when the time left is rounding noise (below END_RTOL of T), and its last time
-is then T itself, so no sliver step builds a propagator of its own.  The run
-drops its propagators when it returns.
+step that moves the L2 norm by more than the cap is rejected, on that norm
+alone, and retried from the saved state at half the step size; a step that
+used at most GROW_BELOW of the cap doubles the next one, up to the requested
+dt0, so every step size is dt0 / 2^j and a propagator built once serves the
+rest of the run.  A run ends when the time left is rounding noise (below
+END_RTOL of T), and its last time is then T itself, so no sliver step builds
+a propagator of its own.  The run drops its propagators when it returns.
 
 The fields and the operator's coefficients are real, so Q(lambda, -i xi) is
 the conjugate of Q(lambda, i xi), even where an odd-order term makes it
@@ -276,24 +276,37 @@ def _advanced(run: SemilinearRun, phi: np.ndarray, w: list) -> np.ndarray:
     return new.reshape(run.state.shape)
 
 
-def step(run: SemilinearRun, dt: float | None = None) -> SemilinearRun:
+def step(run: SemilinearRun, dt: float | None = None, *, max_change: float | None = None) -> SemilinearRun:
     """One exponential-time-differencing step of dt (finite and > 0; by default
-    run.dt); returns the (mutated) run."""
+    run.dt); returns the (mutated) run.
+
+    With `max_change`, a step that moves the L2 norm by more than that from its
+    last recorded value (and stays finite, below the blow-up growth) is undone
+    on that norm alone: the state and time go back, nothing is recorded, and
+    the new state's field is never transformed for its sup norm.
+    """
     dt = run.dt if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"the time step must be finite and > 0, got {dt}")
     if run.blowup_flag:
         return run
+    saved_state, saved_t = run.state, run.t
     run.state = _advanced(run, *_propagator(run, dt))
     run.t += dt
     if not np.all(np.isfinite(run.state)):
         run.blowup_flag = True
         run.blowup_time = run.t
         return run
+    l2 = run.l2_norm(0)
+    grown = run.initial_scale > 0 and l2 > BLOWUP_FACTOR * run.initial_scale
+    if max_change is not None and not grown and abs(l2 - run.l2_series[-1]) > max_change:
+        # the saved state's nu-field, which `_advanced` transformed, stays cached
+        run.state, run.t = saved_state, saved_t
+        return run
     run.times.append(run.t)
-    run.l2_series.append(run.l2_norm(0))
+    run.l2_series.append(l2)
     run.linf_series.append(run.linf_norm(run.nu))
-    if run.initial_scale > 0 and run.l2_series[-1] > BLOWUP_FACTOR * run.initial_scale:
+    if grown:
         run.blowup_flag = True
         run.blowup_time = run.t
     return run
@@ -305,8 +318,9 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     """Integrate to time T, halving the step when one moves the norm too much.
 
     A step that changes the L2 norm by more than REL_CHANGE_CAP times the
-    larger of its previous value and the data scale is rejected: the run goes
-    back to its saved state, with that state's nu-field, and retries at half
+    larger of its previous value and the data scale is rejected before its
+    sup norm is taken, so its field is never transformed: the run goes back
+    to its saved state, whose nu-field is still cached, and retries at half
     the step size, counted in `rejected_steps`.  At a step size of 1e-4 or less the step is kept.  An
     accepted step that changed the norm by at most GROW_BELOW times that bound
     doubles the step size, never above dt0.  The run ends once T - t is below
@@ -330,23 +344,20 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     floor = END_RTOL * T
     while T - run.t > floor and not run.blowup_flag:
         dt = run.dt if T - run.t > run.dt - floor else T - run.t
-        prev = run.l2_series[-1]
-        saved_state, saved_field, saved_t, kept = run.state, run._nu_field, run.t, len(run.times)
-        step(run, dt)
-        cur = run.l2_series[-1] if not run.blowup_flag else np.inf
+        prev, kept = run.l2_series[-1], len(run.times)
         # relative to the larger of the previous value and the data scale, so a
         # norm ramping up from zero does not trigger spurious refinement
         ref = max(prev, run.initial_scale)
         bound = REL_CHANGE_CAP * ref
+        step(run, dt, max_change=bound if ref > 0 and run.dt > 1e-4 else None)
+        if len(run.times) == kept and not run.blowup_flag:
+            # undone by `step` on its L2 norm; the rejected state is already freed
+            run.rejected_steps += 1
+            run.dt = run.dt / STEP_FACTOR
+            continue
+        cur = run.l2_series[-1] if not run.blowup_flag else np.inf
         if ref > 0 and np.isfinite(cur) and abs(cur - prev) > bound:
-            if run.dt > 1e-4:
-                # step() replaces run.state, so the saved array is untouched; its
-                # nu-field comes back with it, and the rejected pair is freed now
-                run.state, run._nu_field, run.t = saved_state, saved_field, saved_t
-                del run.times[kept:], run.l2_series[kept:], run.linf_series[kept:]
-                run.rejected_steps += 1
-                run.dt = run.dt / STEP_FACTOR
-            elif cur > 100.0 * run.initial_scale and cur > 2.0 * prev:
+            if cur > 100.0 * run.initial_scale and cur > 2.0 * prev:
                 # runaway growth beyond the integrator's resolution
                 run.blowup_flag = True
                 run.blowup_time = run.t

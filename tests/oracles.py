@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
-                                _polyder, _polyval, _TINY, companion, roots_batch)
+                                _rounding_floor, companion, roots_batch)
 from hyperdecay.solver import exp_newton
 from hyperdecay.stability import sample_directions
 from hyperdecay.symbols import DimensionMismatchError
@@ -89,13 +89,10 @@ def _propagate_companion(coeffs: np.ndarray, data: np.ndarray, t, k: int):
 
 
 def _lambdas_with_noise(solver: RadialRootSolver, rho: float):
-    """Roots at one rho plus the rounding floor eps * bound(p, z) / |p'(z)| per root."""
+    """Roots at one rho plus the rounding floor (`_rounding_floor`) per root."""
     c = solver.mu_coeffs(rho)
     mu = roots_batch(c[None, :])[0]
-    bound = _polyval(np.abs(c), np.abs(mu))
-    dval = np.abs(_polyval(_polyder(c), mu))
-    noise = np.finfo(float).eps * bound / np.maximum(dval, _TINY)
-    return rho * mu, rho * noise
+    return rho * mu, rho * _rounding_floor(c, mu)
 
 
 def match_roots(prev: np.ndarray, cand: np.ndarray):

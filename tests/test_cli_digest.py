@@ -49,3 +49,21 @@ def test_cli_outputs_match_the_committed_digest():
                   for title in changed]
         pytest.fail(f"{len(changed)} of {len(old)} runs changed (- committed, + now):\n" + "\n".join(report),
                     pytrace=False)
+
+
+def test_kept_outputs_compare_number_by_number(tmp_path):
+    """`--keep` trees compare by their numbers: how many moved, and the largest relative change."""
+    tool = _tool()
+    assert tool.moved("t,1.5,2e-3\n", "t,1.5,2e-3\n") is None
+    assert tool.moved("t,1.5,2e-3\n3,-0\n", "t,1.5,2.2e-3\n3,0\n") == (
+        "2 numbers moved, largest relative change 9.1e-02 (0.002 -> 0.0022)")   # -0 -> 0 moved too
+    assert tool.moved('"slope": 1', '"slope": 1, "n": 2') == "text changed outside its numbers"
+    old, new = tmp_path / "old", tmp_path / "new"
+    (old / "0").mkdir(parents=True)
+    (new / "0").mkdir(parents=True)
+    (old / "0" / "fit.json").write_text('{"slope": -0.25}')
+    (new / "0" / "fit.json").write_text('{"slope": -0.5}')
+    (new / "0" / "stdout.txt").write_text("ok\n")
+    assert tool.compare(old, new) == [
+        f"{' '.join(tool.RUNS[0])} | fit.json: 1 numbers moved, largest relative change 5.0e-01 (-0.25 -> -0.5)",
+        f"{' '.join(tool.RUNS[0])} | stdout.txt: only in {new}"]

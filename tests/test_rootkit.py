@@ -167,9 +167,14 @@ def test_spectral_abscissa_examples(stacks):
 
 
 def test_connecting_permutation_mgt(stacks):
-    # low-anchored branch j ends at the canonical rank perm[j] at the high end
-    assert connecting_permutation(stacks["mgt"], axis_direction(3), 1e-2, 1e2).tolist() == [0, 1, 2]
-    assert connecting_permutation(stacks["mgt"], axis_direction(3), 1e-3, 1e1).tolist() == [0, 2, 1]
+    # low-anchored branch j ends at the canonical rank perm[j] at the high end; mgt's axis ray
+    # has no branch point, so the linking does not depend on the range
+    stack, d = stacks["mgt"], axis_direction(3)
+    assert connecting_permutation(stack, d, 1e-2, 1e2).tolist() == [0, 1, 2]
+    assert connecting_permutation(stack, d, 1e-3, 1e1).tolist() == [0, 1, 2]
+    # the high end's conjugate pair shares its real part bit for bit and ranks -Im first
+    lam = RadialRootSolver(stack, d).lambdas(10.0)
+    assert lam[1] == np.conj(lam[2]) and lam[1].imag < 0
 
 
 def test_real_root_table_rejects_complex():
@@ -357,9 +362,13 @@ def test_companion_start_equals_np_roots(rng):
     c = _random_symbol_rows(rng, n_stacks=10)[4]
     c[::3, :2] = 0.0                       # some rows with a double zero root
     c[1::3, 0] = 0.0                       # and some with a simple one
-    start = _companion_eigvals(c)
-    for row, z in zip(c, start):
-        assert np.array_equal(z, np.roots(row[::-1]))
+    c[::2] = c[::2].real                   # and half the rows real
+    real = ~np.any(c.imag, axis=1)
+    assert real.any() and not real.all()
+    start = _companion_eigvals(c, real)
+    for row, z, is_real in zip(c, start, real):
+        # np.roots takes a real polynomial's real companion matrix
+        assert np.array_equal(z, np.roots((row.real if is_real else row)[::-1]))
 
 
 def test_roots_batch_single_row_equals_row_in_batch(rng):
@@ -396,6 +405,94 @@ def test_roots_batch_names_a_nonfinite_row():
         roots_batch(c)
     with pytest.raises(RootfindingError, match="row 0 has a non-finite coefficient"):
         roots_batch(c[2:])
+
+
+# ---------------------------------------------------------------------------
+# real rows: the real companion start, conjugate closure and the pair refinement
+
+
+def _real_rows_with_known_roots(rng, n=300):
+    """Real monic rows of degree 2..7 built from well separated real roots and conjugate pairs."""
+    rows = []
+    for _ in range(n):
+        m = int(rng.integers(2, 8))
+        pairs = int(rng.integers(0, m // 2 + 1))
+        centres = rng.permutation(np.linspace(-3.0, 3.0, 13))[: m - pairs]
+        zs = list(centres[: m - 2 * pairs])
+        for x in centres[m - 2 * pairs :]:
+            y = rng.uniform(0.3, 2.0)
+            zs += [x + 1j * y, x - 1j * y]
+        rows.append(np.poly(zs).real[::-1])
+    return rows
+
+
+def test_real_rows_are_conjugate_closed_bit_for_bit(rng, stacks):
+    rows = _real_rows_with_known_roots(rng)
+    for row in rows:
+        z = roots_batch(row[None, :])[0]
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(np.conj(z)))
+        # the roots built real come back with an imaginary part of exactly 0
+        assert np.count_nonzero(z.imag == 0) == np.count_nonzero(np.abs(z.imag) < 0.1)
+    for name in ("em_elastic", "anisotropic_elastic_2d", "fourth_order_weak"):
+        stack = stacks[name]
+        c = RadialRootSolver(stack, axis_direction(stack.dim)).mu_coeffs(default_rho_grid())
+        for z in roots_batch(c):
+            assert np.array_equal(np.sort_complex(z), np.sort_complex(np.conj(z))), name
+
+
+def test_double_roots_of_real_rows_are_exact(stacks):
+    # (x + 1)^2 (x + 2): the real companion start splits the double into a +-2.8e-8 i pair
+    assert np.array_equal(roots_batch(np.array([[2.0, 5.0, 4.0, 1.0]]))[0], [-2.0, -1.0, -1.0])
+    assert np.array_equal(roots(UnivariatePoly.of([1.0, 2.0, 1.0])), [-1.0, -1.0])
+    # the kappa quadratic of anisotropic_elastic_2d's double low-frequency root
+    from hyperdecay import kappa_solutions
+    from hyperdecay.asymptotics import Regime
+
+    kp, km = kappa_solutions(stacks["anisotropic_elastic_2d"], Direction((1.0, 0.0)), 0, Regime.LOW)
+    assert kp == km and kp.imag == 0 and kp == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_real_row_gets_the_same_roots_alone_and_in_any_batch(rng):
+    real = np.array([r for r in _real_rows_with_known_roots(rng, 40) if len(r) == 5])
+    # (x + 1)^4 and x (x + 1)^2 (x + 2)
+    real = np.concatenate([real, [[1.0, 4.0, 6.0, 4.0, 1.0], [0.0, 2.0, 5.0, 4.0, 1.0]]])
+    complex_rows = real * np.exp(0.3j) + 0.1j * rng.normal(size=real.shape)
+    mixed = np.concatenate([complex_rows[:7], real, complex_rows[7:]])
+    alone = [roots_batch(row[None, :])[0] for row in real]
+    for batch, offset in ((roots_batch(real), 0), (roots_batch(mixed), 7)):
+        for i, z in enumerate(alone):
+            assert np.array_equal(batch[offset + i], z)
+
+
+def test_the_rounding_floor_of_an_exact_double_root_is_second_order(stacks):
+    # anisotropic_elastic_2d's axis at rho = 1e-4: the slow pair lies 2.6e-12 apart in mu
+    # (60-digit mpmath), below what rounding resolves, and comes back as one double root
+    solver = RadialRootSolver(stacks["anisotropic_elastic_2d"], axis_direction(2))
+    lam, noise = solver.lambdas_with_noise(np.array([1e-4]))
+    assert lam[0, 2] == lam[0, 3]
+    # p' vanishes there; the floor is sqrt(2 eps bound / |p''|), about 3e-16 in lambda
+    assert np.all(noise[0, 2:] < 1e-15)
+
+
+def test_a_near_double_pair_is_backward_stable(stacks):
+    """em_elastic's axis near rho = 1.5e-4: the pair near -1 against the rounded row's own roots.
+
+    Every root passes the residual certificate either way, but Aberth's single
+    roots put the pair's sum off by 3.6e-9; the refined quadratic factor gives
+    the sum and product of the rounded coefficients' pair to rounding.
+    """
+    mp = pytest.importorskip("mpmath")
+    stack = stacks["em_elastic"]
+    for rho in (1e-4, 1.5e-4, 3e-4, 1e-3):
+        c = symbol_coeffs(stack, np.array([[0.0, 0.0, rho]]))[0]
+        z = roots_batch(c[None, :])[0]
+        pair = z[np.argsort(np.abs(z + 1.0))[:2]]
+        with mp.workdps(60):
+            ref = mp.polyroots([mp.mpf(x.real) for x in c[::-1]], maxsteps=200, extraprec=400)
+            ref = sorted(ref, key=lambda r: abs(r + 1))[:2]
+            want_sum, want_prod = complex(ref[0] + ref[1]), complex(ref[0] * ref[1])
+        assert abs(pair.sum() - want_sum) <= 1e-15 * abs(want_sum), rho
+        assert abs(np.prod(pair) - want_prod) <= 1e-15 * abs(want_prod), rho
 
 
 def test_propagator_roots_equal_per_rho_roots(stacks):

@@ -311,11 +311,26 @@ def test_over_cap_steps_are_rejected():
     assert np.all((change <= cap * ref) | at_floor)
 
 
-def test_a_rejection_transforms_no_field_twice(monkeypatch):
-    """A rejected step restores the saved state's nu-field along with the state.
+def test_a_step_over_max_change_is_undone_unrecorded(monkeypatch):
+    """`step(..., max_change=)` undoes a step whose L2 norm moves too far, before any sup norm."""
+    run = build_run(mgt_stack(dim=1), p=2.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32, dim=1,
+                    initial=lambda x: np.exp(-0.5 * x**2), initial_slot=0)
+    state, series = run.state, (list(run.times), list(run.l2_series), list(run.linf_series))
+    monkeypatch.setattr(semilinear.SemilinearRun, "linf_norm", lambda *a: pytest.fail("sup norm taken"))
+    step(run, 0.5, max_change=0.0)
+    assert run.state is state and run.t == 0.0 and not run.blowup_flag
+    assert (run.times, run.l2_series, run.linf_series) == series
+    monkeypatch.undo()
+    step(run, 0.5, max_change=np.inf)
+    assert run.times == [0.0, 0.5] and len(run.linf_series) == 2
 
-    Every step that ends with finite values transforms its new nu-field once
-    for the sup norm, a rejected one included; the restored state's field is
+
+def test_a_rejection_transforms_no_field_twice(monkeypatch):
+    """A rejected step transforms no field: one transform per accepted step.
+
+    Each accepted step transforms its new nu-field once, for the sup norm and
+    the next step's source.  A rejection is decided from the L2 norm first, so
+    the rejected state is never transformed, and the saved state's field is
     not transformed again.  The growth run of criterion 8 on a 32^2 grid.
     """
     calls = []
@@ -327,7 +342,7 @@ def test_a_rejection_transforms_no_field_twice(monkeypatch):
     calls.clear()
     run = run_semilinear(mgt_stack(dim=2), T=100.0, dt0=0.1, amplitude=1.0, initial_slot=0, **kwargs)
     assert run.rejected_steps > 0 and np.all(np.isfinite(run.state))
-    assert len(calls) == built + (len(run.times) - 1) + run.rejected_steps
+    assert len(calls) == built + (len(run.times) - 1)
 
 
 def test_step_size_grows_back_after_a_rejection(monkeypatch):

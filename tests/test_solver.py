@@ -102,6 +102,24 @@ def test_derivatives_beyond_the_state_on_a_confluent_ray(stacks, rng):
     assert np.all(np.isfinite(series.values)) and np.all(series.values > 0)
 
 
+def _expm_derivatives(mp, stack, xi, t, ks):
+    """d_t^k u_hat(t) for the data e_m at frequency xi, as C^k expm(C t) e_m in 60-digit mpmath."""
+    m = stack.m
+    c = symbol_coeffs(stack, xi[None, :])[0]
+    with mp.workdps(60):
+        a = mp.matrix(m, m)
+        for i in range(m - 1):
+            a[i, i + 1] = 1
+        for j in range(m):
+            a[m - 1, j] = -mp.mpc(c[j].real, c[j].imag) / mp.mpc(c[m].real, c[m].imag)
+        v = mp.expm(a * t)[:, m - 1]
+        out = {}
+        for k in range(max(ks) + 1):
+            out[k] = complex(v[0])
+            v = a * v
+    return {k: out[k] for k in ks}
+
+
 def test_low_frequency_derivatives_match_mpmath_expm(stacks):
     """d_t^k u_hat at em_elastic's slowest axis modes, against C^k expm(C t) e_m in 60-digit mpmath.
 
@@ -109,29 +127,37 @@ def test_low_frequency_derivatives_match_mpmath_expm(stacks):
     terms.  Taking d_t^k through lambda^k in the divided differences removes
     them analytically; applying C k times to the data and propagating with
     k = 0 instead errs by up to 9.5e-6 at k = 2 and 2.6e2 at k = 4 here.  The
-    largest error seen is 1.1e-8.
+    largest error seen is 3.7e-14 (1.1e-8 before close root pairs were refined
+    as quadratic factors).
     """
     mp = pytest.importorskip("mpmath")
     stack, d = stacks["em_elastic"], axis_direction(3)
-    m = stack.m
     for rho in np.linspace(1e-4, 1.9e-4, 4):
         xi = rho * d.vector()
-        c = symbol_coeffs(stack, xi[None, :])[0]
         for t in (20.0, 100.0):
-            with mp.workdps(60):
-                a = mp.matrix(m, m)
-                for i in range(m - 1):
-                    a[i, i + 1] = 1
-                for j in range(m):
-                    a[m - 1, j] = -mp.mpc(c[j].real, c[j].imag) / mp.mpc(c[m].real, c[m].imag)
-                v = mp.expm(a * t)[:, m - 1]
-                ref = {}
-                for k in range(1, 5):
-                    v = a * v
-                    ref[k] = complex(v[0])
+            ref = _expm_derivatives(mp, stack, xi, t, (2, 4))
             for k in (2, 4):
-                got = hd.propagate_mode(stack, xi, np.eye(m)[m - 1], t, k)
-                assert abs(got - ref[k]) <= 1e-6 * abs(ref[k]), (rho, t, k)
+                got = hd.propagate_mode(stack, xi, np.eye(stack.m)[stack.m - 1], t, k)
+                assert abs(got - ref[k]) <= 1e-11 * abs(ref[k]), (rho, t, k)
+
+
+def test_near_double_modes_match_mpmath_expm(stacks):
+    """propagate_mode on em_elastic's axis for rho in [1e-4, 1e-3], where two roots near -1
+    lie 2 rho^2 apart, against 60-digit mpmath.
+
+    The pair's sum sets the slow branch's weight.  Aberth's single roots put
+    that sum off by up to 3.6e-9 and these modes by up to 1.4e-8; refined as
+    one quadratic factor, the pair leaves a largest error of 1.7e-14.
+    """
+    mp = pytest.importorskip("mpmath")
+    stack, d = stacks["em_elastic"], axis_direction(3)
+    for rho in np.geomspace(1e-4, 1e-3, 7):
+        xi = rho * d.vector()
+        for t in (20.0, 100.0, 1e3):
+            ref = _expm_derivatives(mp, stack, xi, t, (0, 2, 4))
+            for k in (0, 2, 4):
+                got = hd.propagate_mode(stack, xi, np.eye(stack.m)[stack.m - 1], t, k)
+                assert abs(got - ref[k]) <= 1e-11 * abs(ref[k]), (rho, t, k)
 
 
 def test_selected_coordinate_is_the_all_coordinates_slice(stacks, rng, monkeypatch):

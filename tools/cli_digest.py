@@ -26,14 +26,29 @@ move an output, regenerate it with
 
 The whole list takes about 10 s on 2 vCPUs; `simulate anisotropic_elastic_2d`
 is most of it.
+
+A hash says only that an output moved.  To see by how much, keep every run's
+files (`--keep DIR` writes run i's output files and its `stdout.txt` under
+DIR/<i>) and compare two kept trees number by number:
+
+    PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py --keep parent > /dev/null
+    PYTHONPATH=src python3 tools/cli_digest.py --keep change > /dev/null
+    PYTHONPATH=src python3 tools/cli_digest.py --compare parent change
+
+The comparison prints one line per file that differs: its run, its name, how
+many of its numbers moved and the largest relative change among them, with
+the two values, or that its text changed outside the numbers.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import platform
+import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -86,7 +101,8 @@ def _hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def digest(argv: list[str]) -> list[str]:
+def digest(argv: list[str], keep: Path | None = None) -> list[str]:
+    """The digest lines of one run; with `keep`, its files and stdout.txt are copied there."""
     with tempfile.TemporaryDirectory() as tmp:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -98,11 +114,53 @@ def digest(argv: list[str]) -> list[str]:
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
                 lines.append(f"{path.relative_to(tmp)} {_hash(path.read_bytes())}")
+        if keep is not None:
+            shutil.copytree(tmp, keep, dirs_exist_ok=True)
+            (keep / "stdout.txt").write_text(stdout.getvalue())
+    return lines
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)", re.IGNORECASE)
+
+
+def moved(old: str, new: str) -> str | None:
+    """How the numbers of one file's text moved; None when the texts are equal."""
+    if old == new:
+        return None
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "text changed outside its numbers"
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    rel, a, b = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0, a, b) for a, b in pairs)
+    return f"{len(pairs)} numbers moved, largest relative change {rel:.1e} ({a!r} -> {b!r})"
+
+
+def compare(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per kept file that differs between two `--keep` trees of the same run list."""
+    lines = []
+    for i, argv in enumerate(RUNS):
+        old, new = old_dir / str(i), new_dir / str(i)
+        names = sorted({p.relative_to(d) for d in (old, new) for p in d.rglob("*") if p.is_file()})
+        for name in names:
+            a, b = old / name, new / name
+            if not (a.is_file() and b.is_file()):
+                change = "only in " + (str(old_dir) if a.is_file() else str(new_dir))
+            else:
+                change = moved(a.read_text(), b.read_text())
+            if change:
+                lines.append(f"{' '.join(argv)} | {name}: {change}")
     return lines
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, help="directory that receives each run's files under <run index>/")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two --keep directories number by number instead of running")
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        sys.exit(0)
     print(header())
-    for argv in RUNS:
-        print("\n".join(digest(argv)), flush=True)
+    for i, argv in enumerate(RUNS):
+        print("\n".join(digest(argv, None if args.keep is None else args.keep / str(i))), flush=True)
     sys.exit(0)
