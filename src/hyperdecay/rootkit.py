@@ -4,9 +4,10 @@ Roots come from companion-matrix eigenvalues refined by Aberth-Ehrlich sweeps;
 the guarantee is a residual bound |p(z)| <= 1e-10 * sum_i |c_i||z|^i per root.
 A row with real coefficients starts from the eigenvalues of its real
 companion matrix, and its roots come back closed under conjugation bit for
-bit, real roots with an imaginary part of exactly 0.  A row stops sweeping
-once a sweep improves none of its residuals: Aberth cannot separate a double
-root that the real start splits into a conjugate pair.  Such a pair, and any
+bit, real roots with an imaginary part of exactly 0.  A row whose roots all
+pass the certificate stops sweeping once a sweep improves none of its
+residuals: Aberth cannot separate a double root that the real start splits
+into a conjugate pair.  Such a pair, and any
 two roots of a real row close to each other and to no third, is refined as
 a quadratic factor (Bairstow's Newton step on the division remainder) and
 read from its discriminant as a double root, two real roots or a conjugate
@@ -16,7 +17,9 @@ conditioned at both ends of the ray), bisects level by level with one kernel
 call per level, and matches consecutive root sets by a minimum-total-distance
 assignment (`assign`, the one matcher).  `root_groups` is the one grouping of
 nearby roots: cluster events in tracking, double roots in the asymptotics and
-the scenario flags read it.
+the scenario flags read it.  The pair refinement, which runs on every solve
+of a real row and wants only groups of exactly two, finds those from
+neighbour counts instead of `root_groups`' chaining passes.
 """
 
 from __future__ import annotations
@@ -121,12 +124,13 @@ def _companion_eigvals(c: np.ndarray, real: np.ndarray) -> np.ndarray:
     """
     m = c.shape[1] - 1
     zeros = np.argmax(c != 0, axis=1)
-    if not zeros.any() and (real.all() or not real.any()):
-        return np.linalg.eigvals(companion(c.real if real[0] else c)[:, ::-1, ::-1]).astype(complex)
+    kinds = (True, False) if real.any() and not real.all() else (bool(real[0]),)
+    if not zeros.any() and len(kinds) == 1:
+        return np.linalg.eigvals(companion(c.real if real[0] else c)[:, ::-1, ::-1]).astype(complex, copy=False)
     z = np.zeros((c.shape[0], m), dtype=complex)
     for k in np.unique(zeros[zeros < m]):
-        for kind in (True, False):
-            rows = np.nonzero((zeros == k) & (real == kind))[0]
+        for kind in kinds:
+            rows = np.nonzero((zeros == k) & (real == kind))[0] if len(kinds) > 1 else np.nonzero(zeros == k)[0]
             if rows.size:
                 block = c[rows, k:]
                 z[rows, : m - k] = np.linalg.eigvals(companion(block.real if kind else block)[:, ::-1, ::-1])
@@ -137,9 +141,9 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich sweeps on the rows of z0[N, m], roots of c[N, m+1].
 
     Each row keeps its best iterate by residual and stops on its own: once
-    all its residuals are <= 1e-15, once a sweep improves none of them, once
-    its largest relative step is below 1e-16, or after ABERTH_MAX_SWEEPS
-    sweeps.  Finished rows leave the sweep.
+    all its residuals are <= 1e-15, once a sweep improves none of them while
+    they all pass the certificate TOL.root_residual_rtol, once its largest
+    relative step is below 1e-16, or after ABERTH_MAX_SWEEPS sweeps.  Finished rows leave the sweep.
     Returns the best iterates and their residuals.
     """
     dc = _polyder(c)
@@ -173,7 +177,8 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         improved = res < best_res
         best = np.where(improved, z, best)
         best_res = np.where(improved, res, best_res)
-        done = (np.all(best_res <= 1e-15, axis=1) | ~np.any(improved, axis=1)
+        worst = np.max(best_res, axis=1)
+        done = ((worst <= 1e-15) | ((worst <= TOL.root_residual_rtol) & ~np.any(improved, axis=1))
                 | (np.max(np.abs(step) / (1.0 + np.abs(z)), axis=1) < 1e-16))
         if done.any():
             out[rows[done]], out_res[rows[done]] = best[done], best_res[done]
@@ -216,9 +221,10 @@ def _refine_pairs(c: np.ndarray, z: np.ndarray, res: np.ndarray, real: np.ndarra
     """Refine each close pair of a real row's roots z[N, m] as a quadratic factor, in place.
 
     Two roots of a row flagged in real[N] form a pair when they lie within
-    PAIR_RTOL * (1 + max |z|) of each other and of no other root, a group of
-    exactly two in `root_groups`' sense, read here from the neighbour counts
-    that also let a block with no close roots return at once.  The row being
+    PAIR_RTOL * (1 + max |z|) of each other and of no other root: a group of
+    exactly two in `root_groups`' sense, found here from neighbour counts
+    alone (no chaining passes), which also let a block with no close roots
+    return after one test.  The row being
     conjugate-closed, a pair of two real roots or a conjugate pair is a real
     quadratic factor, which `_pair_factor` refines.  The refined pair
     replaces Aberth's, with its residuals in res, when it passes the residual

@@ -283,7 +283,10 @@ def step(run: SemilinearRun, dt: float | None = None, *, max_change: float | Non
     With `max_change`, a step that moves the L2 norm by more than that from its
     last recorded value (and stays finite, below the blow-up growth) is undone
     on that norm alone: the state and time go back, nothing is recorded, and
-    the new state's field is never transformed for its sup norm.
+    the new state's field is never transformed for its sup norm.  The option
+    is here, not in a private helper, so that every attempt of
+    `run_semilinear` still passes through `step`, which perfbench wraps to
+    count and time steps.
     """
     dt = run.dt if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0):

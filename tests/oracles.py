@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
-                                _rounding_floor, companion, roots_batch)
+                                companion, roots_batch)
 from hyperdecay.solver import exp_newton
 from hyperdecay.stability import sample_directions
 from hyperdecay.symbols import DimensionMismatchError
@@ -89,10 +89,23 @@ def _propagate_companion(coeffs: np.ndarray, data: np.ndarray, t, k: int):
 
 
 def _lambdas_with_noise(solver: RadialRootSolver, rho: float):
-    """Roots at one rho plus the rounding floor (`_rounding_floor`) per root."""
+    """Roots at one rho plus the rounding floor per root.
+
+    The floor is eps * bound(p, z) / |p'(z)|, or sqrt(2 eps * bound(p, z) / |p''(z)|)
+    where that is smaller (p' vanishes at an exact double root), with bound(p, z)
+    = sum |c_i||z|^i; the polynomials are evaluated by numpy's `polyval`.
+    """
     c = solver.mu_coeffs(rho)
     mu = roots_batch(c[None, :])[0]
-    return rho * mu, rho * _rounding_floor(c, mu)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    desc = c[::-1]
+    bound = np.polyval(np.abs(desc), np.abs(mu))
+    d1 = np.polyder(desc)
+    noise = eps * bound / np.maximum(np.abs(np.polyval(d1, mu)), tiny)
+    if len(c) > 2:
+        second = np.sqrt(2.0 * eps * bound / np.maximum(np.abs(np.polyval(np.polyder(d1), mu)), tiny))
+        noise = np.minimum(noise, second)
+    return rho * mu, rho * noise
 
 
 def match_roots(prev: np.ndarray, cand: np.ndarray):

@@ -11,7 +11,7 @@ from hyperdecay.solver import RadialPropagator, default_rho_grid
 from hyperdecay.stability import real_root_table
 from hyperdecay.symbols import UnivariatePoly, axis_direction, full_symbol_at, symbol_coeffs
 from hyperdecay.tolerances import TOL
-from tests.oracles import track_branches_recursive
+from tests.oracles import _lambdas_with_noise, track_branches_recursive
 from tests.test_stability import random_interlaced_stack
 
 
@@ -464,6 +464,15 @@ def test_real_row_gets_the_same_roots_alone_and_in_any_batch(rng):
             assert np.array_equal(batch[offset + i], z)
 
 
+def test_aberth_sweeps_on_while_a_row_fails_the_certificate():
+    # from this start a sweep improves none of the residuals while the row is far
+    # from the certificate; only a row that already passes may stop on that
+    c = np.poly([-0.9, 0.4, 0.2])[::-1][None, :].astype(complex)
+    z, res = rootkit._aberth(c, np.array([[-2 - 3j, -4 + 3j, -1]]))
+    assert np.max(res) <= TOL.root_residual_rtol
+    assert np.allclose(np.sort(z[0].real), [-0.9, 0.2, 0.4]) and np.allclose(z[0].imag, 0)
+
+
 def test_the_rounding_floor_of_an_exact_double_root_is_second_order(stacks):
     # anisotropic_elastic_2d's axis at rho = 1e-4: the slow pair lies 2.6e-12 apart in mu
     # (60-digit mpmath), below what rounding resolves, and comes back as one double root
@@ -471,7 +480,10 @@ def test_the_rounding_floor_of_an_exact_double_root_is_second_order(stacks):
     lam, noise = solver.lambdas_with_noise(np.array([1e-4]))
     assert lam[0, 2] == lam[0, 3]
     # p' vanishes there; the floor is sqrt(2 eps bound / |p''|), about 3e-16 in lambda
-    assert np.all(noise[0, 2:] < 1e-15)
+    assert np.all((noise[0, 2:] > 0) & (noise[0, 2:] < 1e-15))
+    # every root's floor is the smaller of the two bounds, as the reference writes them out
+    ref_lam, ref_noise = _lambdas_with_noise(solver, 1e-4)
+    assert np.array_equal(lam[0], ref_lam) and np.array_equal(noise[0], ref_noise)
 
 
 def test_a_near_double_pair_is_backward_stable(stacks):
