@@ -13,7 +13,7 @@ keeps the records of one expansion case: simple anchors for the strict kinds,
 shared simple anchors for the quartic-phase weak kind, and the split pair of
 a double anchor for the other weak kind.  Time derivatives act term by term
 through z_j^k.  `solution_and_gap` propagates the solution once and takes the
-norms of the solution and of its gap to the profile from that one field.
+norms of the solution and of its gap to the profile from that one run.
 """
 
 from __future__ import annotations
@@ -138,23 +138,22 @@ def build_profile(stack: OperatorStack, M: float) -> ProfileSpec:
 
 def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float = 0.0,
                      rho_grid: np.ndarray | None = None) -> tuple[NormTimeSeries, NormTimeSeries]:
-    """Norm series of the solution and of (solution - smoothed profile), from one field.
+    """Norm series of the solution and of (solution - smoothed profile), from one run.
 
     `_field` resolves the run as it does for `simulate`, so the first series
-    is the one `simulate` returns.  The profile is taken on the field's own radial
-    grid along the first of them, the axis, so the leading-term cancellation
-    is not polluted by discretization.  The profile is written into one (T, N)
-    array, and the gap is formed in place there.
+    is the one `simulate` returns.  The profile is taken on the run's own radial
+    grid along the first of its directions, the axis, so the leading-term
+    cancellation is not polluted by discretization.  The gap is formed in place
+    in that direction's (T, N) field, one time at a time.
     """
     if stack.dim > 1 and not stack.isotropic:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
     spec = build_profile(stack, moment(data, stack))
-    rho, times, sol = _field(stack, data, times, k, rho_grid)
-    gap = np.empty((len(times), len(rho)), dtype=complex)
+    rho, times, gap, density = _field(stack, data, times, k, rho_grid)
     for i, t in enumerate(times):
-        gap[i] = spec.fourier_value(t, rho, k=k)
-    np.subtract(sol[:, 0], gap, out=gap)
-    return (_norm_series(stack.dim, rho, sol, times, k, s),
+        gap[i] -= spec.fourier_value(t, rho, k=k)
+    gap = np.abs(gap) ** 2
+    return (_norm_series(stack.dim, rho, density, times, k, s),
             _norm_series(stack.dim, rho, gap, times, k, s))
 
 

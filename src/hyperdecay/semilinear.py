@@ -66,7 +66,6 @@ class SemilinearRun:
     nu: int
     box_halfwidth: float
     modes_per_axis: int
-    dim: int
     t: float = 0.0
     dt: float = 0.05
     # Fourier side in rfftn layout: (m, n // 2 + 1) or (m, n, n // 2 + 1).  Assign a new
@@ -89,6 +88,10 @@ class SemilinearRun:
     @property
     def m(self) -> int:
         return self.stack.m
+
+    @property
+    def dim(self) -> int:
+        return self.stack.dim
 
     @property
     def dx(self) -> float:
@@ -128,13 +131,16 @@ def _wavenumbers(n: int, halfwidth: float) -> np.ndarray:
 
 
 def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidth: float,
-              modes_per_axis: int, dim: int, initial: Callable[[np.ndarray], np.ndarray] | None = None,
+              modes_per_axis: int, dim: int | None = None,
+              initial: Callable[[np.ndarray], np.ndarray] | None = None,
               initial_slot: int | None = None, dt: float = 0.05) -> SemilinearRun:
     """Assemble a run with physical initial data placed in one derivative slot.
 
+    The box has the stack's dimension; a given `dim` must equal it.
     `initial` maps the coordinate meshes, one per axis, to real values;
     by default data go into the top slot m-1.
     """
+    dim = stack.dim if dim is None else dim
     if dim not in (1, 2):
         raise ValueError("the periodic box supports dim 1 or 2")
     if stack.dim != dim:
@@ -155,7 +161,7 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
         raise ValueError(f"the initial slot must lie in [0, {stack.m - 1}], got {initial_slot}")
     run = SemilinearRun(stack=stack, p=float(p), sign=float(sign), nu=int(nu),
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
-                        dim=dim, dt=float(dt))
+                        dt=float(dt))
     n = run.modes_per_axis
     half = n // 2 + 1
     run.state = np.zeros((stack.m,) + (n,) * (dim - 1) + (half,), dtype=complex)
@@ -317,7 +323,8 @@ def step(run: SemilinearRun, dt: float | None = None, *, max_change: float | Non
 
 def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: float,
                    dt0: float = 0.05, box_halfwidth: float = 60.0, modes_per_axis: int = 128,
-                   dim: int = 2, amplitude: float = 1e-3, initial_slot: int | None = None) -> SemilinearRun:
+                   dim: int | None = None, amplitude: float = 1e-3,
+                   initial_slot: int | None = None) -> SemilinearRun:
     """Integrate to time T, halving the step when one moves the norm too much.
 
     A step that changes the L2 norm by more than REL_CHANGE_CAP times the
@@ -331,6 +338,7 @@ def run_semilinear(stack: OperatorStack, p: float, sign: float, nu: int, T: floa
     floor of the step size is taken as a full step.  T must be finite and > 0.
     Initial data: a centered unit-width Gaussian of the given amplitude in one
     derivative slot (top slot by default).  The run stops early on blow-up.
+    The box has the stack's dimension, as in `build_run`.
     """
     if not np.isfinite(T):
         raise ValueError(f"the end time T must be finite, got {T}")

@@ -8,8 +8,8 @@ companion state.  It is batched over modes and times, returns only the leading
 state coordinates its caller names, and needs no separate route for confluent
 roots.  Its divided-difference table is mode-last, (M, T, N) for M roots, T
 times and N modes, so each level of the recurrence runs over contiguous (T, N)
-planes, and it writes each block of modes into the caller's array (`out=`): a
-norm run's directions fill their slices of one field.  There is no time
+planes.  A norm run streams its directions into one (T, N) density, the mean
+|u_hat|^2 the s-norm reads, and holds no (T, D, N) field.  There is no time
 stepping, so slope fits probe the operator, not an integrator.
 """
 
@@ -212,7 +212,7 @@ def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray
 
 
 def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: int,
-               lead: int, out: np.ndarray | None = None) -> np.ndarray:
+               lead: int) -> np.ndarray:
     """The first `lead` state coordinates of C^k e^(C t) y0 for the companion matrices C of coeffs[N, M+1].
 
     nodes[N, M] are the roots of coeffs.  The Newton form sum_j f[lambda_0 ..
@@ -224,17 +224,12 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
     exactly.  y0 has shape (N, M, R).  The Newton vectors need every
     coordinate, but only their first `lead` enter the final contraction, so
     the result is (T, N, lead, R).  Modes go through in
-    blocks of BATCH_ROWS, each contracted straight into its rows of `out`
-    (allocated when not given, as in numpy), which is returned.
+    blocks of BATCH_ROWS, each contracted straight into its rows of the result.
     """
     if k < 0:
         raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    shape = (len(times), len(y0), lead, y0.shape[2])
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, the result {shape}")
+    out = np.empty((len(times), len(y0), lead, y0.shape[2]), dtype=complex)
     for rows in (slice(s, s + BATCH_ROWS) for s in range(0, len(nodes), BATCH_ROWS)):
         lam = _chain(nodes[rows])
         tail = coeffs[rows, :-1] / coeffs[rows, -1:]
@@ -251,18 +246,15 @@ def exp_newton(coeffs: np.ndarray, nodes: np.ndarray, y0: np.ndarray, times, k: 
     return out
 
 
-def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k: int,
-               out: np.ndarray | None = None) -> np.ndarray:
+def _propagate(coeffs: np.ndarray, lams: np.ndarray, data: np.ndarray, times, k: int) -> np.ndarray:
     """d_t^k u_hat for modes with symbol coefficients coeffs[N, m+1], roots lams[N, m], data[m, N]; shape (T, N).
 
     The mode state (u, d_t u, ..., d_t^(m-1) u) evolves by its companion
     matrix C, and d_t^k u is coordinate 0 of C^k e^(C t) y0 for every k >= 0,
-    the only coordinate `exp_newton` is asked for.  A given (T, N) `out`
-    receives the result.
+    the only coordinate `exp_newton` is asked for.
     """
     y0 = np.asarray(data, dtype=complex).T[..., None]
-    return exp_newton(coeffs, lams, y0, times, k, lead=1,
-                      out=None if out is None else out[:, :, None, None])[:, :, 0, 0]
+    return exp_newton(coeffs, lams, y0, times, k, lead=1)[:, :, 0, 0]
 
 
 def propagate_mode(stack: OperatorStack, xi: Sequence[float], data: Sequence[complex],
@@ -298,11 +290,10 @@ class RadialPropagator:
         self.lams = RadialRootSolver(stack, d).lambdas_grid(self.rho)
         self.confluent = is_confluent(self.lams)
 
-    def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """d_t^k u_hat on the grid; shape (n_times, n_modes), written into `out` when given."""
+    def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0) -> np.ndarray:
+        """d_t^k u_hat on the grid; shape (n_times, n_modes)."""
         xi = self.rho[:, None] * self.direction.vector()[None, :]
-        return _propagate(symbol_coeffs(self.stack, xi), self.lams, data, times, k, out)
+        return _propagate(symbol_coeffs(self.stack, xi), self.lams, data, times, k)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +309,16 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     """Homogeneous s-norm from Fourier mode values on a radial (x sphere) grid.
 
     snapshot is (n_modes,) for one direction (weighted with the full sphere
-    measure) or (n_dirs, n_modes) for an equal-weight direction set.  The
-    grid must be 1-d, finite, positive and strictly ascending.  The radial
+    measure) or (n_dirs, n_modes) for an equal-weight direction set.
+    """
+    snap = np.atleast_2d(np.asarray(snapshot))
+    return _density_norm(n, rho_grid, np.mean(np.abs(snap) ** 2, axis=0), s)
+
+
+def _density_norm(n: int, rho_grid: np.ndarray, dens: np.ndarray, s: float) -> float:
+    """Homogeneous s-norm from a density on the radial grid: the direction mean of |u_hat|^2.
+
+    The grid must be 1-d, finite, positive and strictly ascending.  The radial
     integral is a trapezoid rule in log rho; the last octave of the grid must
     contribute less than tail_fraction of the total.  The norm needs a finite s
     with 2s + n > 0: below that the weight rho^(2s + n - 1) is not integrable
@@ -332,10 +331,8 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     rho = np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or not (np.all(np.isfinite(rho)) and np.all(rho > 0) and np.all(np.diff(rho) > 0)):
         raise ValueError("the radial grid must be 1-d, finite, positive and strictly ascending")
-    snap = np.atleast_2d(np.asarray(snapshot))
-    if snap.shape[1] != len(rho):
-        raise ValueError(f"snapshot has {snap.shape[1]} modes but the grid has {len(rho)}")
-    dens = np.mean(np.abs(snap) ** 2, axis=0)
+    if dens.shape != rho.shape:
+        raise ValueError(f"snapshot has {dens.shape[-1]} modes but the grid has {len(rho)}")
     integrand = rho ** (2.0 * s + n) * dens  # extra rho from the log substitution
     lr = np.log(rho)
     total = np.trapezoid(integrand, lr)
@@ -386,13 +383,14 @@ def default_rho_grid() -> np.ndarray:
 
 
 def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.ndarray | None = None,
-           directions: Sequence[Direction] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one resolver of a norm run: (rho, times, d_t^k u_hat along each direction (T, D, N)).
+           directions: Sequence[Direction] | None = None) -> tuple[np.ndarray, ...]:
+    """The one resolver of a norm run: (rho, times, first, density), the last two (T, N).
 
     It checks the slot count and the time grid: nonempty, 1-d, finite, >= 0 and strictly ascending,
     as `_norm_series` cuts a prefix at underflow.  Unless given, the radial grid is the default and
     the directions `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each
-    direction's `RadialPropagator` writes its slice of one preallocated field array.
+    direction's |d_t^k u_hat|^2 is added into `density` in turn and the sum divided by their
+    count, as numpy takes a mean; `first` is the first direction's d_t^k u_hat.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
@@ -405,17 +403,21 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
         directions = sample_directions(stack.dim, stack.isotropic)
         if not stack.isotropic and stack.dim == 2:
             directions = directions[::4]  # 64 angles suffice for the norm average
+    if not len(directions):
+        raise ValueError("a norm run needs at least one direction")
     dvals = data.values(rho, stack.dim)
-    out = np.empty((len(times), len(directions), len(rho)), dtype=complex)
-    for i, d in enumerate(directions):
-        RadialPropagator(stack, d, rho).propagate(dvals, times, k, out=out[:, i])
-    return rho, times, out
+    first = RadialPropagator(stack, directions[0], rho).propagate(dvals, times, k)
+    density = np.abs(first) ** 2
+    for d in directions[1:]:
+        density += np.abs(RadialPropagator(stack, d, rho).propagate(dvals, times, k)) ** 2
+    density /= len(directions)
+    return rho, times, first, density
 
 
-def _norm_series(dim: int, rho: np.ndarray, field_vals: np.ndarray, times: np.ndarray, k: int,
+def _norm_series(dim: int, rho: np.ndarray, density: np.ndarray, times: np.ndarray, k: int,
                  s: float) -> NormTimeSeries:
-    """The s-norm of field_vals[i] at each time, cut at the first underflow, with its slope fit."""
-    values = np.array([sobolev_norm(dim, rho, field_vals[i], s) for i in range(len(times))])
+    """The s-norm of density[i] at each time, cut at the first underflow, with its slope fit."""
+    values = np.array([_density_norm(dim, rho, dens, s) for dens in density])
     flags = []
     truncated = False
     alive = values >= UNDERFLOW_FLOOR
@@ -444,5 +446,5 @@ def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float =
     an equal-weight sample otherwise.  The fitted slope is the log-log least
     squares slope over the trailing FIT_WINDOW_DECADES of the time range.
     """
-    rho, times, field_vals = _field(stack, data, times, k, rho_grid, directions)
-    return _norm_series(stack.dim, rho, field_vals, times, k, s)
+    rho, times, _, density = _field(stack, data, times, k, rho_grid, directions)
+    return _norm_series(stack.dim, rho, density, times, k, s)

@@ -5,7 +5,7 @@ from hyperdecay import semilinear
 from hyperdecay.presets import mgt_stack
 from hyperdecay.rootkit import RootfindingError, roots_batch
 from hyperdecay.semilinear import build_run, run_semilinear, step
-from hyperdecay.solver import exp_newton, propagate_mode
+from hyperdecay.solver import propagate_mode
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, symbol_coeffs
 
 from tests.oracles import reference_step, semilinear_exponential
@@ -150,21 +150,6 @@ def test_semilinear_propagator_is_the_all_rows_slice():
             assert wpart.dtype == phi.dtype
             assert wpart.tobytes() == np.ascontiguousarray(full_w[(slice(None),) + part]).tobytes()
         assert np.array_equal(covered, mask) and 0 < mask.sum() < mask.size
-
-
-def test_semilinear_propagator_call_writes_into_out():
-    """The `lead=m` call writes into a strided slice exactly the array it returns without `out`."""
-    run = build_run(mgt_stack(dim=2), p=5.0, sign=1.0, nu=0, box_halfwidth=20.0, modes_per_axis=32, dim=2)
-    m, n = run.m, len(run._lams)
-    zero = np.zeros((n, 1))
-    tmat = np.tile(np.eye(m + 1, dtype=complex), (n, 1, 1))
-    tmat[:, m, :m] = -run._coeffs[:, :m]
-    args = (np.hstack([zero, run._coeffs]), np.hstack([zero, run._lams]), tmat, 0.05, 0)
-    big = np.full((2, n, m + 1, 2 * (m + 1)), np.nan, dtype=complex)
-    out = big[1:, :, 1:, ::2]
-    assert exp_newton(*args, lead=m, out=out) is out
-    assert np.array_equal(out, exp_newton(*args, lead=m))
-    assert np.all(np.isnan(big[0])) and np.all(np.isnan(big[1, :, 0])) and np.all(np.isnan(big[..., 1::2]))
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0, 2.5, 5.0])
@@ -452,6 +437,16 @@ def test_nu_reads_state_coordinate():
     run = build_run(stack, p=2.0, sign=1.0, nu=1, box_halfwidth=30.0, modes_per_axis=64,
                     dim=1, initial=lambda x: 0.3 * np.exp(-0.5 * x**2), initial_slot=1, dt=0.1)
     assert run.linf_series[0] == pytest.approx(0.3, rel=1e-6)
+
+
+def test_the_box_dimension_is_the_stacks():
+    """Without `dim` a run takes the stack's dimension, read from the stack; a given `dim` must match."""
+    run = run_semilinear(mgt_stack(dim=1), p=5.0, sign=1.0, nu=0, T=0.1, modes_per_axis=16)
+    assert run.dim == 1 and run.state.shape == (3, 9) and run.times[-1] == 0.1
+    with pytest.raises(AttributeError):
+        run.dim = 2
+    with pytest.raises(ValueError, match="stack dim 1 != run dim 2"):
+        build_run(mgt_stack(dim=1), 5.0, 1.0, nu=0, box_halfwidth=10.0, modes_per_axis=16, dim=2)
 
 
 def test_build_run_validation():
