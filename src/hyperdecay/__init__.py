@@ -8,7 +8,7 @@ from .asymptotics import (ExpansionCase, ExpansionRecord, Regime, high_freq_expa
 from .decay import CriticalExponentReport, DecayPrediction, critical_exponent, predict_decay
 from .profiles import (ProfileKind, ProfileSpec, build_profile, moment, profile_gap_series,
                        solution_and_gap)
-from .rootkit import (RootBranchSet, RootCluster, connecting_permutation, roots, roots_batch,
+from .rootkit import (RootBranchSet, connecting_permutation, roots, roots_batch,
                       spectral_abscissa, track_branches)
 from .semilinear import SemilinearRun, build_run, run_semilinear, step
 from .solver import (DataSpec, GaussianProfile, GridProfile, NormTimeSeries, RingProfile,
@@ -27,7 +27,7 @@ __all__ = [
     "CriticalExponentReport", "DataSpec", "DecayPrediction", "Direction", "ExpansionCase",
     "ExpansionRecord", "GaussianProfile", "GridProfile", "HomogeneousSymbol", "Hyperbolicity",
     "Interlacing", "InterlacingClass", "NormTimeSeries", "OperatorStack", "ProfileKind",
-    "ProfileSpec", "Regime", "RingProfile", "RootBranchSet", "RootCluster", "SemilinearRun",
+    "ProfileSpec", "Regime", "RingProfile", "RootBranchSet", "SemilinearRun",
     "StabilityReport", "TOL", "UnivariatePoly", "ZeroProfile", "build_profile", "build_run",
     "check_poly", "classify_hyperbolicity", "classify_interlacing", "classify_stack",
     "connecting_permutation", "critical_exponent", "full_symbol_at", "hermite_biehler_stable",

@@ -7,19 +7,18 @@ companion matrix, and its roots come back closed under conjugation bit for
 bit, real roots with an imaginary part of exactly 0.  A row whose roots all
 pass the certificate stops sweeping once a sweep improves none of its
 residuals: Aberth cannot separate a double root that the real start splits
-into a conjugate pair.  Such a pair, and any
-two roots of a real row close to each other and to no third, is refined as
-a quadratic factor (Bairstow's Newton step on the division remainder) and
-read from its discriminant as a double root, two real roots or a conjugate
-pair, so its sum and product are those of the rounded coefficients.
-Branch tracking solves the scaled polynomial in mu = lambda/rho (well
-conditioned at both ends of the ray), bisects level by level with one kernel
-call per level, and matches consecutive root sets by a minimum-total-distance
-assignment (`assign`, the one matcher).  `root_groups` is the one grouping of
-nearby roots: cluster events in tracking, double roots in the asymptotics and
-the scenario flags read it.  The pair refinement, which runs on every solve
-of a real row and wants only groups of exactly two, finds those from
-neighbour counts instead of `root_groups`' chaining passes.
+into a conjugate pair.  Such a pair, and any lone pair of a real row's roots
+(two roots close to each other and to no third: the one test `_lone_pairs`),
+is refined as a quadratic factor (Bairstow's Newton step on the division
+remainder) and read from its discriminant as a double root, two real roots
+or a conjugate pair, so its sum and product are those of the rounded
+coefficients.  Branch tracking solves the scaled polynomial in mu =
+lambda/rho (well conditioned at both ends of the ray), bisects level by
+level with one kernel call per level, holds a lone pair as one unit, and
+matches consecutive root sets by a minimum-total-distance assignment
+(`assign`, the one matcher).  `root_groups` is the one grouping of nearby
+roots by chains: cluster events in tracking, double roots in the
+asymptotics and the scenario flags read it.
 """
 
 from __future__ import annotations
@@ -111,29 +110,25 @@ def companion(c: np.ndarray) -> np.ndarray:
     return a
 
 
-def _companion_eigvals(c: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """Starting roots per row, as `np.roots` computes them.
+def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+    """Starting roots per row of c[N, m+1], as `np.roots` computes them.
 
     Low-order coefficients that are exactly zero become exact-zero roots
     (listed last); the rest are the eigenvalues of the reduced companion
     matrix in `np.roots`' index-reversed layout, one stacked `eigvals` call
-    per count of such zeros and per kind of row.  A row flagged in real[N]
-    (no imaginary part) gets its real companion matrix, whose eigenvalues
-    are exact conjugate pairs, listed positive imaginary part first, and
-    exact reals; any other row gets the complex matrix.
+    per count of such zeros.  Real rows (a real dtype) get their real
+    companion matrix, whose eigenvalues are exact conjugate pairs, listed
+    positive imaginary part first, and exact reals; complex rows the
+    complex matrix.
     """
     m = c.shape[1] - 1
     zeros = np.argmax(c != 0, axis=1)
-    kinds = (True, False) if real.any() and not real.all() else (bool(real[0]),)
-    if not zeros.any() and len(kinds) == 1:
-        return np.linalg.eigvals(companion(c.real if real[0] else c)[:, ::-1, ::-1]).astype(complex, copy=False)
+    if not zeros.any():
+        return np.linalg.eigvals(companion(c)[:, ::-1, ::-1]).astype(complex, copy=False)
     z = np.zeros((c.shape[0], m), dtype=complex)
     for k in np.unique(zeros[zeros < m]):
-        for kind in kinds:
-            rows = np.nonzero((zeros == k) & (real == kind))[0] if len(kinds) > 1 else np.nonzero(zeros == k)[0]
-            if rows.size:
-                block = c[rows, k:]
-                z[rows, : m - k] = np.linalg.eigvals(companion(block.real if kind else block)[:, ::-1, ::-1])
+        rows = np.nonzero(zeros == k)[0]
+        z[rows, : m - k] = np.linalg.eigvals(companion(c[rows, k:])[:, ::-1, ::-1])
     return z
 
 
@@ -191,9 +186,8 @@ def _aberth(c: np.ndarray, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, out_res
 
 
-def _close_conjugates(c: np.ndarray, start: np.ndarray, z: np.ndarray, res: np.ndarray,
-                      real: np.ndarray) -> None:
-    """Make the roots z[N, m] of each real row closed under conjugation bit for bit, in place.
+def _close_conjugates(c: np.ndarray, start: np.ndarray, z: np.ndarray, res: np.ndarray) -> None:
+    """Make the roots z[N, m] of real rows closed under conjugation bit for bit, in place.
 
     Aberth's sweeps keep a real row's roots conjugate-closed only up to
     rounding.  The start lists each conjugate pair next to each other,
@@ -203,7 +197,7 @@ def _close_conjugates(c: np.ndarray, start: np.ndarray, z: np.ndarray, res: np.n
     the imaginary part the pairs' rounding can give it, and only such roots
     have their residuals recomputed.
     """
-    rows, i = np.nonzero(real[:, None] & (start.imag > 0))
+    rows, i = np.nonzero(start.imag > 0)
     if rows.size == 0:
         return      # all-real iterates of a real row stay exactly real through the sweeps
     j = i + 1
@@ -211,37 +205,28 @@ def _close_conjugates(c: np.ndarray, start: np.ndarray, z: np.ndarray, res: np.n
     w = np.where(ri <= rj, zi, np.conj(zj))
     z[rows, i], z[rows, j] = w, np.conj(w)
     res[rows, i] = res[rows, j] = np.minimum(ri, rj)
-    rows, k = np.nonzero(real[:, None] & (start.imag == 0) & (z.imag != 0))
+    rows, k = np.nonzero((start.imag == 0) & (z.imag != 0))
     if rows.size:
         z[rows, k] = z[rows, k].real
         res[rows, k] = _residuals(c[rows], z[rows, k, None])[:, 0]
 
 
-def _refine_pairs(c: np.ndarray, z: np.ndarray, res: np.ndarray, real: np.ndarray) -> None:
-    """Refine each close pair of a real row's roots z[N, m] as a quadratic factor, in place.
+def _refine_pairs(c: np.ndarray, z: np.ndarray, res: np.ndarray) -> None:
+    """Refine each close pair of the roots z[N, m] of real rows as a quadratic factor, in place.
 
-    Two roots of a row flagged in real[N] form a pair when they lie within
-    PAIR_RTOL * (1 + max |z|) of each other and of no other root: a group of
-    exactly two in `root_groups`' sense, found here from neighbour counts
-    alone (no chaining passes), which also let a block with no close roots
-    return after one test.  The row being
-    conjugate-closed, a pair of two real roots or a conjugate pair is a real
-    quadratic factor, which `_pair_factor` refines.  The refined pair
-    replaces Aberth's, with its residuals in res, when it passes the residual
-    certificate and its centre lies within the pair tolerance of the old one.
-    Three or more mutually close roots keep Aberth's values, and so does a
-    pair of exact zeros.
+    Two roots form a pair when they are a lone pair (`_lone_pairs`) at
+    PAIR_RTOL * (1 + max |z|).  The row being conjugate-closed, a pair of two
+    real roots or a conjugate pair is a real quadratic factor, which
+    `_pair_factor` refines.  The refined pair replaces Aberth's, with its
+    residuals in res, when it passes the residual certificate and its centre
+    lies within the pair tolerance of the old one.  Three or more mutually
+    close roots keep Aberth's values, and so does a pair of exact zeros.
     """
-    m = z.shape[1]
-    idx = np.arange(m)
     tol = PAIR_RTOL * (1.0 + np.max(np.abs(z), axis=1))
-    near = np.abs(z[:, :, None] - z[:, None, :]) <= tol[:, None, None]
-    near[:, idx, idx] = False
-    if not near.any():
+    lone, partner = _lone_pairs(_gaps(z), tol[:, None])
+    rows, i = np.nonzero(lone & (partner > np.arange(z.shape[1])))
+    if rows.size == 0:
         return
-    lone = np.count_nonzero(near, axis=2) == 1
-    partner = np.argmax(near, axis=2)
-    rows, i = np.nonzero(lone & np.take_along_axis(lone, partner, axis=1) & (partner > idx) & real[:, None])
     j = partner[rows, i]
     zi, zj = z[rows, i], z[rows, j]
     # in a conjugate-closed row, a lone pair with opposite imaginary parts is two real roots
@@ -299,13 +284,13 @@ def _pair_factor(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
 def roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """All roots of every row of coeffs[N, m+1] (ascending, nonzero leading term); shape (N, m).
 
-    Companion eigenvalues from stacked `eigvals` calls (real matrices for
-    rows with no imaginary part), refined by Aberth-Ehrlich sweeps
-    vectorized over the rows, both over blocks of BATCH_ROWS rows; a real
-    row's roots are then made conjugate-closed (`_close_conjugates`) and its
-    close pairs refined as quadratic factors (`_refine_pairs`).  Each row is
-    decided and solved on its own, so a row gets the same roots alone as
-    inside any batch.  Every root is certified by the residual bound
+    Real rows (no imaginary part) and complex rows are split once, and each
+    kind is solved in blocks of BATCH_ROWS rows: stacked companion `eigvals`
+    (real matrices for real rows), then Aberth-Ehrlich sweeps vectorized over
+    the rows; real rows' roots are made conjugate-closed (`_close_conjugates`)
+    and their close pairs refined as quadratic factors (`_refine_pairs`).
+    Each row is solved on its own, so it gets the same roots alone as inside
+    any batch.  Every root is certified by the residual bound
     TOL.root_residual_rtol, and each row is sorted canonically.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -324,12 +309,15 @@ def roots_batch(coeffs: np.ndarray) -> np.ndarray:
     else:
         z, res = np.empty((n, m), dtype=complex), np.empty((n, m))
         real = ~np.any(c.imag, axis=1)
-        for rows in (slice(b, b + BATCH_ROWS) for b in range(0, n, BATCH_ROWS)):
-            start = _companion_eigvals(c[rows], real[rows])
-            z[rows], res[rows] = _aberth(c[rows], start)
-            if real[rows].any():
-                _close_conjugates(c[rows], start, z[rows], res[rows], real[rows])
-                _refine_pairs(c[rows], z[rows], res[rows], real[rows])
+        for rows in (kind[b:b + BATCH_ROWS] for kind in (np.flatnonzero(real), np.flatnonzero(~real))
+                     for b in range(0, kind.size, BATCH_ROWS)):
+            block, is_real = c[rows], real[rows[0]]
+            start = _companion_eigvals(block.real if is_real else block)
+            zb, rb = _aberth(block, start)
+            if is_real:
+                _close_conjugates(block, start, zb, rb)
+                _refine_pairs(block, zb, rb)
+            z[rows], res[rows] = zb, rb
     worst = np.max(res, axis=1)
     bad = np.nonzero(~(worst <= TOL.root_residual_rtol))[0]
     if bad.size:
@@ -382,6 +370,23 @@ def _gaps(z: np.ndarray) -> np.ndarray:
     return diff
 
 
+def _lone_pairs(gaps: np.ndarray, thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lone-pair flags and nearest neighbours, both [..., m], from root distances gaps[..., m, m].
+
+    Root i and its nearest neighbour j are a lone pair when they lie within
+    thr_i of each other and no other root lies within thr_i of either: i's
+    group in `root_groups` at thr_i has exactly two members, read from the
+    second-nearest distances of i and j instead of by chaining passes.
+    """
+    t = np.minimum(thr, np.finfo(float).max)    # finite, so the inf diagonal of gaps is never within it
+    partner = np.argmin(gaps, axis=-1)
+    ranked = np.sort(gaps, axis=-1)
+    # clipped: with m = 1 the second-nearest distance is the inf diagonal
+    first, second = ranked[..., 0], np.take(ranked, 1, axis=-1, mode="clip")
+    lone = (first <= t) & (second > t) & (np.take_along_axis(second, partner, axis=-1) > t)
+    return lone, partner
+
+
 CONFLUENCE_RTOL = 1e-5     # diagnostic only; selects no route
 
 
@@ -412,19 +417,6 @@ def root_groups(z: np.ndarray, tol) -> np.ndarray:
     for _ in range(m - 1):   # a chain reaches at most m - 1 roots further
         labels = np.min(np.where(near, labels[..., None, :], m), axis=-1)
     return labels
-
-
-@dataclass(frozen=True)
-class RootCluster:
-    indices: frozenset[int]
-    center: complex
-    radius: float
-
-    @classmethod
-    def of(cls, zs: np.ndarray, members: np.ndarray) -> "RootCluster":
-        """The cluster of zs[members]: their mean and largest distance from it."""
-        center = complex(np.mean(zs[members]))
-        return cls(frozenset(members.tolist()), center, float(np.max(np.abs(zs[members] - center))))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +556,7 @@ def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nda
     continues prev[k, i]).  Only a root of prev whose nearest neighbour lies at
     least the cluster tolerance away is held (ratio 0 when none is).  A held
     root and its nearest neighbour form a unit when every other root lies more
-    than UNIT_FACTOR times their gap from both (`root_groups` at that gap); the
+    than UNIT_FACTOR times their gap from both (`_lone_pairs` at that); the
     unit's centre is held to its distance from the other roots, and each member
     to the pair's gap once the centre's motion is removed, so a pair moving
     together by many gaps is one step.  Any other held root is held to the
@@ -577,14 +569,11 @@ def _step_ratios(prev: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.nda
     gaps = _gaps(prev)
     own_gap = np.min(gaps, axis=2)
     held = own_gap >= TOL.cluster_rtol * (1.0 + np.max(np.abs(prev), axis=1, keepdims=True))
-    # row (k, i) groups the roots of prev[k] at root i's unit threshold
-    labels = root_groups(np.broadcast_to(prev[:, None, :], gaps.shape), UNIT_FACTOR * own_gap)
-    group = labels == labels[:, idx, idx, None]
-    unit = np.count_nonzero(group, axis=2) == 2
-    partner = np.argmin(gaps, axis=2)
+    unit, partner = _lone_pairs(gaps, UNIT_FACTOR * own_gap)
+    pair = (idx == idx[:, None]) | (idx == partner[:, :, None])   # pair[k, i, l]: l is root i or its partner
     moved_partner = np.take_along_axis(moved, partner, axis=1)
     centre = 0.5 * (prev + np.take_along_axis(prev, partner, axis=1))
-    to_others = np.min(np.where(group, np.inf, np.abs(prev[:, None, :] - centre[:, :, None])), axis=2)
+    to_others = np.min(np.where(pair, np.inf, np.abs(prev[:, None, :] - centre[:, :, None])), axis=2)
     # a unit member's own motion is half the pair's relative motion; any other root's is all of it
     own = np.where(unit, 0.5 * (moved - moved_partner), moved)
     ratio = np.divide(np.abs(own), own_gap, out=np.zeros(own.shape), where=held)
@@ -672,8 +661,9 @@ def track_branches(stack: OperatorStack, d: Direction, rho_grid: Sequence[float]
     labels = root_groups(zs, TOL.cluster_rtol * (1.0 + np.max(np.abs(zs), axis=1)))
     members = np.count_nonzero(labels[:, :, None] == np.arange(zs.shape[1]), axis=1)
     for k, label in zip(*np.nonzero(members >= 2)):
-        cl = RootCluster.of(zs[k], np.flatnonzero(labels[k] == label))
-        events.append((int(k), (float(rho_out[k]), tuple(sorted(cl.indices)), cl.radius * 2.0)))
+        group = np.flatnonzero(labels[k] == label)
+        radius = np.max(np.abs(zs[k, group] - np.mean(zs[k, group])))   # largest distance from the mean
+        events.append((int(k), (float(rho_out[k]), tuple(group.tolist()), 2.0 * float(radius))))
     events.sort(key=lambda e: e[0])
     return RootBranchSet(direction=d, rho_grid=rho_out, branches=branches,
                          cluster_events=[e for _, e in events], noise=noise[points, ranks])

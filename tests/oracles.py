@@ -27,7 +27,7 @@ from itertools import permutations
 import numpy as np
 from scipy.linalg import expm
 
-from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet, RootCluster,
+from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolver, RootBranchSet,
                                 companion, roots_batch)
 from hyperdecay.solver import exp_newton
 from hyperdecay.stability import sample_directions
@@ -125,8 +125,9 @@ def match_roots(prev: np.ndarray, cand: np.ndarray):
     return cand[perm], perm
 
 
-def find_clusters(zs, tol: float) -> list[RootCluster]:
-    """Greedy union of roots within `tol` of each other."""
+def find_clusters(zs, tol: float) -> list[tuple[tuple[int, ...], float]]:
+    """Greedy union of roots within `tol` of each other: (sorted indices, diameter) per cluster,
+    the diameter being twice the largest distance from the cluster's mean."""
     zs = np.asarray(zs)
     n = len(zs)
     parent = list(range(n))
@@ -151,7 +152,7 @@ def find_clusters(zs, tol: float) -> list[RootCluster]:
         pts = zs[members]
         center = complex(np.mean(pts))
         radius = float(np.max(np.abs(pts - center)))
-        out.append(RootCluster(frozenset(members), center, radius))
+        out.append((tuple(sorted(members)), radius * 2.0))
     return out
 
 
@@ -169,8 +170,8 @@ def track_branches_recursive(stack, d, rho_grid, max_bisections: int = 20) -> Ro
 
     def note_clusters(rho: float, zs: np.ndarray):
         tol = TOL.cluster_rtol * (1.0 + float(np.max(np.abs(zs))))
-        for cl in find_clusters(zs, tol):
-            events.append((rho, tuple(sorted(cl.indices)), cl.radius * 2.0))
+        for members, diameter in find_clusters(zs, tol):
+            events.append((rho, members, diameter))
 
     note_clusters(rhos[0], current)
 

@@ -15,7 +15,7 @@ EXPORTS = [
     "CriticalExponentReport", "DataSpec", "DecayPrediction", "Direction", "ExpansionCase",
     "ExpansionRecord", "GaussianProfile", "GridProfile", "HomogeneousSymbol", "Hyperbolicity",
     "Interlacing", "InterlacingClass", "NormTimeSeries", "OperatorStack", "ProfileKind",
-    "ProfileSpec", "Regime", "RingProfile", "RootBranchSet", "RootCluster", "SemilinearRun",
+    "ProfileSpec", "Regime", "RingProfile", "RootBranchSet", "SemilinearRun",
     "StabilityReport", "TOL", "UnivariatePoly", "ZeroProfile", "build_profile", "build_run",
     "check_poly", "classify_hyperbolicity", "classify_interlacing", "classify_stack",
     "connecting_permutation", "critical_exponent", "full_symbol_at", "hermite_biehler_stable",

@@ -5,8 +5,8 @@ from hyperdecay import Direction, connecting_permutation, roots, spectral_abscis
 from hyperdecay import rootkit
 from hyperdecay.presets import PRESETS, damped_wave_stack
 from hyperdecay.rootkit import (BATCH_ROWS, BisectionLimitError, NonRealRootsError, RadialRootSolver,
-                                RootfindingError, _companion_eigvals, _residuals, is_real_root, root_groups,
-                                roots_batch)
+                                RootfindingError, _companion_eigvals, _gaps, _lone_pairs, _residuals,
+                                is_real_root, root_groups, roots_batch)
 from hyperdecay.solver import RadialPropagator, default_rho_grid
 from hyperdecay.stability import real_root_table
 from hyperdecay.symbols import UnivariatePoly, axis_direction, full_symbol_at, symbol_coeffs
@@ -192,6 +192,40 @@ def test_root_groups_follow_chains():
     assert root_groups(np.array([1.0, 1.0 + 1.0j, 1.0 + 2.5j]), 1.0).tolist() == [0, 0, 2]
 
 
+def _groups_of_two(z, thr):
+    """Root i's group in `root_groups` at its own threshold thr[..., i]: exactly two members?
+    And its other member (-1 when not)."""
+    lone, other = np.zeros(thr.shape, dtype=bool), np.full(thr.shape, -1)
+    for *row, i in np.ndindex(*thr.shape):
+        labels = root_groups(z[tuple(row)], thr[(*row, i)])
+        members = np.flatnonzero(labels == labels[i])
+        if len(members) == 2:
+            lone[(*row, i)], other[(*row, i)] = True, members[members != i][0]
+    return lone, other
+
+
+def test_lone_pairs_are_the_groups_of_exactly_two(rng):
+    cases = []
+    for m in range(1, 7):
+        # random complex roots at per-root thresholds, 0 among them, and inf, which a single
+        # root's own gap gives
+        z = rng.normal(size=(200, m)) + 1j * rng.normal(size=(200, m))
+        cases.append((z, rng.choice([0.0, 0.1, 0.3, 1.0, 3.0, np.inf], size=(200, m))))
+        # small integer lattices: exact ties of the nearest distance and coincident roots
+        z = rng.integers(-2, 3, size=(200, m)) + 1j * rng.integers(-2, 3, size=(200, m))
+        cases.append((z, rng.choice([0.0, 1.0, np.sqrt(2.0), 2.0], size=(200, m))))
+    # a third root 2 from the pair's right member, at threshold 2: just inside, then just outside
+    for third in (3.0, np.nextafter(3.0, np.inf)):
+        cases.append((np.array([[0.0, 1.0, third]], dtype=complex), np.full((1, 3), 2.0)))
+    for z, thr in cases:
+        lone, partner = _lone_pairs(_gaps(z), thr)
+        want, other = _groups_of_two(z, thr)
+        assert np.array_equal(lone, want)
+        assert np.array_equal(partner[lone], other[lone])
+    assert _lone_pairs(_gaps(cases[-2][0]), cases[-2][1])[0].tolist() == [[False, False, False]]
+    assert _lone_pairs(_gaps(cases[-1][0]), cases[-1][1])[0].tolist() == [[True, True, False]]
+
+
 # ---------------------------------------------------------------------------
 # the matcher
 
@@ -365,10 +399,11 @@ def test_companion_start_equals_np_roots(rng):
     c[::2] = c[::2].real                   # and half the rows real
     real = ~np.any(c.imag, axis=1)
     assert real.any() and not real.all()
-    start = _companion_eigvals(c, real)
-    for row, z, is_real in zip(c, start, real):
-        # np.roots takes a real polynomial's real companion matrix
-        assert np.array_equal(z, np.roots((row.real if is_real else row)[::-1]))
+    # `roots_batch` passes each kind of row on its own: real rows with a real dtype
+    for rows in (c[real].real, c[~real]):
+        for row, z in zip(rows, _companion_eigvals(rows)):
+            # np.roots takes a real polynomial's real companion matrix
+            assert np.array_equal(z, np.roots(row[::-1]))
 
 
 def test_roots_batch_single_row_equals_row_in_batch(rng):

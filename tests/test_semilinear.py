@@ -283,6 +283,35 @@ def test_blowup_flag_terminates():
     assert np.max(run.l2_series) > 10.0 * run.l2_series[0]
 
 
+def test_an_overflowing_step_is_flagged_unrecorded_without_a_warning():
+    """A step whose source overflows ends non-finite: flagged at its time, nothing recorded.
+
+    Run under the suite's RuntimeWarning-as-error filter: the overflow on the
+    way to the flag is no warning.  A later step returns the flagged run as it is.
+    """
+    run = build_run(mgt_stack(dim=1), 300.0, 1.0, 0, 20.0, 32, initial=lambda x: 1e3 * np.exp(-x * x / 2),
+                    initial_slot=0, dt=0.1)
+    step(run)
+    assert run.blowup_flag and run.blowup_time == 0.1 and run.t == 0.1
+    assert not np.all(np.isfinite(run.state))
+    assert run.times == [0.0] and len(run.l2_series) == len(run.linf_series) == 1
+    state = run.state
+    assert step(run, 0.5) is run
+    assert run.state is state and run.t == 0.1 and run.times == [0.0]
+
+
+def test_runaway_growth_at_the_step_floor_is_a_blowup():
+    """At the 1e-4 step floor no step is rejected; one that grows the norm past 100 times the data
+    scale and doubles it is flagged, though it stays below BLOWUP_FACTOR times that scale."""
+    run = run_semilinear(mgt_stack(dim=1), p=16, sign=1, nu=0, T=0.01, dt0=1e-4, box_halfwidth=20,
+                         modes_per_axis=32, amplitude=10, initial_slot=0)
+    assert run.blowup_flag and run.blowup_time == 1e-4 and run.times == [0.0, 1e-4]
+    assert run.rejected_steps == 0
+    l2 = run.l2_series
+    assert 100.0 * run.initial_scale < l2[1] < semilinear.BLOWUP_FACTOR * run.initial_scale
+    assert l2[1] > 2.0 * l2[0]
+
+
 def test_over_cap_steps_are_rejected():
     """A step that moves the L2 norm past the cap is retried at half the step size."""
     cap = semilinear.REL_CHANGE_CAP

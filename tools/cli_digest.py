@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Digest of a fixed list of CLI runs: exit code, stdout and every output file.
 
-Each run calls `hyperdecay.cli.main` in-process with its own temporary
-`--out` directory, then prints one block:
+Each run calls `hyperdecay.cli.main` in-process from the repository root
+(so a model file is named by its path from there, whatever the working
+directory) with its own temporary `--out` directory, then prints one block:
 
     == <argv>
     exit <code>               (or the type name of an exception that escapes main)
@@ -46,6 +47,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import platform
 import re
 import shutil
@@ -57,6 +59,11 @@ import numpy as np
 
 from hyperdecay.cli import main
 from hyperdecay.presets import PRESETS
+
+ROOT = Path(__file__).resolve().parent.parent
+# 1-d, P2 = lambda^2 - xi^2, P1 = lambda + xi/2, strictly stable: its odd order gives complex
+# rows Q(lambda, i xi), which no preset has (their spatial orders are all even)
+MODEL = "tests/data/damped_transport.json"
 
 RUNS = ([["reproduce", name] for name in PRESETS]
         + [["classify", name] for name in PRESETS]
@@ -79,6 +86,10 @@ RUNS = ([["reproduce", name] for name in PRESETS]
            ["simulate", "mgt", "--points", "2"], ["profile", "mgt", "--points", "2"],
            # the largest m (5) with k > 0 through the coordinate-0 contraction of `exp_newton`
            ["simulate", "em_elastic", "--k", "2"], ["profile", "em_elastic", "--k", "1"]]
+        # the model file's complex rows through every command that solves roots
+        + [[cmd, MODEL, *extra] for cmd, *extra in (
+            ["classify"], ["simulate"], ["profile"], ["asymptotics", "--regime", "low"],
+            ["asymptotics", "--regime", "high"], ["semilinear", "--p", "3", "--dim", "1", "--modes", "32", "--T", "1"])]
         # every flag of the block that `simulate` and `profile` share
         + [[cmd, "mgt", "--k", "1", "--s", "0.5", "--tmin", "50", "--tmax", "2e4", "--points", "17"]
            for cmd in ("simulate", "profile")]
@@ -104,12 +115,15 @@ def _hash(data: bytes) -> str:
 def digest(argv: list[str], keep: Path | None = None) -> list[str]:
     """The digest lines of one run; with `keep`, its files and stdout.txt are copied there."""
     with tempfile.TemporaryDirectory() as tmp:
-        stdout = io.StringIO()
+        stdout, cwd = io.StringIO(), os.getcwd()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             try:
+                os.chdir(ROOT)
                 code = main(["--out", tmp] + argv)
             except Exception as exc:     # an escaped exception is recorded by its type
                 code = type(exc).__name__
+            finally:
+                os.chdir(cwd)
         lines = [f"== {' '.join(argv)}", f"exit {code}", f"stdout {_hash(stdout.getvalue().encode())}"]
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
