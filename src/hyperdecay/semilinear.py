@@ -13,10 +13,12 @@ distinct symbol-coefficient row and scattered to the modes that share it.  A
 step that moves the L2 norm by more than the cap is rejected, on that norm
 alone, and retried from the saved state at half the step size; a step that
 used at most GROW_BELOW of the cap doubles the next one, up to the requested
-dt0, so every step size is dt0 / 2^j and a propagator built once serves the
-rest of the run.  A run ends when the time left is rounding noise (below
-END_RTOL of T), and its last time is then T itself, so no sliver step builds
-a propagator of its own.  The run drops its propagators when it returns.
+dt0, so every step size is dt0 / 2^j.  The run holds the propagator of its
+current step size only: a new size drops it before building its own, and a
+run that returns to an earlier size builds that size again.  A run ends when
+the time left is rounding noise (below END_RTOL of T), and its last time is
+then T itself, so no sliver step builds a propagator of its own.  The run
+drops its propagator when it returns.
 
 The fields and the operator's coefficients are real, so Q(lambda, -i xi) is
 the conjugate of Q(lambda, i xi), even where an odd-order term makes it
@@ -29,7 +31,7 @@ dealiased by the two-thirds rule; that field is transformed once per step and
 also serves the sup norm.  W(dt) lives only on the two-thirds block, the
 wavenumbers 0..K and -K..-1 of every axis, and only the block's columns of
 the source are transformed on the first axis.  Blow-up is a heuristic flag:
-overflow or 1e6-fold growth.
+an L2 norm that overflows, or 1e6-fold growth.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class SemilinearRun:
     blowup_time: float | None = None
     rejected_steps: int = 0
     initial_scale: float = 0.0
-    _freqs: np.ndarray | None = None
-    _prop_cache: dict = field(default_factory=dict)
+    _prop_cache: dict = field(default_factory=dict)   # {dt: (Phi, W)} of the current step size
+    _parts: list | None = None                 # _block(run), fixed for the run
     _lams: np.ndarray | None = None            # roots of the distinct monic rows _coeffs
     _coeffs: np.ndarray | None = None
     _rows: np.ndarray | None = None            # mode -> its row of _coeffs
@@ -101,6 +103,12 @@ class SemilinearRun:
         n = self.modes_per_axis
         return -self.box_halfwidth + self.dx * np.arange(n)
 
+    def frequencies(self) -> np.ndarray:
+        """Wavenumber meshes, one per axis, of the rfftn half: (dim, n, ..., n // 2 + 1)."""
+        n = self.modes_per_axis
+        k1 = _wavenumbers(n, self.box_halfwidth)
+        return np.stack(np.meshgrid(*[k1] * (self.dim - 1), k1[:n // 2 + 1], indexing="ij"))
+
     def physical(self, coord: int = 0) -> np.ndarray:
         """Real-space field of the coord-th time derivative."""
         return np.fft.irfftn(self.state[coord], s=(self.modes_per_axis,) * self.dim,
@@ -115,8 +123,13 @@ class SemilinearRun:
         return float(np.sqrt(total * (self.dx / self.modes_per_axis) ** self.dim))
 
     def linf_norm(self) -> float:
-        """Sup norm of the nu-th time derivative, the field the nonlinearity reads."""
-        return float(np.max(np.abs(self._field())))
+        """Sup norm of the nu-th time derivative, the field the nonlinearity reads.
+
+        The largest |f| is max(max f, -min f), found with no |f| array; `abs`
+        only turns a zero field's -0.0 into 0.0.
+        """
+        f = self._field()
+        return float(abs(max(np.max(f), -np.min(f))))
 
     def _field(self) -> np.ndarray:
         """physical(nu), transformed once per state and shared with `step`."""
@@ -162,15 +175,12 @@ def build_run(stack: OperatorStack, p: float, sign: float, nu: int, box_halfwidt
                         box_halfwidth=float(box_halfwidth), modes_per_axis=int(modes_per_axis),
                         dt=float(dt))
     n = run.modes_per_axis
-    half = n // 2 + 1
-    run.state = np.zeros((stack.m,) + (n,) * (dim - 1) + (half,), dtype=complex)
+    run.state = np.zeros((stack.m,) + (n,) * (dim - 1) + (n // 2 + 1,), dtype=complex)
     if initial is not None:
         vals = initial(*np.meshgrid(*[run.grid_axes()] * dim, indexing="ij"))
         slot = stack.m - 1 if initial_slot is None else int(initial_slot)
         run.state[slot] = np.fft.rfftn(np.asarray(vals, dtype=float), axes=tuple(range(dim)))
-    k1 = _wavenumbers(n, run.box_halfwidth)
-    # the last axis keeps the rfftn half
-    run._freqs = np.stack(np.meshgrid(*[k1] * (dim - 1), k1[:half], indexing="ij"))
+    run._parts = _block(run)
     _prepare_roots(run)
     run.times.append(0.0)
     run.l2_series.append(run.l2_norm(0))
@@ -185,17 +195,20 @@ def _prepare_roots(run: SemilinearRun) -> None:
 
     The rows are sorted by one `lexsort` over their numbers, column by column
     and real part before imaginary, the order of `np.unique(..., axis=0)`;
-    the first of each run of equal rows is kept.  A row gets the same roots
-    from `roots_batch` inside any batch, so every mode's roots are those of
-    its own row.
+    the first of each run of equal rows is kept.  The runs are found one
+    column at a time in sorted order, so no sorted copy of all rows is made.
+    A row gets the same roots from `roots_batch` inside any batch, so every
+    mode's roots are those of its own row.
     """
-    coeffs = symbol_coeffs(run.stack, run._freqs.reshape(run.dim, -1).T)
-    monic = coeffs / coeffs[:, -1:]
+    monic = symbol_coeffs(run.stack, run.frequencies().reshape(run.dim, -1).T)
+    monic /= monic[:, -1:]
     order = np.lexsort([part for col in monic.T[::-1] for part in (col.imag, col.real)])
-    monic = monic[order]
-    first = np.ones(len(monic), dtype=bool)
-    first[1:] = np.any(monic[1:] != monic[:-1], axis=1)
-    run._coeffs = monic[first]
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for col in monic.T:
+        ranked = col[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    run._coeffs = monic[order[first]]
     run._rows = np.empty(len(order), dtype=np.intp)
     run._rows[order] = np.cumsum(first) - 1
     run._lams = roots_batch(run._coeffs)
@@ -240,13 +253,15 @@ def _build_propagator(run: SemilinearRun, dt: float):
         # a real companion matrix has a real exponential: the imaginary parts are rounding
         e = e.real
     rows = run._rows.reshape(run.state.shape[1:])
-    w = [np.take(e[:, m], rows[part], axis=-1) for part in _block(run)]
+    w = [np.take(e[:, m], rows[part], axis=-1) for part in run._parts]
     return np.take(e[:, :m], run._rows, axis=-1), w
 
 
 def _propagator(run: SemilinearRun, dt: float):
+    """Phi(dt) and W(dt); a new step size drops the held pair before its own build."""
     key = float(dt)
     if key not in run._prop_cache:
+        run._prop_cache.clear()
         run._prop_cache[key] = _build_propagator(run, dt)
     return run._prop_cache[key]
 
@@ -261,7 +276,7 @@ def _source(run: SemilinearRun) -> np.ndarray:
 
 def _advanced(run: SemilinearRun, phi: np.ndarray, w: list) -> np.ndarray:
     """Phi state + W fhat, one output coordinate at a time into one new array."""
-    block = _block(run)
+    block = run._parts
     if run.sign != 0:
         # numpy's rfftn order, last axis first, on the block's columns only
         fhat = np.fft.rfft(_source(run), axis=-1)[..., block[0][-1]]
@@ -293,8 +308,10 @@ def step(run: SemilinearRun, dt: float | None = None, *, max_change: float | Non
     `run_semilinear` still passes through `step`, which perfbench wraps to
     count and time steps.
 
-    A step whose state or L2 norm overflows is a blow-up, flagged with no
-    numpy warning; the propagator is built outside that silence.
+    A step whose L2 norm overflows, from a non-finite coordinate 0 or in the
+    sum, is a blow-up: flagged with no numpy warning, and nothing is recorded.
+    A non-finite higher coordinate reaches coordinate 0 through Phi at the next
+    step.  The propagator is built outside that silence.
     """
     dt = run.dt if dt is None else float(dt)
     if not (np.isfinite(dt) and dt > 0):
@@ -307,11 +324,11 @@ def step(run: SemilinearRun, dt: float | None = None, *, max_change: float | Non
     with np.errstate(over="ignore", invalid="ignore"):
         run.state = _advanced(run, *prop)
         run.t += dt
-        if not np.all(np.isfinite(run.state)):
+        l2 = run.l2_norm(0)
+        if not np.isfinite(l2):
             run.blowup_flag = True
             run.blowup_time = run.t
             return run
-        l2 = run.l2_norm(0)
         grown = run.initial_scale > 0 and l2 > BLOWUP_FACTOR * run.initial_scale
         if max_change is not None and not grown and abs(l2 - run.l2_series[-1]) > max_change:
             # the saved state's nu-field, which `_advanced` transformed, stays cached

@@ -280,7 +280,8 @@ class RadialPropagator:
     """Roots for every mode of a radial grid; `propagate` is one `exp_newton` call.
 
     `confluent` marks the modes with nearly coincident roots; it is a
-    diagnostic only, since `exp_newton` serves them like any other mode.
+    diagnostic only, since `exp_newton` serves them like any other mode, and
+    is computed when read.
     """
 
     def __init__(self, stack: OperatorStack, d: Direction, rho_grid: np.ndarray):
@@ -288,7 +289,10 @@ class RadialPropagator:
         self.direction = d
         self.rho = np.asarray(rho_grid, dtype=float)
         self.lams = RadialRootSolver(stack, d).lambdas_grid(self.rho)
-        self.confluent = is_confluent(self.lams)
+
+    @property
+    def confluent(self) -> np.ndarray:
+        return is_confluent(self.lams)
 
     def propagate(self, data: np.ndarray, times: np.ndarray, k: int = 0) -> np.ndarray:
         """d_t^k u_hat on the grid; shape (n_times, n_modes)."""

@@ -280,7 +280,8 @@ def reference_step(run, dt: float) -> np.ndarray:
     if not np.any(run._coeffs.imag):
         e = e.real
     phi = np.take(e[:, :m], run._rows, axis=-1)
-    keep = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * np.max(np.abs(run._freqs)), axis=0)
+    k = np.abs(run.frequencies())
+    keep = np.all(k <= (2.0 / 3.0) * np.max(k), axis=0)
     w = np.take(e[:, m], run._rows, axis=-1) * keep.reshape(-1)
     flat = run.state.reshape(m, -1)
     new = phi[:, 0] * flat[0]

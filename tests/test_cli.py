@@ -327,6 +327,17 @@ def test_semilinear_command_small(tmp_path, capsys):
     assert 3.0 < doc["blowup_time"] < 3.2
 
 
+def test_semilinear_overflowing_l2_norm_is_no_row(tmp_path, capsys):
+    """A step whose L2 norm overflows from a finite state writes no row, as a non-finite state does."""
+    assert main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "300", "--dim", "1", "--modes", "32",
+                 "--box", "20", "--amplitude", "1000", "--dt", "0.1", "--T", "1"]) == 0
+    doc = json.loads((tmp_path / "mgt_semilinear.json").read_text())
+    rows = (tmp_path / "mgt_semilinear.csv").read_text().splitlines()
+    assert doc["verdict"] == "blowup" and doc["blowup_time"] == 0.2
+    assert doc["accepted_steps"] == len(rows) - 2 == 1
+    assert doc["final_l2"] == float(rows[-1].split(",")[1]) == 6.446335005603875
+
+
 def test_semilinear_readme_line_builds_3d_preset_in_2d(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "5", "--dim", "2",
                "--amplitude", "1e-3", "--modes", "32", "--T", "1"])

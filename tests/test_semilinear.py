@@ -48,7 +48,7 @@ def test_linear_consistency_matches_exact_propagation():
     u0 = run.state.copy()
     while run.t < 10.0 - 1e-12:
         step(run)
-    k1 = run._freqs[0]
+    k1 = run.frequencies()[0]
     for i in [0, 1, 7, 23, 48]:
         exact = propagate_mode(stack, np.array([k1[i]]), u0[:, i], run.t, 0)
         assert abs(run.state[0, i] - exact) <= 1e-8 * (1.0 + abs(exact))
@@ -63,7 +63,7 @@ def test_linear_2d_run_matches_exact_propagation():
     u0 = run.state.copy()
     while run.t < 5.0 - 1e-12:
         step(run)
-    kx, ky = run._freqs
+    kx, ky = run.frequencies()
     for i, j in [(0, 0), (n - 3, 5), (7, n // 2)]:
         for c in range(stack.m):
             exact = propagate_mode(stack, np.array([kx[i, j], ky[i, j]]), u0[:, i, j], run.t, c)
@@ -99,7 +99,7 @@ def test_build_run_solves_each_distinct_row_once(monkeypatch):
     rows = np.concatenate(seen)
     assert len(np.unique(rows, axis=0)) == len(rows) < n * (n // 2 + 1)
     # every mode gets the roots it would get from its own row
-    full = symbol_coeffs(stack, run._freqs.reshape(2, -1).T)
+    full = symbol_coeffs(stack, run.frequencies().reshape(2, -1).T)
     assert np.array_equal(run._lams[run._rows], roots_batch(full / full[:, -1:]))
 
 
@@ -110,7 +110,7 @@ def test_distinct_rows_are_those_of_np_unique():
     """
     stack = mgt_stack(dim=2)
     run = build_run(stack, p=5.0, sign=1.0, nu=0, box_halfwidth=80.0, modes_per_axis=256, dim=2)
-    full = symbol_coeffs(stack, run._freqs.reshape(2, -1).T)
+    full = symbol_coeffs(stack, run.frequencies().reshape(2, -1).T)
     rows, inverse = np.unique(full / full[:, -1:], axis=0, return_inverse=True)
     assert run._coeffs.tobytes() == rows.tobytes() and len(rows) == 7400
     assert np.array_equal(run._rows, inverse.reshape(-1))
@@ -139,8 +139,8 @@ def test_semilinear_propagator_is_the_all_rows_slice():
             assert phi.dtype == np.complex128 and np.any(phi.imag)
         assert phi.tobytes() == np.take(e[:, :m], run._rows, axis=-1).tobytes()
         # the two-thirds rule on every axis, from the frequencies
-        kmax = np.max(np.abs(run._freqs))
-        mask = np.all(np.abs(run._freqs) <= (2.0 / 3.0) * kmax, axis=0)
+        k = np.abs(run.frequencies())
+        mask = np.all(k <= (2.0 / 3.0) * np.max(k), axis=0)
         full_w = np.take(e[:, m], run._rows, axis=-1).reshape((m,) + mask.shape)
         covered = np.zeros(mask.shape, dtype=int)
         parts = semilinear._block(run)
@@ -193,7 +193,7 @@ def test_transport_symbol_run_matches_exact_propagation(monkeypatch):
     u0 = build_run(stack, sign=0.0, initial=lambda x: 0.1 * np.exp(-0.5 * x**2), **kwargs).state
     run = run_semilinear(stack, sign=0.0, T=3.0, dt0=0.05, amplitude=0.1, **kwargs)
     assert built == [(0.05, np.complex128)] and run.t == 3.0
-    k1 = run._freqs[0]
+    k1 = run.frequencies()[0]
     for i in [0, 1, 5, 17, 31, 32]:
         for c in range(stack.m):
             exact = propagate_mode(stack, np.array([k1[i]]), u0[:, i], run.t, c)
@@ -298,6 +298,13 @@ def test_an_overflowing_step_is_flagged_unrecorded_without_a_warning():
     state = run.state
     assert step(run, 0.5) is run
     assert run.state is state and run.t == 0.1 and run.times == [0.0]
+    # data in the top slot: the second step's state is finite, its L2 norm's sum
+    # overflows, and that step is flagged and left unrecorded alike
+    run = build_run(mgt_stack(dim=1), 300.0, 1.0, 0, 20.0, 32, initial=lambda x: 1e3 * np.exp(-x * x / 2),
+                    dt=0.1)
+    step(step(run))
+    assert run.blowup_flag and run.blowup_time == 0.2 and np.all(np.isfinite(run.state))
+    assert run.times == [0.0, 0.1] and len(run.l2_series) == len(run.linf_series) == 2
 
 
 def test_runaway_growth_at_the_step_floor_is_a_blowup():
@@ -362,16 +369,27 @@ def test_a_rejection_transforms_no_field_twice(monkeypatch):
 def test_step_size_grows_back_after_a_rejection(monkeypatch):
     """One early rejection no longer halves the rest of the run: dt climbs back to dt0."""
     built = _record_builds(monkeypatch)
+    held = []
+
+    def holding(run, *args, **kwargs):
+        one_step(run, *args, **kwargs)
+        held.append(len(run._prop_cache))
+        return run
+
+    one_step = semilinear.step
+    monkeypatch.setattr(semilinear, "step", holding)
     stack, dt0, T = mgt_stack(dim=2), 0.25, 50.0
     kwargs = dict(p=5.0, sign=1.0, nu=0, box_halfwidth=45.0, modes_per_axis=64, dim=2)
     run = run_semilinear(stack, T=T, dt0=dt0, amplitude=1e-3, **kwargs)
     assert run.rejected_steps == 1
     assert len(run.times) - 1 <= 220          # 398 when dt stayed halved
-    # every step size is on the dyadic ladder and each is built once, so the
-    # propagator cache stays small
+    # every step size is on the dyadic ladder, and the run holds the propagator of
+    # its current size only, so the cache stays small: a build follows each change
+    # of size, the return to dt0 included
     sizes = [dt for dt, _ in built]
-    assert sizes and len(set(sizes)) == len(sizes)
     assert set(sizes) <= {dt0 / 2**j for j in range(12)}
+    assert sizes == [dt0, dt0 / 2, dt0]
+    assert len(held) == len(run.times) - 1 + run.rejected_steps and max(held) == 1
     assert run.times[-1] - run.times[-2] == pytest.approx(dt0)
     # the small-data run is all but linear, so a fixed-step run reaches the same norm
     fixed = build_run(stack, initial=lambda x, y: 1e-3 * np.exp(-0.5 * (x**2 + y**2)), dt=0.125,
@@ -439,12 +457,14 @@ def test_box_traced_memory():
     Complex propagators kept after the run: peak 15.3 MB, 13.8 MB still held.
     Real propagators dropped on return: peak 9.2 MB, 1.0 MB held.  W on the
     two-thirds block only, one-plane temporaries and the rejected state freed
-    at once: peak 7.9 MB.  The bounds lie between the last two.
+    at once: peak 7.9 MB, set by the eighth step size's build beside the seven
+    pairs before it.  One propagator held at a time, dropped before the next
+    build, and no frequency meshes kept: peak 3.0 MB, 0.85 MB held.
     """
     run, peak, held = _traced_box_run(p=2.0, sign=1.0, nu=0, T=100.0, dt0=0.1, box_halfwidth=40.0,
                                       modes_per_axis=128, amplitude=1.0, initial_slot=0)
     assert run.rejected_steps > 0
-    assert peak < 8.6e6, peak
+    assert peak < 4e6, peak
     assert held < 6e6, held
 
 
@@ -453,12 +473,14 @@ def test_small_data_box_traced_memory():
 
     The peak came at the Phi(dt/2) rebuild after that rejection, with the
     rejected state and its nu-field still held: 15.6 MB.  With them freed,
-    W on the block and one-plane temporaries it is 11.8 MB.
+    W on the block and one-plane temporaries it is 11.8 MB.  With Phi(dt)
+    dropped before that rebuild, no frequency meshes kept and the distinct
+    rows found with no sorted copy of all rows: 8.6 MB.
     """
     run, peak, _ = _traced_box_run(p=5.0, sign=1.0, nu=0, T=5.0, dt0=0.25, box_halfwidth=80.0,
                                    modes_per_axis=256, amplitude=1e-3)
     assert run.rejected_steps == 1 and not run.blowup_flag
-    assert peak < 13.7e6, peak
+    assert peak < 10e6, peak
 
 
 def test_nu_reads_state_coordinate():
