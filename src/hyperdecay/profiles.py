@@ -149,7 +149,7 @@ def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s:
     if stack.dim > 1 and not stack.isotropic:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
     spec = build_profile(stack, moment(data, stack))
-    rho, times, gap, density = _field(stack, data, times, k, rho_grid)
+    rho, times, gap, density = _field(stack, data, times, k, s, rho_grid)
     for i, t in enumerate(times):
         gap[i] -= spec.fourier_value(t, rho, k=k)
     gap = np.abs(gap) ** 2

@@ -8,9 +8,11 @@ companion state.  It is batched over modes and times, returns only the leading
 state coordinates its caller names, and needs no separate route for confluent
 roots.  Its divided-difference table is mode-last, (M, T, N) for M roots, T
 times and N modes, so each level of the recurrence runs over contiguous (T, N)
-planes.  A norm run streams its directions into one (T, N) density, the mean
-|u_hat|^2 the s-norm reads, and holds no (T, D, N) field.  There is no time
-stepping, so slope fits probe the operator, not an integrator.
+planes.  A norm run checks s and its radial grid once, before any solve,
+streams its directions into one (T, N) density, the mean |u_hat|^2 the s-norm
+reads, and holds no (T, D, N) field; one trapezoid rule in log rho then takes
+the norms at all T times at once.  There is no time stepping, so slope fits
+probe the operator, not an integrator.
 """
 
 from __future__ import annotations
@@ -315,43 +317,60 @@ def sobolev_norm(n: int, rho_grid: np.ndarray, snapshot: np.ndarray, s: float) -
     snapshot is (n_modes,) for one direction (weighted with the full sphere
     measure) or (n_dirs, n_modes) for an equal-weight direction set.
     """
+    rho = _radial_grid(n, rho_grid, s)
     snap = np.atleast_2d(np.asarray(snapshot))
-    return _density_norm(n, rho_grid, np.mean(np.abs(snap) ** 2, axis=0), s)
+    return float(_norms(n, rho, np.mean(np.abs(snap) ** 2, axis=0)[None], s)[0])
 
 
-def _density_norm(n: int, rho_grid: np.ndarray, dens: np.ndarray, s: float) -> float:
-    """Homogeneous s-norm from a density on the radial grid: the direction mean of |u_hat|^2.
+def _radial_grid(n: int, rho_grid: np.ndarray, s: float) -> np.ndarray:
+    """The radial grid of a norm run as a float array, once it and s are checked.
 
-    The grid must be 1-d, finite, positive and strictly ascending.  The radial
-    integral is a trapezoid rule in log rho; the last octave of the grid must
-    contribute less than tail_fraction of the total.  The norm needs a finite s
-    with 2s + n > 0: below that the weight rho^(2s + n - 1) is not integrable
-    at rho -> 0, and the grid's first point would set the value.
+    The norm needs a finite s with 2s + n > 0: below that the weight
+    rho^(2s + n - 1) is not integrable at rho -> 0, and the grid's first point
+    would set the value.  The grid must be 1-d, of at least two points, finite,
+    positive and strictly ascending.
     """
     if not np.isfinite(s):
         raise ValueError(f"the homogeneous s-norm needs a finite s, got {s}")
     if not 2.0 * s + n > 0:
         raise ValueError(f"the homogeneous s-norm needs 2s + n > 0, got s = {s} and n = {n}")
     rho = np.asarray(rho_grid, dtype=float)
-    if rho.ndim != 1 or not (np.all(np.isfinite(rho)) and np.all(rho > 0) and np.all(np.diff(rho) > 0)):
-        raise ValueError("the radial grid must be 1-d, finite, positive and strictly ascending")
-    if dens.shape != rho.shape:
-        raise ValueError(f"snapshot has {dens.shape[-1]} modes but the grid has {len(rho)}")
-    integrand = rho ** (2.0 * s + n) * dens  # extra rho from the log substitution
-    lr = np.log(rho)
-    total = np.trapezoid(integrand, lr)
-    if np.isnan(total):  # the integrand is >= 0 where it is a number, so only a NaN in it gives one
-        raise ValueError(f"the s-norm integrand is NaN at rho = {rho[np.argmax(np.isnan(integrand))]:.6g}; "
-                         "the field is not finite")
-    if total > 0:
-        tail_mask = rho >= rho[-1] / 2.0
-        if np.count_nonzero(tail_mask) >= 2:
-            tail = np.trapezoid(integrand[tail_mask], lr[tail_mask])
-            if tail > TOL.tail_fraction * total:
-                raise ValueError(
-                    f"last-octave contribution {tail / total:.3e} exceeds {TOL.tail_fraction:.1e}; "
-                    "extend the radial grid upward")
-    return float(np.sqrt(sphere_measure(n) * total))
+    if rho.ndim != 1 or rho.size < 2 or not (np.all(np.isfinite(rho)) and np.all(rho > 0)
+                                             and np.all(np.diff(rho) > 0)):
+        raise ValueError("the radial grid must be 1-d, of two or more points, finite, positive and "
+                         "strictly ascending")
+    return rho
+
+
+def _norms(n: int, rho: np.ndarray, density: np.ndarray, s: float) -> np.ndarray:
+    """Homogeneous s-norm of each row of density[T, N], the direction mean of |u_hat|^2; shape (T,).
+
+    rho and s are checked by `_radial_grid`.  The radial integral is one
+    trapezoid rule in log rho over all rows, numpy's own terms summed over the
+    grid and over its last octave, which must contribute less than
+    tail_fraction of each total.  A total that is not finite, from a NaN or an
+    overflowing field, is an error.  The first failing row raises, its
+    non-finite total checked before its tail, as for that row alone.
+    """
+    if density.shape[1:] != rho.shape:
+        raise ValueError(f"snapshot has {density.shape[-1]} modes but the grid has {len(rho)}")
+    with np.errstate(over="ignore"):
+        integrand = rho ** (2.0 * s + n) * density  # extra rho from the log substitution
+        terms = np.diff(np.log(rho)) * (integrand[:, 1:] + integrand[:, :-1]) / 2.0
+        total = terms.sum(axis=-1)
+        tail = terms[:, np.argmax(rho >= rho[-1] / 2.0):].sum(axis=-1)
+    failed = ~np.isfinite(total) | (tail > TOL.tail_fraction * total)
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        # the integrand is >= 0 where it is a number, so only a NaN in it gives a NaN total
+        nan = np.isnan(total[i])
+        if not np.isfinite(total[i]):
+            at = rho[np.argmax(np.isnan(integrand[i]) if nan else integrand[i])]
+            raise ValueError(f"the s-norm integrand {'is NaN' if nan else 'overflows'} at rho = {at:.6g}; "
+                             "the field is not finite")
+        raise ValueError(f"last-octave contribution {tail[i] / total[i]:.3e} exceeds "
+                         f"{TOL.tail_fraction:.1e}; extend the radial grid upward")
+    return np.sqrt(sphere_measure(n) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +405,16 @@ def default_rho_grid() -> np.ndarray:
     return np.geomspace(*DEFAULT_RHO_GRID)
 
 
-def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.ndarray | None = None,
+def _field(stack: OperatorStack, data: DataSpec, times, k: int, s: float, rho_grid: np.ndarray | None = None,
            directions: Sequence[Direction] | None = None) -> tuple[np.ndarray, ...]:
     """The one resolver of a norm run: (rho, times, first, density), the last two (T, N).
 
-    It checks the slot count and the time grid: nonempty, 1-d, finite, >= 0 and strictly ascending,
-    as `_norm_series` cuts a prefix at underflow.  Unless given, the radial grid is the default and
-    the directions `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each
-    direction's |d_t^k u_hat|^2 is added into `density` in turn and the sum divided by their
-    count, as numpy takes a mean; `first` is the first direction's d_t^k u_hat.
+    Before any solve it checks the slot count, the time grid (nonempty, 1-d, finite, >= 0 and
+    strictly ascending, as `_norm_series` cuts a prefix at underflow), and s with the radial grid
+    by `_radial_grid`.  Unless given, the radial grid is the default and the directions
+    `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each direction's
+    |d_t^k u_hat|^2 is added into `density` in turn and the sum divided by their count, as numpy
+    takes a mean; `first` is the first direction's d_t^k u_hat.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
@@ -402,7 +422,7 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
     if not (times.ndim == 1 and times.size and np.all(np.isfinite(times)) and times[0] >= 0
             and np.all(np.diff(times) > 0)):
         raise ValueError("the time grid must be nonempty, 1-d, finite, >= 0 and strictly ascending")
-    rho = np.asarray(rho_grid if rho_grid is not None else default_rho_grid(), dtype=float)
+    rho = _radial_grid(stack.dim, rho_grid if rho_grid is not None else default_rho_grid(), s)
     if directions is None:
         directions = sample_directions(stack.dim, stack.isotropic)
         if not stack.isotropic and stack.dim == 2:
@@ -410,18 +430,19 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, rho_grid: np.nda
     if not len(directions):
         raise ValueError("a norm run needs at least one direction")
     dvals = data.values(rho, stack.dim)
-    first = RadialPropagator(stack, directions[0], rho).propagate(dvals, times, k)
-    density = np.abs(first) ** 2
-    for d in directions[1:]:
-        density += np.abs(RadialPropagator(stack, d, rho).propagate(dvals, times, k)) ** 2
+    with np.errstate(over="ignore"):  # |u_hat|^2 may overflow: `_norms` names a non-finite norm
+        first = RadialPropagator(stack, directions[0], rho).propagate(dvals, times, k)
+        density = np.abs(first) ** 2
+        for d in directions[1:]:
+            density += np.abs(RadialPropagator(stack, d, rho).propagate(dvals, times, k)) ** 2
     density /= len(directions)
     return rho, times, first, density
 
 
 def _norm_series(dim: int, rho: np.ndarray, density: np.ndarray, times: np.ndarray, k: int,
                  s: float) -> NormTimeSeries:
-    """The s-norm of density[i] at each time, cut at the first underflow, with its slope fit."""
-    values = np.array([_density_norm(dim, rho, dens, s) for dens in density])
+    """The s-norms of density[T, N] by one `_norms` call, cut at the first underflow, with their slope fit."""
+    values = _norms(dim, rho, density, s)
     flags = []
     truncated = False
     alive = values >= UNDERFLOW_FLOOR
@@ -450,5 +471,5 @@ def simulate(stack: OperatorStack, data: DataSpec, times, k: int = 0, s: float =
     an equal-weight sample otherwise.  The fitted slope is the log-log least
     squares slope over the trailing FIT_WINDOW_DECADES of the time range.
     """
-    rho, times, _, density = _field(stack, data, times, k, rho_grid, directions)
+    rho, times, _, density = _field(stack, data, times, k, s, rho_grid, directions)
     return _norm_series(stack.dim, rho, density, times, k, s)

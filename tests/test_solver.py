@@ -274,7 +274,7 @@ def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
     stack, data = stacks["anisotropic_elastic_2d"], gaussian_data(4, 3)
     rho, times = default_rho_grid()[::16], np.geomspace(1e2, 1e4, 5)
     directions = sample_directions(2, False)[::4]
-    _, _, first, density = _field(stack, data, times, 1, rho)
+    _, _, first, density = _field(stack, data, times, 1, 0.0, rho)
     dvals = data.values(rho, 2)
     stacked = np.stack([RadialPropagator(stack, d, rho).propagate(dvals, times, 1) for d in directions],
                        axis=1)
@@ -284,10 +284,48 @@ def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
 
 
 def test_an_empty_direction_list_is_rejected_before_any_solve(stacks, propagator_inits):
+    """So are a bad s and a bad radial grid, under both `simulate` and `solution_and_gap`."""
+    from hyperdecay.profiles import solution_and_gap
+
+    times, rho = np.geomspace(1e2, 1e4, 5), default_rho_grid()
     with pytest.raises(ValueError, match="a norm run needs at least one direction"):
-        hd.simulate(stacks["anisotropic_elastic_2d"], gaussian_data(4, 3), np.geomspace(1e2, 1e4, 5),
-                    directions=[])
+        hd.simulate(stacks["anisotropic_elastic_2d"], gaussian_data(4, 3), times, directions=[])
+    bad = [({"s": -3.0}, r"2s \+ n > 0"), ({"s": np.inf}, "finite s"),
+           ({"rho_grid": rho[::-1]}, "strictly ascending"), ({"rho_grid": [1.0]}, "two or more points")]
+    for run, stack, data in ((hd.simulate, stacks["anisotropic_elastic_2d"], gaussian_data(4, 3)),
+                             (solution_and_gap, stacks["mgt"], gaussian_data(3, 2))):
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=message):
+                run(stack, data, times, **kwargs)
     assert not propagator_inits
+
+
+def test_a_norm_run_raises_at_its_first_failing_time():
+    """One `_norms` call over all times raises what `sobolev_norm` raises on the first failing row."""
+    rho = np.geomspace(0.1, 10, 500)
+    u = np.exp(-(rho**2) / 2) * np.ones((5, 1))
+    u[1] = 1.0              # the last octave carries most of the norm at time 1
+    u[3, 200] = np.nan
+
+    def message(norm, *args):
+        with pytest.raises(ValueError) as err:
+            norm(1, rho, *args, 0.0)
+        return str(err.value)
+
+    tail = message(solver._norms, np.abs(u) ** 2)
+    assert "extend the radial grid" in tail and tail == message(sobolev_norm, u[1])
+    u[1, 300] = np.nan      # a NaN is checked before the tail
+    nan = message(solver._norms, np.abs(u) ** 2)
+    assert f"integrand is NaN at rho = {rho[300]:.6g}" in nan and nan == message(sobolev_norm, u[1])
+
+
+def test_a_field_that_overflows_is_a_named_error():
+    """A stack that is not strictly stable grows until |u_hat|^2 overflows: an error, not an inf norm.
+
+    The overflow is rejected by name, with no RuntimeWarning on the way.
+    """
+    with pytest.raises(ValueError, match="integrand overflows at rho = .*; the field is not finite"):
+        hd.simulate(mgt_stack(b=-0.01), gaussian_data(3, 2), np.geomspace(1, 1e5, 25))
 
 
 def test_simulate_traced_peak_memory(stacks):
@@ -405,12 +443,14 @@ def test_sobolev_tail_check_raises():
 
 
 def test_sobolev_norm_rejects_a_grid_that_is_not_ascending():
-    # a reversed or shuffled grid makes the trapezoid sum negative; it must not read as a zero norm
+    # a reversed or shuffled grid makes the trapezoid sum negative, and one of fewer than two points
+    # has none; neither must read as a zero norm
     rho = np.geomspace(1e-3, 1e2, 400)
     assert sobolev_norm(3, rho, np.exp(-(rho**2)), 0.0) == pytest.approx(1.4031, abs=1e-4)
     shuffled = np.random.default_rng(0).permutation(rho)
     bad = [rho[::-1], shuffled, np.r_[rho[:10], rho[9:]], np.r_[-1.0, rho[1:]], np.r_[0.0, rho[1:]],
-           np.r_[rho[:-1], np.inf], np.r_[np.nan, rho[1:]], np.stack([rho, rho])]
+           np.r_[rho[:-1], np.inf], np.r_[np.nan, rho[1:]], np.stack([rho, rho]), np.array([]),
+           np.array([1.0])]
     for grid in bad:
         with pytest.raises(ValueError, match="strictly ascending"):
             sobolev_norm(3, grid, np.exp(-(grid**2)), 0.0)
