@@ -219,28 +219,12 @@ def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRe
     return [r for r, _ in _expansions(stack, d, Regime.HIGH)]
 
 
-def kappa_solutions(stack: OperatorStack, d: Direction, j: int, regime: Regime) -> tuple[complex, complex]:
-    """The two quadratic solutions governing a double-root pair.
-
-    `j` indexes the first member of the double root in the sorted root list of
-    the anchor symbol (lowest symbol at low frequency, leading at high).  Both
-    solutions must have negative real part; a violation means the requested
-    configuration does not hold.
-    """
-    if stack.ell < 2:
-        raise UnclassifiableExpansionError("the double-root quadratic needs a depth-2 stack")
-    return _kappa_pair(_levels(stack, d, regime), j)
-
-
 def _kappa_pair(t: _Levels, j: int) -> tuple[complex, complex]:
-    """kappa_solutions on a level table: the roots of
-    p0''(a)/2 kappa^2 - sigma p1'(a) kappa + p2(a), largest real part first."""
+    """The two quadratic solutions governing the double root base[j] = base[j + 1] of a
+    level table: the roots of p0''(a)/2 kappa^2 - sigma p1'(a) kappa + p2(a), largest real
+    part first.  Both must have negative real part; a violation means the configuration
+    does not hold."""
     base, mid, c = t.roots[0], t.roots[1], t.cases
-    if j < 0 or j + 1 >= len(base):
-        raise UnclassifiableExpansionError(f"index {j} does not start a double root")
-    if c.group[j + 1] != c.group[j]:
-        raise UnclassifiableExpansionError(
-            f"roots {base[j]}, {base[j + 1]} are not a double pair within {float(c.tol)}")
     anchor = float(0.5 * (base[j] + base[j + 1]))
     mid_ix, mid_dist = int(c.nearest[j]), float(c.distance[j])
     if mid_dist > c.tol:

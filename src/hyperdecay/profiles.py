@@ -150,9 +150,10 @@ def solution_and_gap(stack: OperatorStack, data: DataSpec, times, k: int = 0, s:
         raise ValueError("profile-gap series are implemented for isotropic stacks")
     spec = build_profile(stack, moment(data, stack))
     rho, times, gap, density = _field(stack, data, times, k, s, rho_grid)
-    for i, t in enumerate(times):
-        gap[i] -= spec.fourier_value(t, rho, k=k)
-    gap = np.abs(gap) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # `_norms` names a non-finite gap norm
+        for i, t in enumerate(times):
+            gap[i] -= spec.fourier_value(t, rho, k=k)
+        gap = np.abs(gap) ** 2
     return (_norm_series(stack.dim, rho, density, times, k, s),
             _norm_series(stack.dim, rho, gap, times, k, s))
 

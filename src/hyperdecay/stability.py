@@ -181,7 +181,7 @@ def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
 def _hyperbolicity(sym: HomogeneousSymbol, dirs: np.ndarray) -> tuple[Hyperbolicity, _RootTable | None]:
     """Class of sym over the rows of dirs[D, n] and the table it was read from (None at order 0)."""
     if not len(dirs):
-        raise ValueError("classify_hyperbolicity needs at least one sample direction")
+        raise ValueError("a classification needs at least one sample direction")
     if sym.is_zero:
         return Hyperbolicity.NONE, _RootTable(restriction_coeffs(sym, dirs))
     if sym.pure_time_coeff <= 0:
@@ -194,10 +194,6 @@ def _hyperbolicity(sym: HomogeneousSymbol, dirs: np.ndarray) -> tuple[Hyperbolic
     if t.degree > 1 and np.any(np.min(np.diff(t.re, axis=1), axis=1) <= TOL.strict_gap_rtol * t.scale):
         return Hyperbolicity.WEAK, t
     return Hyperbolicity.STRICT, t
-
-
-def classify_hyperbolicity(sym: HomogeneousSymbol, samples: Sequence[Direction]) -> Hyperbolicity:
-    return _hyperbolicity(sym, np.array([d.components for d in samples], dtype=float))[0]
 
 
 def _degree_mismatch(low_degree: int, high_degree: int) -> str | None:
@@ -397,10 +393,3 @@ def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | No
     if stack.ell != 2:
         raise ValueError(f"verify_hypothesis_Q2 needs ell = 2, got {stack.ell}")
     return classify_stack(stack, samples)
-
-
-def routh_hurwitz_cubic(a2: float, a1: float, a0: float) -> bool:
-    """Strict stability of z^3 + a2 z^2 + a1 z + a0 with positive coefficients."""
-    if a2 <= 0 or a1 <= 0 or a0 <= 0:
-        raise ValueError("all coefficients must be positive")
-    return a0 < a1 * a2

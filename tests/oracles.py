@@ -13,7 +13,8 @@ level-wise tracker must return exactly what it returns.
 `symbol_value` evaluates a symbol at one point term by term, the reference
 for the batched coefficient views.  `abscissa_verdict` checks strict
 stability directly from the largest real part of the roots, the cross-check
-of the interlacing criteria.
+of the interlacing criteria; `routh_hurwitz_cubic` is the closed-form
+Routh-Hurwitz test of a cubic, a cross-check of the root solver.
 
 `semilinear_exponential` is the companion exponential of every distinct
 symbol row of a box run, from a complex transform; `reference_step` is one
@@ -252,6 +253,13 @@ def abscissa_verdict(stack) -> tuple[bool, float]:
     radii = np.geomspace(1e-2, 1e2, max(1, 64 // len(dirs)))
     worst = max(float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real)) for d in dirs)
     return worst < -ABSCISSA_MARGIN, worst
+
+
+def routh_hurwitz_cubic(a2: float, a1: float, a0: float) -> bool:
+    """Strict stability of z^3 + a2 z^2 + a1 z + a0 with positive coefficients."""
+    if a2 <= 0 or a1 <= 0 or a0 <= 0:
+        raise ValueError("all coefficients must be positive")
+    return a0 < a1 * a2
 
 
 def semilinear_exponential(run, dt: float, lead: int) -> np.ndarray:

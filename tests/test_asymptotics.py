@@ -38,24 +38,28 @@ def test_anisotropic_fixtures_by_direction(stacks):
         assert ok, (dvec, problems)
 
 
+def _kappas(records):
+    """The kappa pair of a stack's one double root: the rho^(1+sigma) coefficients of its DOUBLE records."""
+    pair = [r.terms[1][1] for r in records if r.case is ExpansionCase.DOUBLE]
+    assert len(pair) == 2
+    return pair
+
+
 def test_kappa_examples(stacks):
     stack = stacks["anisotropic_elastic_2d"]
-    kp, km = hd.kappa_solutions(stack, Direction((1.0, 0.0)), 0, Regime.LOW)
+    kp, km = _kappas(hd.low_freq_expansions(stack, Direction((1.0, 0.0))))
     assert kp == pytest.approx(-1.0, abs=1e-8)
     assert km == pytest.approx(-1.0, abs=1e-8)
     d = Direction.of((1.0, 1.0))
-    kp, km = hd.kappa_solutions(stack, d, 0, Regime.LOW)
+    kp, km = _kappas(hd.low_freq_expansions(stack, d))
     ref = sorted(anisotropic_kappas(2.0, 1.0, 1.0, 0.0, d.vector()), key=lambda z: -z.real)
     assert kp == pytest.approx(ref[0], abs=1e-10)
     assert km == pytest.approx(ref[1], abs=1e-10)
 
-    f4 = stacks["fourth_order_weak"]
-    kp, km = hd.kappa_solutions(f4, Direction((1.0,)), 1, Regime.HIGH)
+    kp, km = _kappas(hd.high_freq_expansions(stacks["fourth_order_weak"], Direction((1.0,))))
     want = (-1 + 1j * np.sqrt(15)) / 8
     assert kp == pytest.approx(want, abs=1e-12)
     assert km == pytest.approx(np.conj(want), abs=1e-12)
-    with pytest.raises(UnclassifiableExpansionError):
-        hd.kappa_solutions(f4, Direction((1.0,)), 0, Regime.HIGH)  # not a double pair
 
 
 def test_constant_limits_discriminant_split():

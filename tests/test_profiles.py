@@ -131,6 +131,15 @@ def test_gap_series_checks_the_slot_count(stacks):
         profile_gap_series(stacks["mgt"], gaussian_data(4, 3), np.geomspace(1.0, 10.0, 3))
 
 
+def test_unstable_stack_gap_is_one_named_error():
+    # b < 0 grows the solution and the profile alike: the gap overflows, and the caller
+    # sees the norm's named error, not RuntimeWarnings from forming the gap
+    from hyperdecay.presets import mgt_stack
+
+    with pytest.raises(ValueError, match="the s-norm integrand overflows at rho = "):
+        solution_and_gap(mgt_stack(b=-0.01), gaussian_data(3, 2), np.geomspace(1.0, 1e5, 25))
+
+
 def test_profile_value_rejects_zero_frequency(stacks):
     spec = build_profile(stacks["mgt"], 1.0)
     with pytest.raises(ValueError):

@@ -480,10 +480,10 @@ def test_double_roots_of_real_rows_are_exact(stacks):
     assert np.array_equal(roots_batch(np.array([[2.0, 5.0, 4.0, 1.0]]))[0], [-2.0, -1.0, -1.0])
     assert np.array_equal(roots(UnivariatePoly.of([1.0, 2.0, 1.0])), [-1.0, -1.0])
     # the kappa quadratic of anisotropic_elastic_2d's double low-frequency root
-    from hyperdecay import kappa_solutions
-    from hyperdecay.asymptotics import Regime
+    from hyperdecay.asymptotics import ExpansionCase, low_freq_expansions
 
-    kp, km = kappa_solutions(stacks["anisotropic_elastic_2d"], Direction((1.0, 0.0)), 0, Regime.LOW)
+    recs = low_freq_expansions(stacks["anisotropic_elastic_2d"], Direction((1.0, 0.0)))
+    kp, km = (r.terms[1][1] for r in recs if r.case is ExpansionCase.DOUBLE)
     assert kp == km and kp.imag == 0 and kp == pytest.approx(-1.0, abs=1e-15)
 
 

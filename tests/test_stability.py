@@ -4,27 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperdecay as hd
-from hyperdecay import (Hyperbolicity, Interlacing, classify_hyperbolicity, classify_interlacing,
-                        classify_stack, hermite_biehler_stable, routh_hurwitz_cubic,
-                        sample_directions, stable_Q1, verify_hypothesis_Q2)
+from hyperdecay import (Hyperbolicity, Interlacing, classify_interlacing, classify_stack,
+                        hermite_biehler_stable, sample_directions, stable_Q1, verify_hypothesis_Q2)
 from hyperdecay.presets import (blackstock_crighton_stack, damped_wave_stack,
                                 em_elastic_stack, example_ell3_stack,
                                 example_ell3_stable_predicate, mgt_stack)
 from hyperdecay.rootkit import NonRealRootsError
+from hyperdecay.stability import _hyperbolicity
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
 from hyperdecay.tolerances import TOL
-from tests.oracles import abscissa_verdict
+from tests.oracles import abscissa_verdict, routh_hurwitz_cubic
 
 
 def test_hyperbolicity_examples():
-    d3 = sample_directions(3, isotropic=True)
-    assert classify_hyperbolicity(mgt_stack().symbols[0], d3) is Hyperbolicity.STRICT
+    d3 = np.array([d.components for d in sample_directions(3, isotropic=True)])
+    assert _hyperbolicity(mgt_stack().symbols[0], d3)[0] is Hyperbolicity.STRICT
     weak = HomogeneousSymbol.isotropic(2, 3, {2: 2.0})
-    assert classify_hyperbolicity(weak, d3) is Hyperbolicity.WEAK
+    assert _hyperbolicity(weak, d3)[0] is Hyperbolicity.WEAK
     elliptic = HomogeneousSymbol.isotropic(2, 3, {2: 1.0, 0: 1.0})
-    assert classify_hyperbolicity(elliptic, d3) is Hyperbolicity.NONE
-    with pytest.raises(ValueError):
-        classify_hyperbolicity(mgt_stack().symbols[0], [])
+    assert _hyperbolicity(elliptic, d3)[0] is Hyperbolicity.NONE
+    with pytest.raises(ValueError, match="at least one sample direction"):
+        classify_stack(mgt_stack(), [])
 
 
 def test_interlacing_examples():
