@@ -33,7 +33,7 @@ import numpy as np
 
 from .fitting import fit_loglog
 from .rootkit import RootBranchSet, assign, roots
-from .stability import AnchorCases, anchor_cases, real_root_table
+from .stability import anchor_cases, real_root_table
 from .symbols import Direction, OperatorStack, UnivariatePoly, check_poly, stack_rows
 
 
@@ -111,93 +111,81 @@ def constant_limits(stack: OperatorStack) -> list[complex]:
     return sorted(zs, key=lambda w: (w.real, w.imag))
 
 
-@dataclass(frozen=True)
-class _Levels:
-    """The restrictions R_0, R_1, ... along one direction (see the module
-    docstring), with their sorted real roots and the cases of the level-0 roots."""
-
-    sigma: float
-    roots: tuple[np.ndarray, ...]
-    polys: tuple[UnivariatePoly, ...]
-    cases: AnchorCases
-
-
-def _levels(stack: OperatorStack, d: Direction, regime: Regime) -> _Levels:
-    rows = stack_rows(stack, d.vector()[None, :])[0]
-    tables = [real_root_table(r[None, :]) for r in rows]
-    order = range(stack.ell, -1, -1) if regime is Regime.LOW else range(stack.ell + 1)
-    re = tuple(tables[k].re[0] for k in order)
-    return _Levels(1.0 if regime is Regime.LOW else -1.0, re,
-                   tuple(UnivariatePoly.of(rows[k]) for k in order),
-                   anchor_cases(re[0], re[1], max(t.scale[0] for t in tables)))
-
-
 def _signed(z: complex, sigma: float) -> complex:
     """sigma * z as an exact negation, so a zero part keeps its sign."""
     return z if sigma > 0 else -z
 
 
 def _expansions(stack: OperatorStack, d: Direction, regime: Regime) -> list[tuple[ExpansionRecord, complex]]:
-    """The records of the branches anchored at the level-0 roots a, each paired
-    with the deleted-root product of a in the level-0 symbol (p0'(a) at a
-    simple anchor; both members deleted at a double one).
+    """The records of the branches anchored at the level-0 roots, each paired
+    with the deleted-root product of its anchor a in the level-0 symbol (p0'(a)
+    at a simple anchor; both members deleted at a double one).
 
-    At low frequency a shared or double anchor is handled only at depth 2; at
-    high frequency a double anchor needs depth >= 2, and a shared anchor at
-    depth 1 keeps the SIMPLE record, whose constant then vanishes identically.
+    Each group of level-0 roots is read once, at its midpoint a.  A double anchor
+    splits with the two roots kappa of p0''(a)/2 kappa^2 - sigma p1'(a) kappa +
+    p2(a), largest real part first, which must be negative.  At low frequency a
+    shared or double anchor is handled only at depth 2; at high frequency a
+    double anchor needs depth >= 2, and a shared anchor at depth 1 keeps the
+    SIMPLE record, whose constant then vanishes identically.
     """
     low = regime is Regime.LOW
     if stack.ell < 1:
         raise UnclassifiableExpansionError(
             f"{regime.value.lower()}-frequency expansions need stack depth >= 1")
-    t = _levels(stack, d, regime)
-    s = t.sigma
-    base, mid, c = t.roots[0], t.roots[1], t.cases
+    rows = stack_rows(stack, d.vector()[None, :])[0]
+    tables = [real_root_table(r[None, :]) for r in rows]
+    order = range(stack.ell, -1, -1) if low else range(stack.ell + 1)
+    polys = [UnivariatePoly.of(rows[k]) for k in order]   # R_0, R_1, ...
+    base, mid = tables[order[0]].re[0], tables[order[1]].re[0]
+    c = anchor_cases(base, mid, max(t.scale[0] for t in tables))
+    s = 1.0 if low else -1.0
     out: list[tuple[ExpansionRecord, complex]] = []
     for j in np.flatnonzero(c.group == np.arange(len(base))):  # the first root of each group
         j, size = int(j), int(c.multiplicity[j])
-        anchor = float(base[j])
-        head = (1.0, 1j * anchor)
-        if size == 1:
-            mid_ix, mid_dist, shared = int(c.nearest[j]), float(c.distance[j]), bool(c.shared[j])
-            if shared and low and stack.ell != 2:
-                raise UnclassifiableExpansionError(
-                    f"root {anchor} shared with the next symbol is only handled at depth 2 "
-                    f"(stack depth {stack.ell})")
-            pcheck = check_poly(t.polys[0], base, {j}, anchor)
-            if shared and stack.ell >= 2:
-                # the real part only enters two orders later
-                p2 = complex(t.polys[2](anchor))
-                ptilde = check_poly(t.polys[1], mid, {mid_ix}, anchor)
-                c3 = _signed(p2, s) * ptilde / pcheck**2
-                if len(t.polys) > 3:  # R_3 enters mu_3 as well
-                    c3 = c3 - _signed(complex(t.polys[3](anchor)), s) / pcheck
-                rec = ExpansionRecord(
-                    branch=len(out), regime=regime, case=ExpansionCase.SHARED_SIMPLE,
-                    terms=(head, (1.0 + 2 * s, 1j * (p2 / pcheck)), (1.0 + 3 * s, complex(c3))),
-                    classification_margin=mid_dist)
-            else:
-                c1 = _signed(complex(t.polys[1](anchor)), s) / pcheck
-                rec = ExpansionRecord(
-                    branch=len(out), regime=regime, case=ExpansionCase.SIMPLE,
-                    terms=(head, (1.0 + s, complex(c1))), classification_margin=mid_dist)
-            out.append((rec, pcheck))
-        elif size == 2:
-            if low and stack.ell != 2:
-                raise UnclassifiableExpansionError(
-                    f"double root {anchor} of the lowest symbol is only handled at depth 2")
-            if stack.ell < 2:
-                raise UnclassifiableExpansionError(
-                    f"double root {anchor} of the leading symbol needs a depth-2 stack "
-                    "(otherwise the stack is not strictly stable)")
-            pcheck = check_poly(t.polys[0], base, {j, j + 1}, anchor)
-            for kappa in _kappa_pair(t, j):
-                out.append((ExpansionRecord(
-                    branch=len(out), regime=regime, case=ExpansionCase.DOUBLE,
-                    terms=(head, (1.0 + s, complex(kappa)))), pcheck))
-        else:
+        anchor = float(0.5 * (base[j] + base[j + size - 1]))   # exact at a simple root, -0.0 too
+        mid_ix, mid_dist, shared = int(c.nearest[j]), float(c.distance[j]), bool(c.shared[j])
+        if size > 2:
             raise UnclassifiableExpansionError(
                 f"root {anchor} of the {'lowest' if low else 'leading'} symbol has multiplicity {size} > 2")
+        if size == 2 and (stack.ell < 2 or low and stack.ell != 2):
+            raise UnclassifiableExpansionError(
+                f"double root {anchor} of the lowest symbol is only handled at depth 2" if low else
+                f"double root {anchor} of the leading symbol needs a depth-2 stack "
+                "(otherwise the stack is not strictly stable)")
+        if shared and low and stack.ell != 2:
+            raise UnclassifiableExpansionError(
+                f"root {anchor} shared with the next symbol is only handled at depth 2 "
+                f"(stack depth {stack.ell})")
+        if size == 2 and mid_dist > c.tol:
+            raise UnclassifiableExpansionError(
+                f"double root {anchor} is not matched by a middle-symbol root (distance {mid_dist})")
+        head = (1.0, 1j * anchor)
+        pcheck = check_poly(polys[0], base, set(range(j, j + size)), anchor)
+        if size == 1 and not (shared and stack.ell >= 2):
+            c1 = _signed(complex(polys[1](anchor)), s) / pcheck
+            out.append((ExpansionRecord(
+                branch=len(out), regime=regime, case=ExpansionCase.SIMPLE,
+                terms=(head, (1.0 + s, complex(c1))), classification_margin=mid_dist), pcheck))
+            continue
+        # a double or shared anchor: R_2 and the middle root's deleted-root product enter
+        p2, ptilde = complex(polys[2](anchor)), check_poly(polys[1], mid, {mid_ix}, anchor)
+        if size == 2:
+            pair = sorted(map(complex, roots(UnivariatePoly.of([p2, -s * ptilde, pcheck]))),
+                          key=lambda z: (z.real, z.imag), reverse=True)
+            if pair[0].real >= 0:
+                raise UnclassifiableExpansionError(
+                    f"quadratic solution {pair[0]} has nonnegative real part; configuration violated")
+            out += [(ExpansionRecord(branch=len(out) + i, regime=regime, case=ExpansionCase.DOUBLE,
+                                     terms=(head, (1.0 + s, kappa))), pcheck) for i, kappa in enumerate(pair)]
+        else:
+            # the real part only enters two orders later
+            c3 = _signed(p2, s) * ptilde / pcheck**2
+            if len(polys) > 3:  # R_3 enters mu_3 as well
+                c3 = c3 - _signed(complex(polys[3](anchor)), s) / pcheck
+            out.append((ExpansionRecord(
+                branch=len(out), regime=regime, case=ExpansionCase.SHARED_SIMPLE,
+                terms=(head, (1.0 + 2 * s, 1j * (p2 / pcheck)), (1.0 + 3 * s, complex(c3))),
+                classification_margin=mid_dist), pcheck))
     return out
 
 
@@ -217,30 +205,6 @@ def low_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRec
 def high_freq_expansions(stack: OperatorStack, d: Direction) -> list[ExpansionRecord]:
     """Expansion records for all m branches as |xi| -> infinity along d."""
     return [r for r, _ in _expansions(stack, d, Regime.HIGH)]
-
-
-def _kappa_pair(t: _Levels, j: int) -> tuple[complex, complex]:
-    """The two quadratic solutions governing the double root base[j] = base[j + 1] of a
-    level table: the roots of p0''(a)/2 kappa^2 - sigma p1'(a) kappa + p2(a), largest real
-    part first.  Both must have negative real part; a violation means the configuration
-    does not hold."""
-    base, mid, c = t.roots[0], t.roots[1], t.cases
-    anchor = float(0.5 * (base[j] + base[j + 1]))
-    mid_ix, mid_dist = int(c.nearest[j]), float(c.distance[j])
-    if mid_dist > c.tol:
-        raise UnclassifiableExpansionError(
-            f"double root {anchor} is not matched by a middle-symbol root (distance {mid_dist})")
-    a_coef = check_poly(t.polys[0], base, {j, j + 1}, anchor)
-    b_coef = -t.sigma * check_poly(t.polys[1], mid, {mid_ix}, anchor)
-    c_coef = complex(t.polys[2](anchor))
-    quad = UnivariatePoly.of([c_coef, b_coef, a_coef])
-    kp, km = roots(quad)
-    pair = sorted((complex(kp), complex(km)), key=lambda z: (z.real, z.imag), reverse=True)
-    for z in pair:
-        if z.real >= 0:
-            raise UnclassifiableExpansionError(
-                f"quadratic solution {z} has nonnegative real part; configuration violated")
-    return pair[0], pair[1]
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,9 @@ def _parse_direction(text: str | None, dim: int) -> Direction:
     return Direction.of(parts)
 
 
-def _records(stack: OperatorStack, d: Direction, regime: str):
-    """The expansion records of the "low" or "high" regime along d."""
-    if regime == "low":
+def _records(stack: OperatorStack, d: Direction, regime: asy.Regime):
+    """The expansion records of the regime along d."""
+    if regime is asy.Regime.LOW:
         return asy.low_freq_expansions(stack, d)
     return asy.high_freq_expansions(stack, d)
 
@@ -184,8 +184,8 @@ def cmd_classify(args) -> int:
 def cmd_asymptotics(args) -> int:
     stack, name = _load_stack(args.model)
     d = _parse_direction(args.direction, stack.dim)
-    regime = asy.Regime.LOW if args.regime == "low" else asy.Regime.HIGH
-    records = _records(stack, d, args.regime)
+    regime = asy.Regime(args.regime.upper())
+    records = _records(stack, d, regime)
     grid = (np.geomspace(1e-4, asy.LOW_RHO_MAX, 121) if regime is asy.Regime.LOW
             else np.geomspace(asy.HIGH_RHO_MIN, 1e4, 121))
     bs = track_branches(stack, d, grid)
@@ -302,12 +302,13 @@ def cmd_reproduce(args) -> int:
                        f"got {sorted(report.scenario_flags)}"))
 
     d = axis_direction(stack.dim)
-    for regime in ("low", "high"):
-        if regime in exp:
+    for regime in asy.Regime:
+        key = regime.value.lower()
+        if key in exp:
             records = _records(stack, d, regime)
-            ok, problems = preset_mod.compare_expansions(records, exp[regime])
-            checks.append((f"{regime}_expansions", ok, "; ".join(problems)))
-            _write_expansions(out / f"{pm.name}_asymptotics_{regime}.csv", records)
+            ok, problems = preset_mod.compare_expansions(records, exp[key])
+            checks.append((f"{key}_expansions", ok, "; ".join(problems)))
+            _write_expansions(out / f"{pm.name}_asymptotics_{key}.csv", records)
 
     if "sim" in exp:
         cfg = exp["sim"]

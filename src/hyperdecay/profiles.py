@@ -102,6 +102,8 @@ def build_profile(stack: OperatorStack, M: float) -> ProfileSpec:
     stack's depth.  Each kind keeps the records of one case: a term per
     record, with the record's own rate and amplitude 1 / (i^(m-ell-1-delta) p),
     p the deleted-root product of its anchor and delta = 1 at a double anchor.
+    A kept record whose last rate coefficient has real part >= 0 would make the
+    profile grow, so the stack is refused by name before anything is built on it.
     """
     if stack.ell < 1:
         raise ValueError("profiles need at least one dissipative symbol")
@@ -113,10 +115,15 @@ def build_profile(stack: OperatorStack, M: float) -> ProfileSpec:
         kind, case = ProfileKind.V_WEAK, ExpansionCase.DOUBLE
     else:
         kind, case = ProfileKind.W if stack.ell >= 2 else ProfileKind.V, ExpansionCase.SIMPLE
+    kept = [(rec, p) for rec, p in slow if rec.case is case]
+    for rec, _ in kept:
+        power, coef = rec.terms[-1]
+        if coef.real >= 0:
+            raise ValueError(f"the profile does not decay: branch {rec.branch} has rate coefficient {coef} "
+                             f"of rho^{power:g} with real part >= 0 (the stack is not strictly stable)")
     m, ell = stack.m, stack.ell
     delta = 1 if case is ExpansionCase.DOUBLE else 0
-    terms = [ProfileTerm(complex(1.0 / (1j ** (m - ell - 1 - delta) * p)), rec.terms)
-             for rec, p in slow if rec.case is case]
+    terms = [ProfileTerm(complex(1.0 / (1j ** (m - ell - 1 - delta) * p)), rec.terms) for rec, p in kept]
     if delta:
         # the two records of a double anchor are adjacent, kappa+ first; the
         # difference quotient (e^(k+ t) - e^(k- t)) / (k+ - k-) is symmetric in

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,38 @@ def test_unclassifiable_configurations_rejected():
     stack3 = OperatorStack.build([p5, p4b, p3_triple])
     with pytest.raises(UnclassifiableExpansionError):
         hd.low_freq_expansions(stack3, axis_direction(1))
+    # a shared or double anchor at depth 1, and a double anchor with no middle root in reach
+    p3_cubic = HomogeneousSymbol.isotropic(3, 1, {3: 1.0, 1: -1.0})
+    p3_far = HomogeneousSymbol(3, 1, {(3, (0,)): 1.0, (1, (2,)): -7.0, (0, (3,)): 6.0})   # roots 1, 2, -3
+    for expansions, symbols, message in [
+            (hd.low_freq_expansions, [p3_cubic, HomogeneousSymbol.isotropic(2, 1, {2: 1.0, 0: -1.0})],
+             "root -1.0 shared with the next symbol is only handled at depth 2 (stack depth 1)"),
+            (hd.low_freq_expansions, [p3_cubic, p2_double],
+             "double root 0.0 of the lowest symbol is only handled at depth 2"),
+            (hd.high_freq_expansions, [p4_shared, HomogeneousSymbol.isotropic(3, 1, {3: 1.0, 1: -2.0})],
+             "double root 0.0 of the leading symbol needs a depth-2 stack "
+             "(otherwise the stack is not strictly stable)"),
+            (hd.low_freq_expansions, [p4, p3_far, p2_double],
+             "double root 0.0 is not matched by a middle-symbol root (distance 1.0")]:
+        with pytest.raises(UnclassifiableExpansionError, match=re.escape(message)):
+            expansions(OperatorStack.build(symbols), axis_direction(1))
+
+
+def test_a_near_double_anchor_is_read_at_its_midpoint():
+    """A double within root_match_rtol is one anchor: its head, deleted-root product and
+    kappa pair are all read at the pair's midpoint, so it gives the exact double's records."""
+    from hyperdecay.symbols import HomogeneousSymbol, OperatorStack
+
+    p4 = HomogeneousSymbol.isotropic(4, 1, {4: 1.0, 2: -5.0, 0: 4.0})
+    p3 = HomogeneousSymbol.isotropic(3, 1, {3: 1.0, 1: -2.25})
+    eps = 3e-8
+    doubles = [[r for r in hd.low_freq_expansions(OperatorStack.build([p4, p3, p2]), axis_direction(1))
+                if r.case is ExpansionCase.DOUBLE]
+               for p2 in (HomogeneousSymbol.isotropic(2, 1, {2: 1.0, 0: -eps**2}),
+                          HomogeneousSymbol.isotropic(2, 1, {2: 1.0}))]
+    assert doubles[0] == doubles[1]
+    assert [r.terms for r in doubles[1]] == [((1.0, 0j), (2.0, -1.125 + 1.653594569415369j)),
+                                            ((1.0, 0j), (2.0, -1.125 - 1.653594569415369j))]
 
 
 def test_shared_simple_margin_recorded(stacks):

@@ -131,13 +131,15 @@ def test_gap_series_checks_the_slot_count(stacks):
         profile_gap_series(stacks["mgt"], gaussian_data(4, 3), np.geomspace(1.0, 10.0, 3))
 
 
-def test_unstable_stack_gap_is_one_named_error():
-    # b < 0 grows the solution and the profile alike: the gap overflows, and the caller
-    # sees the norm's named error, not RuntimeWarnings from forming the gap
+def test_unstable_stack_gap_is_one_named_error(propagator_inits):
+    # b < 0 grows the profile: its rates carry +0.005 rho^2, so `build_profile` refuses it
+    # before any propagator is built, and no RuntimeWarning is raised on the way
     from hyperdecay.presets import mgt_stack
 
-    with pytest.raises(ValueError, match="the s-norm integrand overflows at rho = "):
+    with pytest.raises(ValueError, match=r"the profile does not decay: branch 0 has rate coefficient "
+                                         r"\(0\.005\d*[+-]0j\) of rho\^2 with real part >= 0"):
         solution_and_gap(mgt_stack(b=-0.01), gaussian_data(3, 2), np.geomspace(1.0, 1e5, 25))
+    assert not propagator_inits
 
 
 def test_profile_value_rejects_zero_frequency(stacks):

@@ -64,6 +64,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # 1-d, P2 = lambda^2 - xi^2, P1 = lambda + xi/2, strictly stable: its odd order gives complex
 # rows Q(lambda, i xi), which no preset has (their spatial orders are all even)
 MODEL = "tests/data/damped_transport.json"
+# three profiles (zero, a ring r0 = 1, sigma = 0.2, a gaussian of amplitude 2 and width 0.5)
+# for a stack with m = 3
+DATA = "tests/data/ring_data.json"
 
 RUNS = ([["reproduce", name] for name in PRESETS]
         + [["classify", name] for name in PRESETS]
@@ -90,6 +93,9 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [[cmd, MODEL, *extra] for cmd, *extra in (
             ["classify"], ["simulate"], ["profile"], ["asymptotics", "--regime", "low"],
             ["asymptotics", "--regime", "high"], ["semilinear", "--p", "3", "--dim", "1", "--modes", "32", "--T", "1"])]
+        # a data file through `_load_data`, and its profile count checked against m = 5
+        + [["simulate", "mgt", "--data", DATA], ["profile", "mgt", "--data", DATA],
+           ["simulate", "em_elastic", "--data", DATA]]
         # every flag of the block that `simulate` and `profile` share
         + [[cmd, "mgt", "--k", "1", "--s", "0.5", "--tmin", "50", "--tmax", "2e4", "--points", "17"]
            for cmd in ("simulate", "profile")]
