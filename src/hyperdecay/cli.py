@@ -21,13 +21,12 @@ from . import asymptotics as asy
 from . import presets as preset_mod
 from .decay import critical_exponent, predict_decay
 from .profiles import moment, solution_and_gap
-from .rootkit import branch_dump_rows, track_branches
+from .rootkit import track_branches
 from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
                      gaussian_data, simulate)
 from .stability import classify_stack
-from .symbols import (Direction, HomogeneousSymbol, OperatorStack, axis_direction, load_model,
-                      save_model)
+from .symbols import Direction, OperatorStack, axis_direction, load_model, save_model
 from .tolerances import set_tolerance
 
 EXIT_OK = 0
@@ -89,25 +88,17 @@ def _write_simulate(out: Path, name: str, series) -> None:
 
 
 def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
-    """A preset or a model file; `dim` rebuilds an isotropic preset in that dimension."""
+    """A preset or a model file; `dim` builds an isotropic preset in that dimension."""
     if spec in preset_mod.PRESETS:
         pm = preset_mod.get_preset(spec)
         stack = pm.build()
         if dim is not None and dim != stack.dim and stack.isotropic:
-            stack = _isotropic_at_dim(stack, dim)
+            stack = pm.build(dim=dim)
         return stack, pm.name
     path = Path(spec)
     if not path.exists():
         raise FileNotFoundError(f"{spec!r} is neither a preset name nor a model file")
     return load_model(path)
-
-
-def _isotropic_at_dim(stack: OperatorStack, dim: int) -> OperatorStack:
-    """The isotropic stack with the same radial coefficients in dimension `dim`."""
-    axis = axis_direction(stack.dim)
-    radial = [{k: c for k, c in enumerate(s.restrict(axis).coeffs) if c} for s in stack.symbols]
-    return OperatorStack.build([HomogeneousSymbol.isotropic(s.order, dim, r)
-                                for s, r in zip(stack.symbols, radial)])
 
 
 def _load_data(spec: str | None, m: int) -> DataSpec:
@@ -202,8 +193,9 @@ def cmd_asymptotics(args) -> int:
         "records": fits,
         "tracking": {"input_points": len(grid), "points": len(bs.rho_grid),
                      "cluster_events": len(bs.cluster_events)}})
-    _write_csv(out / f"{name}_branches_{args.regime}.csv",
-               ["ray_id", "rho", "branch", "re", "im"], branch_dump_rows(bs))
+    _write_csv(out / f"{name}_branches_{args.regime}.csv", ["ray_id", "rho", "branch", "re", "im"],
+               [(0, float(rho), j, float(z.real), float(z.imag))   # ray_id is 0 for the one ray
+                for rho, zs in zip(bs.rho_grid, bs.branches.T) for j, z in enumerate(zs)])
     worst = min((f["fitted_remainder_order"] for f in fits), default=float("inf"))
     print(f"{name} {args.regime}: {len(records)} records; worst fitted remainder order {worst:.3g}")
     return EXIT_OK

@@ -61,7 +61,7 @@ class CriticalExponentReport:
 
 
 def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
-                  moment_zero: bool = False, nu: float = 2.0, data_present=None) -> DecayPrediction:
+                  moment_zero: bool = False, nu: float = 2.0) -> DecayPrediction:
     """Decay exponent of the k-th time derivative in the homogeneous s-norm.
 
     The order m and the table (Q1 at depth 1, Q2 at depth 2) come from the
@@ -118,12 +118,7 @@ def predict_decay(report: StabilityReport, n: int, q: float, k: int, s: float,
         regime += "+estQ2loss" if not derloss else "+estQ2regloss"
         data_req.append(f"high-frequency data in H^(k+s+{nu:g}-j), Fourier support away from 0")
 
-    if data_present is None:
-        data_present = range(m)
-    present = [j for j in data_present if 0 <= j < m]
-    if not present:
-        raise ValueError("no data indices present")
-    exponent = -min(rates[j] for j in present)
+    exponent = -min(rates)
 
     # admissibility of (q, k, s)
     threshold = lo - 1 if moment_zero and q == 1.0 else lo

@@ -33,7 +33,7 @@ TermList = list[tuple[float, complex]]
 @dataclass(frozen=True)
 class PresetModel:
     name: str
-    build: Callable[[], OperatorStack]
+    build: Callable[..., OperatorStack]
     expected: dict
 
 

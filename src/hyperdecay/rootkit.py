@@ -684,11 +684,3 @@ def connecting_permutation(stack: OperatorStack, d: Direction, rho_low: float,
     grid = np.geomspace(rho_low, rho_high, n)
     bs = track_branches(stack, d, grid)
     return np.argsort(_canonical_order(bs.branches[None, :, -1])[0])
-
-
-def branch_dump_rows(bs: RootBranchSet):
-    """Rows (ray_id, rho, branch, re, im) for CSV export; ray_id is 0 for the one ray."""
-    for i, rho in enumerate(bs.rho_grid):
-        for j in range(bs.m):
-            z = bs.branches[j, i]
-            yield (0, float(rho), j, float(z.real), float(z.imag))

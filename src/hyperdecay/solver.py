@@ -63,6 +63,11 @@ class RingProfile:
     r0: float
     sigma: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.r0) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"a ring profile needs a finite r0 and a finite sigma > 0, "
+                             f"got r0 = {self.r0} and sigma = {self.sigma}")
+
     def radial(self, rho: np.ndarray, n: int) -> np.ndarray:
         return np.exp(-0.5 * ((rho - self.r0) / self.sigma) ** 2)
 
@@ -409,15 +414,17 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, s: float, rho_gr
            directions: Sequence[Direction] | None = None) -> tuple[np.ndarray, ...]:
     """The one resolver of a norm run: (rho, times, first, density), the last two (T, N).
 
-    Before any solve it checks the slot count, the time grid (nonempty, 1-d, finite, >= 0 and
-    strictly ascending, as `_norm_series` cuts a prefix at underflow), and s with the radial grid
-    by `_radial_grid`.  Unless given, the radial grid is the default and the directions
+    Before any solve it checks the slot count, k >= 0, the time grid (nonempty, 1-d, finite,
+    >= 0 and strictly ascending, as `_norm_series` cuts a prefix at underflow), and s with the
+    radial grid by `_radial_grid`.  Unless given, the radial grid is the default and the directions
     `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each direction's
     |d_t^k u_hat|^2 is added into `density` in turn and the sum divided by their count, as numpy
     takes a mean; `first` is the first direction's d_t^k u_hat.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
+    if k < 0:
+        raise ValueError(f"the time-derivative order k must be >= 0, got {k}")
     times = np.asarray(times, dtype=float)
     if not (times.ndim == 1 and times.size and np.all(np.isfinite(times)) and times[0] >= 0
             and np.all(np.diff(times) > 0)):

@@ -166,10 +166,9 @@ def real_root_table(coeffs: np.ndarray) -> _RootTable:
     return t
 
 
-def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
+def _stack_table(stack: OperatorStack):
     """(directions[D, n], hyperbolicity by order, root table per symbol) for one classification."""
-    samples = list(samples) if samples is not None else sample_directions(stack.dim, stack.isotropic)
-    dirs = np.array([d.components for d in samples], dtype=float)
+    dirs = np.array([d.components for d in sample_directions(stack.dim, stack.isotropic)], dtype=float)
     classes, tables = zip(*(_hyperbolicity(s, dirs) for s in stack.symbols))
     return dirs, {s.order: c for s, c in zip(stack.symbols, classes)}, tables
 
@@ -180,8 +179,6 @@ def _stack_table(stack: OperatorStack, samples: Sequence[Direction] | None):
 
 def _hyperbolicity(sym: HomogeneousSymbol, dirs: np.ndarray) -> tuple[Hyperbolicity, _RootTable | None]:
     """Class of sym over the rows of dirs[D, n] and the table it was read from (None at order 0)."""
-    if not len(dirs):
-        raise ValueError("a classification needs at least one sample direction")
     if sym.is_zero:
         return Hyperbolicity.NONE, _RootTable(restriction_coeffs(sym, dirs))
     if sym.pure_time_coeff <= 0:
@@ -336,8 +333,8 @@ def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
     return _interlacing(_RootTable(odd), _RootTable(even)).klass is Interlacing.STRICT
 
 
-def classify_stack(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
-    """Strict stability of a depth-1, 2 or 3 stack at every sampled direction, plus scenario flags.
+def classify_stack(stack: OperatorStack) -> StabilityReport:
+    """Strict stability of a depth-1, 2 or 3 stack at every `sample_directions` direction, plus flags.
 
     Depth 1: both symbols strictly hyperbolic and strictly interlacing.
     Depth 2: P_{m-1} strictly and P_m, P_{m-2} at least weakly hyperbolic, both
@@ -348,7 +345,7 @@ def classify_stack(stack: OperatorStack, samples: Sequence[Direction] | None = N
     """
     if not 1 <= stack.ell <= 3:
         raise ValueError(f"no stability route for stack depth {stack.ell}")
-    dirs, hyp, tables = _stack_table(stack, samples)
+    dirs, hyp, tables = _stack_table(stack)
     weak_ok = stack.ell == 2
     triple_ok, triple_witness, notes = True, None, []
     if stack.ell == 3:
@@ -380,16 +377,16 @@ def classify_stack(stack: OperatorStack, samples: Sequence[Direction] | None = N
         n_directions=len(dirs), inconclusive=any(_near(v, b) for v, b in windows), notes=notes)
 
 
-def stable_Q1(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
+def stable_Q1(stack: OperatorStack) -> StabilityReport:
     """`classify_stack` for a depth-1 stack: both symbols strictly hyperbolic
     and strictly interlacing at every sampled direction."""
     if stack.ell != 1:
         raise ValueError(f"stable_Q1 needs ell = 1, got {stack.ell}")
-    return classify_stack(stack, samples)
+    return classify_stack(stack)
 
 
-def verify_hypothesis_Q2(stack: OperatorStack, samples: Sequence[Direction] | None = None) -> StabilityReport:
+def verify_hypothesis_Q2(stack: OperatorStack) -> StabilityReport:
     """`classify_stack` for a depth-2 stack: all five strict-stability conditions, plus scenario flags."""
     if stack.ell != 2:
         raise ValueError(f"verify_hypothesis_Q2 needs ell = 2, got {stack.ell}")
-    return classify_stack(stack, samples)
+    return classify_stack(stack)

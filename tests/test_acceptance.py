@@ -18,7 +18,7 @@ from hyperdecay.presets import (PRESETS, blackstock_crighton_stack, compare_expa
 from hyperdecay.profiles import moment, profile_gap_series
 from hyperdecay.semilinear import run_semilinear
 from hyperdecay.solver import DataSpec, GaussianProfile, ZeroProfile, gaussian_data
-from hyperdecay.stability import classify_stack, sample_directions
+from hyperdecay.stability import classify_stack
 from hyperdecay.symbols import Direction, axis_direction, full_symbol_at
 from hyperdecay.tolerances import TOL
 from tests.oracles import _propagate_companion, abscissa_verdict
@@ -71,7 +71,7 @@ def test_criterion_2_cross_validation():
         stack = random_interlaced_stack(rng, m, ell)
         if trial % 2:
             stack = break_interlacing(rng, stack)
-        report = classify_stack(stack, sample_directions(1))
+        report = classify_stack(stack)
         direct, worst = abscissa_verdict(stack)
         if report.strictly_stable != direct:
             margin = abs(report.min_margin)

@@ -384,8 +384,17 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
     dpath.write_text(json.dumps(data))
     assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
     assert "a gaussian profile needs a finite amplitude, got nan" in capsys.readouterr().err
-    # a profile kind with no check of its own reaches the norm's NaN check
-    data["profiles"][2] = {"kind": "ring", "r0": float("nan"), "sigma": 0.2}
+    # a ring of width 0 is refused where it is built, by `simulate` and `profile` alike
+    data["profiles"][2] = {"kind": "ring", "r0": 1.0, "sigma": 0}
+    dpath.write_text(json.dumps(data))
+    for cmd in ("simulate", "profile"):
+        assert main(["--out", str(tmp_path), cmd, "mgt", "--data", str(dpath)]) == 1, cmd
+        assert "a ring profile needs a finite r0 and a finite sigma > 0, got r0 = 1.0 and sigma = 0.0" \
+            in capsys.readouterr().err
+    # a grid sample has no check of its own and reaches the norm's NaN check
+    values = np.exp(-0.5 * default_rho_grid() ** 2)
+    values[100] = np.nan
+    data["profiles"][2] = {"kind": "grid", "values": list(values)}
     dpath.write_text(json.dumps(data))
     assert main(["--out", str(tmp_path), "simulate", "mgt", "--data", str(dpath)]) == 1
     assert "integrand is NaN" in capsys.readouterr().err

@@ -79,10 +79,6 @@ def test_per_datum_exponents_and_data_present():
     # overall exponent tracks the slowest-decaying datum; lower data decay faster
     assert pred.exponent == pytest.approx(max(pred.per_datum_exponents))
     assert pred.per_datum_exponents[0] < pred.per_datum_exponents[3]
-    only_low = hd.predict_decay(_report(4), 3, 1.0, 1, 1.0, data_present=[0])
-    assert only_low.exponent == pytest.approx(pred.per_datum_exponents[0])
-    with pytest.raises(ValueError):
-        hd.predict_decay(_report(4), 3, 1.0, 1, 1.0, data_present=[])
 
 
 def test_predict_rejects_depth_3():

@@ -520,16 +520,28 @@ def test_ring_profile_data(stacks):
     assert series.values[-1] < series.values[0]
 
 
+@pytest.mark.parametrize("r0, sigma", [(1.0, 0.0), (1.0, -0.2), (float("nan"), 0.2), (float("inf"), 0.2),
+                                       (1.0, float("nan")), (1.0, float("inf"))])
+def test_ring_profile_is_checked(r0, sigma):
+    with pytest.raises(ValueError, match=f"a ring profile needs a finite r0 and a finite sigma > 0, "
+                                         f"got r0 = {r0} and sigma = {sigma}"):
+        RingProfile(r0, sigma)
+
+
 def test_propagate_mode_validates_data_length(stacks):
     with pytest.raises(ValueError):
         hd.propagate_mode(stacks["mgt"], np.array([0.1, 0, 0]), [1.0, 0.0], 1.0)
 
 
-def test_negative_derivative_order_rejected(stacks):
+def test_negative_derivative_order_rejected(stacks, propagator_inits):
+    """A norm run rejects k < 0 before it builds any propagator."""
     with pytest.raises(ValueError, match="k must be >= 0"):
         hd.propagate_mode(stacks["mgt"], np.array([0.5, 0, 0]), [0.0, 0.0, 1.0], 10.0, k=-1)
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        hd.simulate(stacks["mgt"], gaussian_data(3, 2), np.geomspace(1.0, 10.0, 3), k=-1)
+    for stack, data in ((stacks["mgt"], gaussian_data(3, 2)),
+                        (stacks["anisotropic_elastic_2d"], gaussian_data(4, 3))):
+        with pytest.raises(ValueError, match="the time-derivative order k must be >= 0, got -1"):
+            hd.simulate(stack, data, np.geomspace(1.0, 10.0, 3), k=-1)
+    assert not propagator_inits
 
 
 def test_short_fit_window_is_flagged(stacks):
