@@ -26,7 +26,7 @@ from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
                      gaussian_data, simulate)
 from .stability import classify_stack
-from .symbols import Direction, OperatorStack, axis_direction, load_model, save_model
+from .symbols import Direction, ModelFormatError, OperatorStack, axis_direction, load_model, save_model
 from .tolerances import set_tolerance
 
 EXIT_OK = 0
@@ -101,29 +101,60 @@ def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
     return load_model(path)
 
 
+# each data-file profile kind: its class and its fields in argument order, with their
+# defaults (None for a required field)
+_PROFILE_KINDS = {
+    "gaussian": (GaussianProfile, {"amplitude": 1.0, "width": 1.0}),
+    "zero": (ZeroProfile, {}),
+    "ring": (RingProfile, {"r0": None, "sigma": None}),
+    "grid": (GridProfile, {"values": None, "zero_value": math.nan}),
+}
+
+
+def _number(value, path: str) -> float:
+    """A JSON number read at `path` of a data file; true, a string or null is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{path}: not a number, got {value!r}")
+    return float(value)
+
+
+def _profile(entry, path: str):
+    """The profile a data-file entry describes, each field checked where it is read."""
+    if not isinstance(entry, dict):
+        raise ModelFormatError(f"{path}: not an object, got {entry!r}")
+    if "kind" not in entry:
+        raise ModelFormatError(f"{path}.kind: missing")
+    kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
+        raise ModelFormatError(f"{path}.kind: unknown profile kind {kind!r}")
+    make, fields = _PROFILE_KINDS[kind]
+    args = []
+    for name, default in fields.items():
+        if default is None and name not in entry:
+            raise ModelFormatError(f"{path}.{name}: missing")
+        value = entry.get(name, default)
+        if name == "values":
+            if not isinstance(value, list):
+                raise ModelFormatError(f"{path}.values: not a list, got {value!r}")
+            args.append(tuple(_number(v, f"{path}.values[{i}]") for i, v in enumerate(value)))
+        else:
+            args.append(_number(value, f"{path}.{name}"))
+    return make(*args)
+
+
 def _load_data(spec: str | None, m: int) -> DataSpec:
     if spec is None:
         return gaussian_data(m, m - 1)
     with open(spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "profiles" not in doc:
+        raise ModelFormatError("profiles: missing; a data file is an object with a list of profiles")
     entries = doc["profiles"]
+    if not isinstance(entries, list):
+        raise ModelFormatError(f"profiles: not a list, got {entries!r}")
     if len(entries) != m:
         raise ValueError(f"data file has {len(entries)} profiles, model needs {m}")
-    out = []
-    for e in entries:
-        kind = e["kind"]
-        if kind == "gaussian":
-            out.append(GaussianProfile(float(e.get("amplitude", 1.0)), float(e.get("width", 1.0))))
-        elif kind == "zero":
-            out.append(ZeroProfile())
-        elif kind == "ring":
-            out.append(RingProfile(float(e["r0"]), float(e["sigma"])))
-        elif kind == "grid":
-            out.append(GridProfile(tuple(float(v) for v in e["values"]),
-                                   float(e.get("zero_value", "nan"))))
-        else:
-            raise ValueError(f"unknown profile kind {kind!r}")
-    return DataSpec(tuple(out))
+    return DataSpec(tuple(_profile(e, f"profiles[{i}]") for i, e in enumerate(entries)))
 
 
 def _norm_run(args) -> tuple[OperatorStack, str, DataSpec, np.ndarray]:

@@ -4,14 +4,17 @@ Each mode evolves by the characteristic roots of the full symbol.  One kernel,
 `exp_newton`, writes d_t^k u_hat in Newton form: divided differences of
 lambda^k e^(lambda t) at the roots, taken by a Taylor series over clusters of
 close roots and by the recurrence elsewhere, times Newton vectors of the
-companion state.  It is batched over modes and times, returns only the leading
+companion state; the series contracts its real t^q / q! table on the float view
+of its complex one, a real sum-of-products loop.  It is batched over modes and times, returns only the leading
 state coordinates its caller names, and needs no separate route for confluent
 roots.  Its divided-difference table is mode-last, (M, T, N) for M roots, T
 times and N modes, so each level of the recurrence runs over contiguous (T, N)
 planes.  A norm run checks s and its radial grid once, before any solve,
 streams its directions into one (T, N) density, the mean |u_hat|^2 the s-norm
-reads, and holds no (T, D, N) field; one trapezoid rule in log rho then takes
-the norms at all T times at once.  There is no time stepping, so slope fits
+reads, and holds no (T, D, N) field.  The field is 0 wherever every datum is,
+so only the radii from the first to the last nonzero datum are solved (the
+support slice); one trapezoid rule in log rho then takes the norms at all T
+times at once.  There is no time stepping, so slope fits
 probe the operator, not an integrator.
 """
 
@@ -166,6 +169,9 @@ def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int, ti: np.nd
     time, (k + L + terms, T); each binomial term contracts them once into a
     (T, R) table, the sum and the factor e^(lam t) are taken on that table,
     and the K entries are read from it at the end, with no per-entry gather.
+    The contraction runs on the float view of h: t^q / q! is real, so the
+    real loop takes the complex loop's own products and sums, bit for bit,
+    at a fraction of its cost (BLAS `@` would change the summation order).
     """
     span = omega.shape[0]
     terms = SERIES_TERMS + k
@@ -181,7 +187,8 @@ def _series(lam: np.ndarray, omega: np.ndarray, t: np.ndarray, k: int, ti: np.nd
     total = np.zeros((len(t), len(lam)), dtype=complex)
     for a in range(k + 1):
         q0 = k + span - a
-        total += math.comb(k, a) * lam ** (k - a) * np.einsum("nt,nr->tr", tq[q0 : q0 + terms], h)
+        total += math.comb(k, a) * lam ** (k - a) * np.einsum("nt,nr->tr", tq[q0 : q0 + terms],
+                                                               h.view(float)).view(complex)
     # e^(lam t) stays the left factor: a vectorized complex product with fused
     # multiply-adds is not commutative in its last bit
     return (np.exp(lam * t[:, None]) * total)[ti, ri]
@@ -199,7 +206,9 @@ def _divided_differences(nodes: np.ndarray, t: np.ndarray, k: int) -> np.ndarray
     once.  Each level's top plane D[0, L] goes to plane L of the output.
     """
     m = nodes.shape[0]
-    d = nodes[:, None] ** k * np.exp(t[:, None] * nodes[:, None])     # D[i, i + L] in plane i
+    d = np.exp(t[:, None] * nodes[:, None])     # D[i, i + L] in plane i
+    if k:   # lambda^k is the left factor: complex products with fused multiply-adds do not commute
+        d = nodes[:, None] ** k * d
     out = np.empty_like(d)
     out[0] = d[0]
     for span in range(1, m):
@@ -419,7 +428,10 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, s: float, rho_gr
     radial grid by `_radial_grid`.  Unless given, the radial grid is the default and the directions
     `sample_directions`, every 4th angle for an anisotropic 2-d stack.  Each direction's
     |d_t^k u_hat|^2 is added into `density` in turn and the sum divided by their count, as numpy
-    takes a mean; `first` is the first direction's d_t^k u_hat.
+    takes a mean; `first` is the first direction's d_t^k u_hat.  A mode whose data are all 0 has
+    the field 0, so each direction is solved only on the support slice, the radii from the first
+    to the last nonzero datum, and the rest of `first` and `density` is exactly 0; all-zero data
+    solve no radius.
     """
     if data.m != stack.m:
         raise ValueError(f"data has {data.m} slots, stack needs {stack.m}")
@@ -437,11 +449,20 @@ def _field(stack: OperatorStack, data: DataSpec, times, k: int, s: float, rho_gr
     if not len(directions):
         raise ValueError("a norm run needs at least one direction")
     dvals = data.values(rho, stack.dim)
+    support = np.flatnonzero(np.any(dvals != 0, axis=0))    # a NaN datum is support too
+    if not support.size:
+        return rho, times, np.zeros((len(times), len(rho)), dtype=complex), np.zeros((len(times), len(rho)))
+    on = slice(support[0], support[-1] + 1)
+
+    def solve(d: Direction) -> np.ndarray:
+        return RadialPropagator(stack, d, rho[on]).propagate(dvals[:, on], times, k)
+
     with np.errstate(over="ignore"):  # |u_hat|^2 may overflow: `_norms` names a non-finite norm
-        first = RadialPropagator(stack, directions[0], rho).propagate(dvals, times, k)
+        # padded after its solve, so the full-size field is not held through the solve
+        first = np.pad(solve(directions[0]), ((0, 0), (on.start, len(rho) - on.stop)))
         density = np.abs(first) ** 2
         for d in directions[1:]:
-            density += np.abs(RadialPropagator(stack, d, rho).propagate(dvals, times, k)) ** 2
+            density[:, on] += np.abs(solve(d)) ** 2
     density /= len(directions)
     return rho, times, first, density
 

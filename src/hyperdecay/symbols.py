@@ -163,6 +163,8 @@ class HomogeneousSymbol:
 
         order-k must be even for every entry (|xi|^odd is not polynomial).
         """
+        if dim < 1:     # checked before `_compositions`, which recurses without end on dim < 1
+            raise ModelFormatError("spatial dimension must be >= 1")
         coeffs: dict[tuple[int, MultiIndex], float] = {}
         for k, c in radial.items():
             p2 = order - k

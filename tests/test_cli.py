@@ -356,6 +356,14 @@ def test_semilinear_readme_line_builds_3d_preset_in_2d(tmp_path, capsys):
     assert "stack dim 3 != run dim 2" in capsys.readouterr().err
 
 
+def test_semilinear_dimension_below_one_is_a_config_error(tmp_path, capsys):
+    """`HomogeneousSymbol.isotropic` checks dim >= 1 before it recurses over compositions of dim parts."""
+    for dim in ("0", "-1"):
+        assert main(["--out", str(tmp_path), "semilinear", "mgt", "--p", "3", "--dim", dim]) == 1, dim
+        assert "spatial dimension must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_asymptotics_direction_flag(tmp_path):
     rc = main(["--out", str(tmp_path), "asymptotics", "anisotropic_elastic_2d",
                "--regime", "high", "--direction", "0.70710678118654752,0.70710678118654752"])
@@ -427,6 +435,40 @@ def test_data_file_parsing(tmp_path, capsys):
                  "--tmin", "10", "--tmax", "100", "--points", "5"]) == 1
     assert "slot 2" in capsys.readouterr().err
     assert not (out / "mgt_profile_fit.json").exists()
+
+
+def test_data_file_is_checked_where_it_is_read(tmp_path, capsys):
+    """A data file of the wrong shape is a config error naming the path of what is wrong."""
+    ring = {"kind": "ring", "r0": 1.0}
+    cases = [({"profiles": 3}, "profiles: not a list, got 3"),
+             ([], "profiles: missing"),
+             ({"data": []}, "profiles: missing"),
+             ({"profiles": [{"kind": "zero"}, ring, {"kind": "gaussian"}]}, "profiles[1].sigma: missing"),
+             ({"profiles": [{"kind": "zero"}, 2, {"kind": "gaussian"}]}, "profiles[1]: not an object, got 2"),
+             ({"profiles": [{}, ring, {"kind": "gaussian"}]}, "profiles[0].kind: missing"),
+             ({"profiles": [{"kind": "wave"}, ring, {"kind": "gaussian"}]},
+              "profiles[0].kind: unknown profile kind 'wave'"),
+             ({"profiles": [{"kind": []}, ring, {"kind": "gaussian"}]},
+              "profiles[0].kind: unknown profile kind []"),
+             ({"profiles": [{"kind": "zero"}, dict(ring, r0=True, sigma=0.2), {"kind": "gaussian"}]},
+              "profiles[1].r0: not a number, got True"),
+             ({"profiles": [{"kind": "zero"}, dict(ring, sigma="0.2"), {"kind": "gaussian"}]},
+              "profiles[1].sigma: not a number, got '0.2'"),
+             ({"profiles": [{"kind": "zero"}, {"kind": "zero"}, {"kind": "gaussian", "width": None}]},
+              "profiles[2].width: not a number, got None"),
+             ({"profiles": [{"kind": "zero"}, {"kind": "zero"}, {"kind": "grid", "values": 1.0}]},
+              "profiles[2].values: not a list, got 1.0"),
+             ({"profiles": [{"kind": "zero"}, {"kind": "zero"}, {"kind": "grid", "values": [0.5, "x"]}]},
+              "profiles[2].values[1]: not a number, got 'x'"),
+             # the count is checked before the entries, in the words a digest run prints
+             ({"profiles": [{"kind": "zero"}, ring]}, "data file has 2 profiles, model needs 3")]
+    dpath = tmp_path / "data.json"
+    for doc, message in cases:
+        dpath.write_text(json.dumps(doc))
+        for cmd in ("simulate", "profile"):
+            assert main(["--out", str(tmp_path / "out"), cmd, "mgt", "--data", str(dpath)]) == 1, doc
+            assert f"error: {message}" in capsys.readouterr().err, doc
+    assert not (tmp_path / "out").exists()
 
 
 def test_gaussian_width_must_be_positive(tmp_path, capsys):

@@ -283,6 +283,47 @@ def test_anisotropic_field_is_the_stack_of_its_directions(stacks):
     assert np.array_equal(first, stacked[:, 0])
 
 
+@pytest.fixture()
+def propagator_grids(monkeypatch):
+    """A list that gains the radial grid size of each `RadialPropagator` built during the test."""
+    sizes = []
+    init = RadialPropagator.__init__
+    monkeypatch.setattr(RadialPropagator, "__init__",
+                        lambda self, stack, d, rho: sizes.append(len(rho)) or init(self, stack, d, rho))
+    return sizes
+
+
+def test_a_norm_run_solves_only_the_radii_its_data_reach(stacks, propagator_grids):
+    """Gaussian data underflow to exactly 0 beyond rho = 38.62, and the radii there are not solved."""
+    rho, times = default_rho_grid(), np.geomspace(1e2, 1e4, 5)
+    assert np.count_nonzero(gaussian_data(3, 2).values(rho, 3)[2]) == 3813
+    hd.simulate(stacks["mgt"], gaussian_data(3, 2), times)
+    hd.simulate(stacks["anisotropic_elastic_2d"], gaussian_data(4, 3), times,
+                directions=[axis_direction(2), hd.Direction.of((1.0, 1.0))])
+    assert propagator_grids == [3813] * 3
+
+
+def test_the_support_slice_leaves_the_field_unchanged(stacks):
+    """Zeros at the ends of the data and inside them: the field is the full-grid field, bit for bit."""
+    from hyperdecay.stability import sample_directions
+
+    stack, rho, times = stacks["mgt"], default_rho_grid(), np.geomspace(1e2, 1e4, 5)
+    values = np.exp(-0.5 * (rho / 10.0) ** 2)
+    values[:100] = values[-700:] = values[2000] = 0.0
+    data = DataSpec((ZeroProfile(), ZeroProfile(), hd.GridProfile(tuple(values.tolist()), zero_value=0.0)))
+    _, _, first, density = _field(stack, data, times, 1, 0.0)
+    axis = sample_directions(3, True)[0]
+    full = RadialPropagator(stack, axis, rho).propagate(data.values(rho, 3), times, 1)
+    assert np.array_equal(first, full) and np.array_equal(density, np.abs(full) ** 2)
+    assert not np.any(first[:, :100]) and not np.any(first[:, 2000]) and not np.any(first[:, -700:])
+
+
+def test_all_zero_data_solve_no_radius(stacks, propagator_inits):
+    series = hd.simulate(stacks["mgt"], DataSpec((ZeroProfile(),) * 3), np.geomspace(1.0, 10.0, 5))
+    assert series.flags == ["norm underflow; series truncated", "all-zero series; slope undefined"]
+    assert not propagator_inits
+
+
 def test_an_empty_direction_list_is_rejected_before_any_solve(stacks, propagator_inits):
     """So are a bad s and a bad radial grid, under both `simulate` and `solution_and_gap`."""
     from hyperdecay.profiles import solution_and_gap
