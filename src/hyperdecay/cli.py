@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from .semilinear import run_semilinear
 from .solver import (DataSpec, GaussianProfile, GridProfile, RingProfile, ZeroProfile,
                      gaussian_data, simulate)
 from .stability import classify_stack
-from .symbols import Direction, ModelFormatError, OperatorStack, axis_direction, load_model, save_model
+from .symbols import (Direction, ModelFormatError, OperatorStack, _read, axis_direction, load_model,
+                      save_model)
 from .tolerances import set_tolerance
 
 EXIT_OK = 0
@@ -101,57 +103,28 @@ def _load_stack(spec: str, dim: int | None = None) -> tuple[OperatorStack, str]:
     return load_model(path)
 
 
-# each data-file profile kind: its class and its fields in argument order, with their
-# defaults (None for a required field)
-_PROFILE_KINDS = {
-    "gaussian": (GaussianProfile, {"amplitude": 1.0, "width": 1.0}),
-    "zero": (ZeroProfile, {}),
-    "ring": (RingProfile, {"r0": None, "sigma": None}),
-    "grid": (GridProfile, {"values": None, "zero_value": math.nan}),
-}
+# the class of each data-file profile kind; its fields and their defaults are the class's own
+_PROFILE_KINDS = {"gaussian": GaussianProfile, "zero": ZeroProfile, "ring": RingProfile, "grid": GridProfile}
 
 
-def _number(value, path: str) -> float:
-    """A JSON number read at `path` of a data file; true, a string or null is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{path}: not a number, got {value!r}")
-    return float(value)
-
-
-def _profile(entry, path: str):
-    """The profile a data-file entry describes, each field checked where it is read."""
-    if not isinstance(entry, dict):
-        raise ModelFormatError(f"{path}: not an object, got {entry!r}")
+def _profile(entry: dict, path: str):
+    """The profile a data-file entry describes: a known kind, then its class's fields, each
+    read through `_read` with the class's default."""
     if "kind" not in entry:
         raise ModelFormatError(f"{path}.kind: missing")
     kind = entry["kind"]
     if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
         raise ModelFormatError(f"{path}.kind: unknown profile kind {kind!r}")
-    make, fields = _PROFILE_KINDS[kind]
-    args = []
-    for name, default in fields.items():
-        if default is None and name not in entry:
-            raise ModelFormatError(f"{path}.{name}: missing")
-        value = entry.get(name, default)
-        if name == "values":
-            if not isinstance(value, list):
-                raise ModelFormatError(f"{path}.values: not a list, got {value!r}")
-            args.append(tuple(_number(v, f"{path}.values[{i}]") for i, v in enumerate(value)))
-        else:
-            args.append(_number(value, f"{path}.{name}"))
-    return make(*args)
+    make = _PROFILE_KINDS[kind]      # a grid's `values` is the one field that is a list of numbers
+    return make(**{f.name: tuple(_read(entry, f.name, list, path, of=float)) if f.name == "values"
+                   else _read(entry, f.name, float, path, f.default) for f in fields(make)})
 
 
 def _load_data(spec: str | None, m: int) -> DataSpec:
     if spec is None:
         return gaussian_data(m, m - 1)
     with open(spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "profiles" not in doc:
-        raise ModelFormatError("profiles: missing; a data file is an object with a list of profiles")
-    entries = doc["profiles"]
-    if not isinstance(entries, list):
-        raise ModelFormatError(f"profiles: not a list, got {entries!r}")
+        entries = _read(json.load(fh), "profiles", list, of=dict)
     if len(entries) != m:
         raise ValueError(f"data file has {len(entries)} profiles, model needs {m}")
     return DataSpec(tuple(_profile(e, f"profiles[{i}]") for i, e in enumerate(entries)))
@@ -435,7 +408,7 @@ def main(argv=None) -> int:
             name, _, value = override.partition("=")
             set_tolerance(name.strip(), float(value))
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

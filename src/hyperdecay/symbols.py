@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import MISSING, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -193,13 +194,6 @@ class HomogeneousSymbol:
 
     def divided(self, divisor: float) -> "HomogeneousSymbol":
         return HomogeneousSymbol(self.order, self.dim, {key: c / divisor for key, c in self.coeffs.items()})
-
-    def restrict(self, d: Direction) -> UnivariatePoly:
-        """Restriction P(lambda, d) as a real-coefficient polynomial of degree <= order
-        (one row of `restriction_coeffs`)."""
-        if d.dim != self.dim:
-            raise DimensionMismatchError(f"direction dim {d.dim} != symbol dim {self.dim}")
-        return UnivariatePoly.of(restriction_coeffs(self, d.vector()[None, :])[0])
 
 
 def _compositions(total: int, parts: int):
@@ -388,28 +382,61 @@ def stack_to_dict(stack: OperatorStack, name: str = "model") -> dict:
     }
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind: type, at: str):
+    """value as a JSON value of `kind`, one of `_KINDS`: an integer is neither a bool nor a
+    float, and a number is an int or a float (NaN and inf included; the constructors name
+    those) but not a bool.  A wrong kind raises ModelFormatError naming `at`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ModelFormatError(f"{at}: not {_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _read(doc, key: str, kind: type, path: str = "", default=MISSING, of: type | None = None):
+    """Field `key` of the object `doc` of an input file, `_checked` to be of `kind`; with
+    `of`, a list whose items are each of kind `of`.  `path` names doc in the file, so an
+    error names the field's path, such as "symbols[0].terms[1].k: not an integer, got 1.5".
+    A missing field, or any field of a doc that is not an object, is `default`, or
+    "<path>: missing" without one.  Both input files, the model and the data, are read
+    field by field through here."""
+    at = f"{path}.{key}" if path else key
+    if not (isinstance(doc, dict) and key in doc):
+        if default is MISSING:
+            raise ModelFormatError(f"{at}: missing")
+        return default
+    value = _checked(doc[key], kind, at)
+    return value if of is None else [_checked(v, of, f"{at}[{i}]") for i, v in enumerate(value)]
+
+
 def stack_from_dict(doc: Mapping) -> OperatorStack:
-    try:
-        dim = int(doc["dim"])
-        raw_symbols = doc["symbols"]
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"model document missing required field: {exc}") from exc
+    """The stack of a model document, each field read through `_read`."""
+    dim = _read(doc, "dim", int)
     symbols = []
-    for entry in raw_symbols:
-        order = int(entry["order"])
+    for i, entry in enumerate(_read(doc, "symbols", list, of=dict)):
+        at = f"symbols[{i}]"
+        order = _read(entry, "order", int, at)
         coeffs: dict[tuple[int, MultiIndex], float] = {}
-        for term in entry.get("terms", []):
-            k = int(term["k"])
-            alpha = tuple(int(a) for a in term["alpha"])
-            coeffs[(k, alpha)] = coeffs.get((k, alpha), 0.0) + float(term["c"])
+        for j, term in enumerate(_read(entry, "terms", list, at, [], of=dict)):
+            tat = f"{at}.terms[{j}]"
+            k = _read(term, "k", int, tat)
+            alpha = tuple(_read(term, "alpha", list, tat, of=int))
+            coeffs[(k, alpha)] = coeffs.get((k, alpha), 0.0) + _read(term, "c", float, tat)
         symbols.append(HomogeneousSymbol(order, dim, coeffs))
     return OperatorStack.build(symbols)
 
 
 def load_model(path) -> tuple[OperatorStack, str]:
+    """The stack and name of a model file.  The name names the output files, so it must be
+    a plain file name: not empty, "." or "..", and with no path separator."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return stack_from_dict(doc), str(doc.get("name", "model"))
+    stack = stack_from_dict(doc)
+    name = _read(doc, "name", str, default="model")
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ModelFormatError(f"name: not a plain file name, got {name!r}")
+    return stack, name
 
 
 def save_model(stack: OperatorStack, path, name: str = "model") -> None:

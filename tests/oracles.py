@@ -11,7 +11,8 @@ its own and a union-find cluster search at every accepted point.  The
 level-wise tracker must return exactly what it returns.
 
 `symbol_value` evaluates a symbol at one point term by term, the reference
-for the batched coefficient views.  `abscissa_verdict` checks strict
+for the batched coefficient views; `restricted` is one direction's row of
+`restriction_coeffs` as a polynomial.  `abscissa_verdict` checks strict
 stability directly from the largest real part of the roots, the cross-check
 of the interlacing criteria; `routh_hurwitz_cubic` is the closed-form
 Routh-Hurwitz test of a cubic, a cross-check of the root solver.
@@ -32,7 +33,7 @@ from hyperdecay.rootkit import (UNIT_FACTOR, BisectionLimitError, RadialRootSolv
                                 companion, roots_batch)
 from hyperdecay.solver import exp_newton
 from hyperdecay.stability import sample_directions
-from hyperdecay.symbols import DimensionMismatchError
+from hyperdecay.symbols import DimensionMismatchError, UnivariatePoly, restriction_coeffs
 from hyperdecay.tolerances import TOL
 
 _SUBSTEP_NORM = 4.0
@@ -236,6 +237,11 @@ def symbol_value(sym, lam: complex, xi) -> complex:
     for (k, alpha), c in sym.terms():
         total += c * lam**k * np.prod(xi ** np.asarray(alpha))
     return total
+
+
+def restricted(sym, d) -> UnivariatePoly:
+    """The restriction P(lambda, d) of a symbol to direction d."""
+    return UnivariatePoly.of(restriction_coeffs(sym, d.vector()[None, :])[0])
 
 
 ABSCISSA_MARGIN = 1e-10

@@ -1,7 +1,10 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +472,86 @@ def test_data_file_is_checked_where_it_is_read(tmp_path, capsys):
             assert main(["--out", str(tmp_path / "out"), cmd, "mgt", "--data", str(dpath)]) == 1, doc
             assert f"error: {message}" in capsys.readouterr().err, doc
     assert not (tmp_path / "out").exists()
+
+
+def test_model_name_is_a_plain_file_name(tmp_path, capsys):
+    """The name names the output files, so "../escaped" wrote escaped_classify.json beside --out."""
+    model = json.loads(Path(__file__).parent.joinpath("data", "damped_transport.json").read_text())
+    mpath = tmp_path / "model.json"
+    out = tmp_path / "out"
+    for name in ("../escaped", "a/b", "..", ".", ""):
+        mpath.write_text(json.dumps(dict(model, name=name)))
+        assert main(["--out", str(out), "classify", str(mpath)]) == 1, name
+        assert f"error: name: not a plain file name, got {name!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_directory_input_is_a_config_error(tmp_path, capsys):
+    """A directory as the model or the data file exits 1, not with an IsADirectoryError traceback."""
+    for argv in (["classify", str(tmp_path)], ["simulate", "mgt", "--data", str(tmp_path)]):
+        assert main(["--out", str(tmp_path / "out")] + argv) == 1, argv
+        assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_DELETE = object()
+# what each node of an input file is replaced by, besides being deleted
+_REPLACEMENTS = (None, "x", -1, 0, 1.5, float("nan"), [], {}, True, 1e6)
+
+
+def _node_paths(doc, path=()):
+    """The path (keys and list indices) of every node of a JSON document below its root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _node_paths(value, path + (key,))
+
+
+def _mutants(doc):
+    """(path, replacement, mutant) for each node deleted or replaced by each of _REPLACEMENTS."""
+    for path in list(_node_paths(doc)):
+        for new in (_DELETE, *_REPLACEMENTS):
+            mutant = copy.deepcopy(doc)
+            parent = reduce(getitem, path[:-1], mutant)
+            if new is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+            yield path, new, mutant
+
+
+def test_input_file_mutants_exit_with_a_named_error(tmp_path, capsys):
+    """Every node of the two committed input files deleted, or replaced by a value of another
+    kind (440 mutants): no run ends in a traceback, each exits 0, 1 or, for `classify`'s
+    not-stable verdict, 2, and a float or bool in an integer field, or a bool in a number
+    field, exits 1 with that field's path in the message."""
+    data = Path(__file__).parent / "data"
+    runs = {"damped_transport.json": (["classify"], [], (0, 1, 2)),
+            "ring_data.json": (["simulate", "mgt", "--data"], ["--points", "3"], (0, 1))}
+    integer = {"dim", "order", "k"}
+    number = {"c", "r0", "sigma", "amplitude", "width"}
+    wrong, total = [], 0
+    for fname, (head, tail, codes) in runs.items():
+        fpath = tmp_path / fname
+        for path, new, mutant in _mutants(json.loads((data / fname).read_text())):
+            total += 1
+            fpath.write_text(json.dumps(mutant))
+            where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+            label = f"{fname} {where} " + ("deleted" if new is _DELETE else f"= {new!r}")
+            try:
+                code = main(["--out", str(tmp_path / "out"), *head, str(fpath), *tail])
+            except Exception as exc:
+                wrong.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if code not in codes:
+                wrong.append(f"{label}: exit {code}")
+            is_integer = path[-1] in integer or (len(path) > 1 and path[-2] == "alpha")
+            if ((is_integer and isinstance(new, (bool, float))) or (path[-1] in number and new is True)) \
+                    and (code != 1 or f"error: {where}: " not in err):
+                wrong.append(f"{label}: exit {code}, {err.strip()!r}")
+    assert total == 440
+    assert wrong == []
 
 
 def test_gaussian_width_must_be_positive(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hyperdecay.rootkit import NonRealRootsError
 from hyperdecay.stability import _hyperbolicity
 from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
 from hyperdecay.tolerances import TOL
-from tests.oracles import abscissa_verdict, routh_hurwitz_cubic
+from tests.oracles import abscissa_verdict, restricted, routh_hurwitz_cubic
 
 
 def test_hyperbolicity_examples():
@@ -31,10 +31,10 @@ def test_interlacing_examples():
     # shared outer roots at b = 0
     stack0 = mgt_stack(b=0.0)
     d = axis_direction(3)
-    weak = classify_interlacing(stack0.symbols[1].restrict(d), stack0.symbols[0].restrict(d))
+    weak = classify_interlacing(restricted(stack0.symbols[1], d), restricted(stack0.symbols[0], d))
     assert weak.klass is Interlacing.WEAK
     bc = blackstock_crighton_stack(b=1.0)
-    strict2 = classify_interlacing(bc.symbols[1].restrict(d), bc.symbols[0].restrict(d))
+    strict2 = classify_interlacing(restricted(bc.symbols[1], d), restricted(bc.symbols[0], d))
     assert strict2.klass is Interlacing.STRICT
     with pytest.raises(ValueError):
         classify_interlacing(UnivariatePoly.of([0.0, 1.0]), UnivariatePoly.of([0, 0, 0, 1.0]))
@@ -203,7 +203,7 @@ def break_interlacing(rng, stack):
     """Move one root of a lower symbol decisively outside its bracket."""
     d = axis_direction(1)
     level = 1 if stack.ell == 1 else int(rng.integers(1, 3))
-    sets = [np.sort(hd.roots(s.restrict(d)).real) for s in stack.symbols]
+    sets = [np.sort(hd.roots(restricted(s, d)).real) for s in stack.symbols]
     upper = sets[level - 1]
     target = sets[level].copy()
     i = int(rng.integers(0, len(target)))

@@ -1,4 +1,6 @@
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -10,26 +12,26 @@ from hyperdecay.presets import anisotropic_elastic_2d_stack, damped_wave_stack, 
 from hyperdecay.stability import sample_directions
 from hyperdecay.rootkit import RadialRootSolver
 from hyperdecay.symbols import (DimensionMismatchError, ModelFormatError, UnivariatePoly, axis_direction,
-                                restriction_coeffs, stack_from_dict, stack_to_dict, symbol_coeffs)
-from tests.oracles import symbol_value
+                                load_model, restriction_coeffs, stack_from_dict, stack_to_dict, symbol_coeffs)
+from tests.oracles import restricted, symbol_value
 
 
 def test_mgt_restriction_any_direction():
     stack = mgt_stack()
     for d in [axis_direction(3), Direction.of((1.0, 2.0, -1.0))]:
-        p = stack.symbols[0].restrict(d)
+        p = restricted(stack.symbols[0], d)
         assert np.allclose(p.array(), [0, -2, 0, 1], atol=1e-12)
 
 
 def test_zero_symbol_restricts_to_zero():
     z = HomogeneousSymbol(3, 2, {})
-    p = z.restrict(axis_direction(2))
+    p = restricted(z, axis_direction(2))
     assert p.is_zero
 
 
 def test_anisotropic_restriction_example():
     stack = anisotropic_elastic_2d_stack(a1=2.0, a2=1.0, mu=1.0, nu_lame=0.0)
-    p3 = stack.symbols[1].restrict(Direction((1.0, 0.0)))
+    p3 = restricted(stack.symbols[1], Direction((1.0, 0.0)))
     assert np.allclose(p3.array(), [0, -4, 0, 3], atol=1e-12)
 
 
@@ -154,11 +156,44 @@ def test_model_json_roundtrip(tmp_path):
     doc = stack_to_dict(stack, "mgt")
     rebuilt = stack_from_dict(doc)
     d = Direction.of((0.3, -0.5, 0.8))
-    assert np.allclose(rebuilt.symbols[0].restrict(d).array(), stack.symbols[0].restrict(d).array())
+    assert np.allclose(restricted(rebuilt.symbols[0], d).array(), restricted(stack.symbols[0], d).array())
     bad = json.loads(json.dumps(doc))
     bad["symbols"][0]["terms"][0]["k"] += 1  # breaks k+|alpha| = order
     with pytest.raises(ModelFormatError):
         stack_from_dict(bad)
+
+
+def test_model_fields_are_checked_where_they_are_read(tmp_path):
+    """A model field of the wrong kind, or a missing one, is a ModelFormatError naming its path;
+    `int()` truncated 1.5 and read true as 1, and a missing field raised a KeyError's repr."""
+    def mutated(path, value):
+        doc = stack_to_dict(damped_wave_stack(), "damped_wave")
+        reduce(getitem, path[:-1], doc)[path[-1]] = value
+        return doc
+
+    cases = [(("dim",), 1.5, "dim: not an integer, got 1.5"),
+             (("dim",), True, "dim: not an integer, got True"),
+             (("symbols",), None, "symbols: not a list, got None"),
+             (("symbols", 0), 3, "symbols[0]: not an object, got 3"),
+             (("symbols", 0, "order"), "2", "symbols[0].order: not an integer, got '2'"),
+             (("symbols", 0, "terms", 1, "k"), 1.5, "symbols[0].terms[1].k: not an integer, got 1.5"),
+             (("symbols", 1, "terms", 0, "alpha", 0), True,
+              "symbols[1].terms[0].alpha[0]: not an integer, got True"),
+             (("symbols", 0, "terms", 0, "c"), True, "symbols[0].terms[0].c: not a number, got True")]
+    for path, value, message in cases:
+        with pytest.raises(ModelFormatError) as exc:
+            stack_from_dict(mutated(path, value))
+        assert str(exc.value) == message, path
+    for doc, message in [({}, "dim: missing"), ([], "dim: missing"),
+                         ({"dim": 1, "symbols": [{"order": 2, "terms": [{"k": 2, "alpha": [0]}]}]},
+                          "symbols[0].terms[0].c: missing")]:
+        with pytest.raises(ModelFormatError) as exc:
+            stack_from_dict(doc)
+        assert str(exc.value) == message
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(mutated(("name",), -1)))
+    with pytest.raises(ModelFormatError, match=r"^name: not a string, got -1$"):
+        load_model(mpath)
 
 
 def test_direction_rejects_non_finite_components():

@@ -79,7 +79,9 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [["predict", name, *extra] for name, pm in PRESETS.items() if pm.build().ell < 3
            for extra in (["--n", "3", "--moment-zero"], ["--n", "3", "--q", "2", "--k", "1", "--s", "1"],
                          ["--n", "1", "--q", "1.5", "--nu", "0.5"])]
-        + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic")]
+        # the last two build the two weak profile kinds, W_WEAK and V_WEAK
+        + [["profile", name] for name in ("mgt", "blackstock_crighton", "em_elastic", "fourth_order_weak",
+                                          "em_elastic_dissipative")]
         + [["simulate", "mgt"], ["simulate", "anisotropic_elastic_2d"],
            ["semilinear", "mgt", "--p", "5", "--dim", "2", "--modes", "64", "--T", "5"],
            # a large datum with p = 2: "growing" by T = 3, "blowup" near t = 3.09 by T = 6
