@@ -34,7 +34,7 @@ for c1, b in [(1.0, 1.0), (2.5, 0.5), (2.5, 1.2), (3.5, 0.5)]:
     want = example_ell3_stable_predicate(**params)
     got = classify_stack(stack).strictly_stable
     probe = hermite_biehler_stable(stack, np.array([0.7, 0.0, 0.0]))
-    print(f"c1={c1} b={b}: closed form {want!s:5s} sampled route {got!s:5s} "
+    print(f"c1={c1} b={b}: closed form {want!s:5s} crossing-radius route {got!s:5s} "
           f"single-frequency probe {probe}")
 
 print("\n=== direct spectral abscissa cross-check (third-order model) ===")

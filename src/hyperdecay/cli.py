@@ -132,6 +132,9 @@ def _load_data(spec: str | None, m: int) -> DataSpec:
 
 def _norm_run(args) -> tuple[OperatorStack, str, DataSpec, np.ndarray]:
     """The stack, name, data and time grid of a `simulate` or `profile` run."""
+    if not 0.0 < args.tmin < args.tmax < math.inf:
+        raise ValueError("the time grid must be nonempty, 1-d, finite, > 0 and strictly ascending, "
+                         f"got --tmin {args.tmin} and --tmax {args.tmax}")
     stack, name = _load_stack(args.model)
     return stack, name, _load_data(args.data, stack.m), np.geomspace(args.tmin, args.tmax, args.points)
 

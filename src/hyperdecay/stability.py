@@ -3,9 +3,10 @@
 The decisive quantities are root gaps and orderings of the restrictions
 P_{m-j}(lambda, d).  A classification solves each symbol once over all sampled
 directions (one `roots_batch` call on its `restriction_coeffs` rows) and every
-check reads that table; the depth-3 route reads its even/odd test rows for
-all (direction, radius) points off one `stack_rows` call and shares the
-row-wise interlacing test.
+check reads that table.  The depth-3 route finds, along each direction, the
+radii where a root can cross the imaginary axis, in closed form from the
+`stack_rows` coefficients, and tests its even/odd rows there with the shared
+row-wise interlacing test; no radius is sampled.
 Classification is a certification up to the sampled direction resolution:
 every report carries the minimum margin observed (normalized by a
 root-magnitude scale) so callers can judge robustness, and the CLI maps small
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rootkit import NonRealRootsError, _residuals, is_real_root, root_groups, roots_batch
+from .rootkit import NonRealRootsError, _polyval, _residuals, is_real_root, root_groups, roots_batch
 from .symbols import (Direction, HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction,
                       restriction_coeffs, stack_rows)
 from .tolerances import TOL
@@ -251,8 +252,9 @@ AnchorCases = namedtuple("AnchorCases", "group multiplicity nearest distance sha
 
 
 def anchor_cases(base: np.ndarray, mid: np.ndarray, scale) -> AnchorCases:
-    """The one decision of double and shared anchor roots, behind both the scenario flags
-    and the expansion cases.  Per sorted real root of base[..., k]: its `root_groups` label
+    """The one decision of double and shared anchor roots, behind the scenario flags, the
+    expansion cases and the ends of `_crossing_pair`.  Per root of base[..., k] (sorted
+    real roots, or there the NaN-padded complex roots of W): its `root_groups` label
     at tol = root_match_rtol * scale[...] (the first index of its group), the group's size,
     the index of and distance to the nearest root of mid[..., k'] (-1 and inf without one),
     and whether it is shared: simple and within tol of that root."""
@@ -321,6 +323,49 @@ def _hermite_biehler_rows(stack: OperatorStack, xi: np.ndarray) -> tuple[np.ndar
     return (r[:, 1] - r[:, 3])[:, : stack.m], r[:, 0] - r[:, 2]
 
 
+def _crossing_pair(stack: OperatorStack, dirs: np.ndarray, tables: Sequence[_RootTable]) -> InterlacingClass:
+    """The depth-3 even/odd pair along every ray of dirs[D, n], tested where its class can change.
+
+    A root reaches the imaginary axis, lambda = i rho w, only where w is a real
+    root of W = P_m P_{m-3} - P_{m-1} P_{m-2} and rho^2 = P_{m-2}(w) / P_m(w) > 0,
+    all restricted to d (the D-decomposition).  W is solved once per degree it
+    has; a root within root_match_rtol of a root of P_m (P_{m-2}) is the
+    rho -> inf (rho -> 0) end, as is a root at infinity where the degree drops.
+    One `_interlacing` call tests rho = 1, each crossing radius and one point
+    inside each arc they cut, rows direction-major, and the witness names the
+    direction.  A multiple root of W at an end makes a STRICT pair WEAK with margin 0.
+    """
+    rows = stack_rows(stack, dirs)
+    w = np.zeros((len(dirs), 2 * stack.m + 1))
+    for k in range(stack.m + 1):
+        w[:, k:k + stack.m + 1] += rows[:, 0, k:k + 1] * rows[:, 3] - rows[:, 1, k:k + 1] * rows[:, 2]
+    degree = np.max(np.where(w != 0, np.arange(w.shape[1]), -1), axis=1)
+    roots = np.full((len(dirs), 2 * stack.m - 3), np.nan, dtype=complex)
+    for k in np.unique(degree[degree > 0]):
+        roots[degree == k, :k] = roots_batch(w[degree == k, : k + 1])
+    ends = anchor_cases(roots, np.concatenate([tables[0].roots, tables[2].roots], axis=1),
+                        np.maximum(tables[0].scale, tables[2].scale))
+    end = ends.distance <= ends.tol[:, None]
+    num, den = _polyval(rows[:, 2], roots.real), _polyval(rows[:, 0], roots.real)
+    d, k = np.nonzero(is_real_root(roots) & ~end & (num * den > 0))
+    r = np.sqrt(num[d, k] / den[d, k])
+    order = np.lexsort((r, d))
+    d, r = d[order], r[order]
+    first, last = np.diff(d, prepend=-1) != 0, np.diff(d, append=-1) != 0
+    below = np.where(first, r / 2.0, np.sqrt(np.r_[r[:1], r[:-1]] * r))
+    owner = np.concatenate([np.arange(len(dirs)), d, d, d[last]])
+    order = np.argsort(owner, kind="stable")
+    owner, radius = owner[order], np.concatenate([np.ones(len(dirs)), r, below, 2.0 * r[last]])[order]
+    odd, even = _hermite_biehler_rows(stack, dirs[owner] * radius[:, None])
+    pair = _interlacing(_RootTable(odd), _RootTable(even))
+    if pair.witness is not None:
+        pair = replace(pair, witness=(int(owner[pair.witness[0]]),) + pair.witness[1:])
+    marginal = np.any(end & (ends.multiplicity >= 2), axis=1)
+    if pair.klass is not Interlacing.STRICT or not marginal.any():
+        return pair
+    return InterlacingClass(Interlacing.WEAK, 0.0, (int(np.argmax(marginal)), "multiple root of W at an end", 0.0))
+
+
 def hermite_biehler_stable(stack: OperatorStack, xi: Sequence[float]) -> bool:
     """Strict stability of the full symbol at one xi != 0: one row of the depth-3
     test in `classify_stack`; non-real-rooted pairs count as not stable."""
@@ -339,24 +384,17 @@ def classify_stack(stack: OperatorStack) -> StabilityReport:
     Depth 1: both symbols strictly hyperbolic and strictly interlacing.
     Depth 2: P_{m-1} strictly and P_m, P_{m-2} at least weakly hyperbolic, both
     consecutive pairs at least weakly interlacing, and no common triple root.
-    Depth 3: the even/odd pair strictly interlaces at 25 radii in [1e-3, 1e3]
-    along every direction.  A verdict within a decade of its boundary is
-    inconclusive.
+    Depth 3: the even/odd pair strictly interlaces along every direction, at
+    rho = 1 and wherever a root can cross the imaginary axis (`_crossing_pair`).
+    A verdict within a decade of its boundary is inconclusive.
     """
     if not 1 <= stack.ell <= 3:
         raise ValueError(f"no stability route for stack depth {stack.ell}")
     dirs, hyp, tables = _stack_table(stack)
     weak_ok = stack.ell == 2
-    triple_ok, triple_witness, notes = True, None, []
+    triple_ok, triple_witness = True, None
     if stack.ell == 3:
-        radii = np.geomspace(1e-3, 1e3, 25)
-        xi = (dirs[:, None, :] * radii[:, None]).reshape(-1, stack.dim)  # direction-major
-        odd, even = _hermite_biehler_rows(stack, xi)
-        pair = _interlacing(_RootTable(odd), _RootTable(even))
-        if pair.witness is not None:  # rows run over the radii of one direction, then the next
-            pair = replace(pair, witness=(pair.witness[0] // len(radii),) + pair.witness[1:])
-        pairs, stable = [pair], True
-        notes.append("even/odd pair interlacing sampled over directions and radii")
+        pairs, stable = [_crossing_pair(stack, dirs, tables)], True
     else:
         pairs = [_interlacing(tables[j + 1], tables[j]) for j in range(stack.ell)]
         ends = (Hyperbolicity.STRICT, Hyperbolicity.WEAK) if weak_ok else (Hyperbolicity.STRICT,)
@@ -374,7 +412,7 @@ def classify_stack(stack: OperatorStack) -> StabilityReport:
         no_common_triple_root=triple_ok, triple_witness=triple_witness,
         strictly_stable=stable and triple_ok and all(c.klass in accepted for c in pairs),
         scenario_flags=_scenario_flags(stack, tables), min_margin=min(c.margin for c in pairs),
-        n_directions=len(dirs), inconclusive=any(_near(v, b) for v, b in windows), notes=notes)
+        n_directions=len(dirs), inconclusive=any(_near(v, b) for v, b in windows))
 
 
 def stable_Q1(stack: OperatorStack) -> StabilityReport:

@@ -388,10 +388,17 @@ _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list",
 def _checked(value, kind: type, at: str):
     """value as a JSON value of `kind`, one of `_KINDS`: an integer is neither a bool nor a
     float, and a number is an int or a float (NaN and inf included; the constructors name
-    those) but not a bool.  A wrong kind raises ModelFormatError naming `at`."""
+    those) but not a bool.  A wrong kind, or an integer beyond the float range, raises
+    ModelFormatError naming `at`."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ModelFormatError(f"{at}: not {_KINDS[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{at}: not a number in the float range, "
+                               f"got an integer of {len(str(abs(value)))} digits") from None
 
 
 def _read(doc, key: str, kind: type, path: str = "", default=MISSING, of: type | None = None):

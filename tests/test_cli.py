@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -184,6 +185,20 @@ def test_bad_time_grid_is_a_config_error(tmp_path, capsys):
                  ["simulate", "mgt", "--tmin", "1e4", "--tmax", "1e2"], ["profile", "mgt", "--points", "0"]):
         assert main(["--out", str(tmp_path)] + argv) == 1, argv
         assert "time grid must be nonempty, 1-d, finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_nonpositive_tmin_is_the_time_grid_error(tmp_path, capsys):
+    """--tmin -1 printed numpy's log10 RuntimeWarning before the error, and --tmin 0 exited with
+    numpy's "Geometric sequence cannot include zero"."""
+    for cmd in ("simulate", "profile"):
+        for tmin in ("-1", "0"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["--out", str(tmp_path), cmd, "mgt", "--tmin", tmin]) == 1, (cmd, tmin)
+            err = capsys.readouterr().err
+            assert f"finite, > 0 and strictly ascending, got --tmin {float(tmin)} and" in err, (cmd, tmin)
+            assert "RuntimeWarning" not in err and not caught, (cmd, tmin, caught)
     assert not any(tmp_path.iterdir())
 
 
@@ -455,6 +470,8 @@ def test_data_file_is_checked_where_it_is_read(tmp_path, capsys):
               "profiles[0].kind: unknown profile kind []"),
              ({"profiles": [{"kind": "zero"}, dict(ring, r0=True, sigma=0.2), {"kind": "gaussian"}]},
               "profiles[1].r0: not a number, got True"),
+             ({"profiles": [{"kind": "zero"}, dict(ring, r0=10**400, sigma=0.2), {"kind": "gaussian"}]},
+              "profiles[1].r0: not a number in the float range, got an integer of 401 digits"),
              ({"profiles": [{"kind": "zero"}, dict(ring, sigma="0.2"), {"kind": "gaussian"}]},
               "profiles[1].sigma: not a number, got '0.2'"),
              ({"profiles": [{"kind": "zero"}, {"kind": "zero"}, {"kind": "gaussian", "width": None}]},

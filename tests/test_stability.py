@@ -1,3 +1,6 @@
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,10 @@ from hyperdecay import (Hyperbolicity, Interlacing, classify_interlacing, classi
 from hyperdecay.presets import (blackstock_crighton_stack, damped_wave_stack,
                                 em_elastic_stack, example_ell3_stack,
                                 example_ell3_stable_predicate, mgt_stack)
-from hyperdecay.rootkit import NonRealRootsError
+from hyperdecay.rootkit import NonRealRootsError, RadialRootSolver
 from hyperdecay.stability import _hyperbolicity
-from hyperdecay.symbols import HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction
+from hyperdecay.symbols import (HomogeneousSymbol, OperatorStack, UnivariatePoly, axis_direction, load_model,
+                               restriction_coeffs)
 from hyperdecay.tolerances import TOL
 from tests.oracles import abscissa_verdict, restricted, routh_hurwitz_cubic
 
@@ -250,6 +254,98 @@ def test_example_ell3_predicate_route():
             want = example_ell3_stable_predicate(a=2.0, b=b, c1=c1, c2=2.0, c3=1.5)
             got = classify_stack(stack).strictly_stable
             assert got == want, (c1, b)
+
+
+def _rescaled(stack, s):
+    """The stack with P_{m-j} multiplied by s^j: the same problem in other units."""
+    return OperatorStack.build([HomogeneousSymbol(p.order, p.dim, {key: c * s**j for key, c in p.coeffs.items()})
+                                for j, p in enumerate(stack.symbols)])
+
+
+def _along(stack, d):
+    """The 1-d stack of the restrictions of `stack` along d, which classifies the rays +-d."""
+    rows = [restriction_coeffs(p, d.vector()[None, :])[0] for p in stack.symbols]
+    return OperatorStack.build([HomogeneousSymbol(p.order, 1, {(k, (p.order - k,)): float(c)
+                                                               for k, c in enumerate(row) if c})
+                                for p, row in zip(stack.symbols, rows)])
+
+
+def _scan_abscissa(stack, d, radii):
+    return float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real))
+
+
+def test_depth3_crossing_between_samples_and_under_a_change_of_units():
+    """The committed 1-d stack is unstable only on rho in (0.4806, 0.5403); its rescalings
+    move that arc to (4806, 5403) and (4.806e-5, 5.403e-5)."""
+    stack, _ = load_model(Path(__file__).parent / "data" / "depth3_crossing.json")
+    for s in (1.0, 1e4, 1e-4):
+        rep = classify_stack(_rescaled(stack, s))
+        assert not rep.strictly_stable and rep.interlacing_upper.klass is Interlacing.FAIL, s
+        assert rep.min_margin < 0 and rep.notes == [], s
+    assert _scan_abscissa(stack, axis_direction(1), np.array([0.47, 0.55])) < 0
+    assert _scan_abscissa(stack, axis_direction(1), np.array([0.51])) > 0
+
+
+def test_example_ell3_at_and_near_its_boundary():
+    """b = b*(1 +- eps) on both sides of b*^2 = (1 - c1/(c2 c3)) a^2 agrees with the
+    predicate; at b = b* the high-frequency damping of the shared root vanishes, a
+    double root of W at the rho -> inf end, and the pair is WEAK with margin 0."""
+    for c1 in (0.5, 1.0, 2.0, 2.5):
+        b_star = np.sqrt((1.0 - c1 / 3.0) * 4.0)
+        for b in b_star * (1.0 + np.array([-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2])):
+            params = dict(a=2.0, b=float(b), c1=c1, c2=2.0, c3=1.5)
+            assert classify_stack(example_ell3_stack(**params)).strictly_stable == \
+                example_ell3_stable_predicate(**params), params
+        rep = classify_stack(example_ell3_stack(a=2.0, b=float(b_star), c1=c1, c2=2.0, c3=1.5))
+        assert not rep.strictly_stable and not rep.inconclusive, c1
+        assert (rep.interlacing_upper.klass, rep.min_margin) == (Interlacing.WEAK, 0.0), c1
+
+
+def test_depth3_degree_drop_is_classified():
+    """c1 = c2 c3 cancels W's top coefficient in every direction, and the added
+    0.1 lambda^2 xi_2 in P_3 the next one only where xi_2 = 0: W is solved per degree."""
+    base = example_ell3_stack(a=2.0, b=1.0, c1=3.0, c2=2.0, c3=1.5, dim=2)
+    p3 = HomogeneousSymbol(3, 2, {**base.symbols[1].coeffs, (2, (0, 1)): 0.1})
+    rep = classify_stack(OperatorStack.build([base.symbols[0], p3, *base.symbols[2:]]))
+    assert rep.n_directions == 256 and not rep.strictly_stable
+    assert rep.interlacing_upper.klass is Interlacing.FAIL
+
+
+def random_depth3_stack(rng):
+    """A 1-d chain-interlaced stack, m in 4..6, with P_{m-3}'s lead coefficient in [1e-3, 3]."""
+    base = random_interlaced_stack(rng, int(rng.integers(4, 7)), 3)
+    low = base.symbols[3]
+    eps = rng.uniform(1e-3, 3.0) / low.pure_time_coeff
+    return OperatorStack.build([*base.symbols[:3], HomogeneousSymbol(low.order, 1, {key: c * eps for key, c
+                                                                                    in low.coeffs.items()})])
+
+
+def test_depth3_random_stacks_agree_with_an_abscissa_scan():
+    t0 = time.monotonic()
+    rng = np.random.default_rng(5)
+    radii = np.geomspace(1e-5, 1e5, 401)
+    verdicts = []
+    for trial in range(120):
+        stack = random_depth3_stack(rng)
+        direct = max(_scan_abscissa(stack, d, radii) for d in sample_directions(1)) < 0
+        verdicts.append(classify_stack(stack).strictly_stable)
+        assert verdicts[-1] == direct, trial
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_depth3_crossing_directions_match_a_dense_scan():
+    """The anisotropic depth-3 stack of `test_hermite_biehler_report_anisotropic_depth3`: the
+    rays with a crossing are exactly those where an 801-radius scan over [1e-4, 1e6] finds
+    Re lambda > 0.  Its symbols are even in xi, so the rays d and -d agree."""
+    base = example_ell3_stack(a=2.0, c1=1.0, c2=2.0, c3=1.0, dim=2)
+    p2 = HomogeneousSymbol(2, 2, {(2, (0, 0)): 2.0, (0, (2, 0)): -2.0, (0, (0, 2)): -7.0})
+    stack = OperatorStack.build([base.symbols[0], base.symbols[1], p2, base.symbols[3]])
+    radii = np.geomspace(1e-4, 1e6, 801)
+    dirs = sample_directions(2)
+    unstable = [i for i, d in enumerate(dirs) if _scan_abscissa(stack, d, radii) > 0]
+    assert len(unstable) == 146 and unstable[0] == 28
+    assert [i for i, d in enumerate(dirs) if not classify_stack(_along(stack, d)).strictly_stable] == unstable
 
 
 def test_classify_solves_each_symbol_once(stacks, monkeypatch):

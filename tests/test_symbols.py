@@ -179,7 +179,9 @@ def test_model_fields_are_checked_where_they_are_read(tmp_path):
              (("symbols", 0, "terms", 1, "k"), 1.5, "symbols[0].terms[1].k: not an integer, got 1.5"),
              (("symbols", 1, "terms", 0, "alpha", 0), True,
               "symbols[1].terms[0].alpha[0]: not an integer, got True"),
-             (("symbols", 0, "terms", 0, "c"), True, "symbols[0].terms[0].c: not a number, got True")]
+             (("symbols", 0, "terms", 0, "c"), True, "symbols[0].terms[0].c: not a number, got True"),
+             (("symbols", 0, "terms", 0, "c"), -10**400,
+              "symbols[0].terms[0].c: not a number in the float range, got an integer of 401 digits")]
     for path, value, message in cases:
         with pytest.raises(ModelFormatError) as exc:
             stack_from_dict(mutated(path, value))

@@ -64,6 +64,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # 1-d, P2 = lambda^2 - xi^2, P1 = lambda + xi/2, strictly stable: its odd order gives complex
 # rows Q(lambda, i xi), which no preset has (their spatial orders are all even)
 MODEL = "tests/data/damped_transport.json"
+# 1-d, depth 3, m = 5: a root crosses into Re lambda > 0 on rho in (0.4806, 0.5403) only, which
+# no preset does (example_ell3 has no crossing)
+DEPTH3 = "tests/data/depth3_crossing.json"
 # three profiles (zero, a ring r0 = 1, sigma = 0.2, a gaussian of amplitude 2 and width 0.5)
 # for a stack with m = 3
 DATA = "tests/data/ring_data.json"
@@ -95,6 +98,8 @@ RUNS = ([["reproduce", name] for name in PRESETS]
         + [[cmd, MODEL, *extra] for cmd, *extra in (
             ["classify"], ["simulate"], ["profile"], ["asymptotics", "--regime", "low"],
             ["asymptotics", "--regime", "high"], ["semilinear", "--p", "3", "--dim", "1", "--modes", "32", "--T", "1"])]
+        # a depth-3 crossing radius: not stable, exit 2
+        + [["classify", DEPTH3]]
         # a data file through `_load_data`, and its profile count checked against m = 5
         + [["simulate", "mgt", "--data", DATA], ["profile", "mgt", "--data", DATA],
            ["simulate", "em_elastic", "--data", DATA]]
