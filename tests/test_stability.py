@@ -270,16 +270,24 @@ def _along(stack, d):
                                 for p, row in zip(stack.symbols, rows)])
 
 
+def _anisotropic_depth3():
+    """The stack of `test_hermite_biehler_report_anisotropic_depth3`."""
+    base = example_ell3_stack(a=2.0, c1=1.0, c2=2.0, c3=1.0, dim=2)
+    p2 = HomogeneousSymbol(2, 2, {(2, (0, 0)): 2.0, (0, (2, 0)): -2.0, (0, (0, 2)): -7.0})
+    return OperatorStack.build([base.symbols[0], base.symbols[1], p2, base.symbols[3]])
+
+
 def _scan_abscissa(stack, d, radii):
     return float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real))
 
 
 def test_depth3_crossing_between_samples_and_under_a_change_of_units():
     """The committed 1-d stack is unstable only on rho in (0.4806, 0.5403); its rescalings
-    move that arc to (4806, 5403) and (4.806e-5, 5.403e-5)."""
+    move that arc to (4806, 5403) and (4.806e-5, 5.403e-5).  At s = 2000 the 2-d stack's
+    crossings move to 2000 times their radii (1154.70 along direction 64)."""
     stack, _ = load_model(Path(__file__).parent / "data" / "depth3_crossing.json")
-    for s in (1.0, 1e4, 1e-4):
-        rep = classify_stack(_rescaled(stack, s))
+    for s, st in ((1.0, stack), (1e4, stack), (1e-4, stack), (2000.0, _anisotropic_depth3())):
+        rep = classify_stack(_rescaled(st, s))
         assert not rep.strictly_stable and rep.interlacing_upper.klass is Interlacing.FAIL, s
         assert rep.min_margin < 0 and rep.notes == [], s
     assert _scan_abscissa(stack, axis_direction(1), np.array([0.47, 0.55])) < 0
@@ -316,8 +324,8 @@ def random_depth3_stack(rng):
     base = random_interlaced_stack(rng, int(rng.integers(4, 7)), 3)
     low = base.symbols[3]
     eps = rng.uniform(1e-3, 3.0) / low.pure_time_coeff
-    return OperatorStack.build([*base.symbols[:3], HomogeneousSymbol(low.order, 1, {key: c * eps for key, c
-                                                                                    in low.coeffs.items()})])
+    scaled = HomogeneousSymbol(low.order, 1, {key: c * eps for key, c in low.coeffs.items()})
+    return OperatorStack.build([*base.symbols[:3], scaled])
 
 
 def test_depth3_random_stacks_agree_with_an_abscissa_scan():
@@ -338,9 +346,7 @@ def test_depth3_crossing_directions_match_a_dense_scan():
     """The anisotropic depth-3 stack of `test_hermite_biehler_report_anisotropic_depth3`: the
     rays with a crossing are exactly those where an 801-radius scan over [1e-4, 1e6] finds
     Re lambda > 0.  Its symbols are even in xi, so the rays d and -d agree."""
-    base = example_ell3_stack(a=2.0, c1=1.0, c2=2.0, c3=1.0, dim=2)
-    p2 = HomogeneousSymbol(2, 2, {(2, (0, 0)): 2.0, (0, (2, 0)): -2.0, (0, (0, 2)): -7.0})
-    stack = OperatorStack.build([base.symbols[0], base.symbols[1], p2, base.symbols[3]])
+    stack = _anisotropic_depth3()
     radii = np.geomspace(1e-4, 1e6, 801)
     dirs = sample_directions(2)
     unstable = [i for i, d in enumerate(dirs) if _scan_abscissa(stack, d, radii) > 0]
