@@ -327,13 +327,16 @@ def _crossing_pair(stack: OperatorStack, dirs: np.ndarray, tables: Sequence[_Roo
     """The depth-3 even/odd pair along every ray of dirs[D, n], tested where its class can change.
 
     A root reaches the imaginary axis, lambda = i rho w, only where w is a real
-    root of W = P_m P_{m-3} - P_{m-1} P_{m-2} and rho^2 = P_{m-2}(w) / P_m(w) > 0,
-    all restricted to d (the D-decomposition).  W is solved once per degree it
-    has; a root within root_match_rtol of a root of P_m (P_{m-2}) is the
-    rho -> inf (rho -> 0) end, as is a root at infinity where the degree drops.
-    One `_interlacing` call tests rho = 1, each crossing radius and one point
-    inside each arc they cut, rows direction-major, and the witness names the
-    direction.  A multiple root of W at an end makes a STRICT pair WEAK with margin 0.
+    root of W = P_m P_{m-3} - P_{m-1} P_{m-2} and rho^2 P_m(w) = P_{m-2}(w),
+    rho^2 P_{m-1}(w) = P_{m-3}(w), all restricted to d (the D-decomposition).
+    W is solved once per degree it has.  "w is a root of P" means within
+    root_match_rtol of one: a root of P_m and P_{m-1} (P_{m-2} and P_{m-3}) is
+    the rho -> inf (rho -> 0) end, as is a root at infinity where the degree
+    drops; at a root of P_m and P_{m-2} rho^2 = P_{m-3}(w) / P_{m-1}(w), elsewhere
+    P_{m-2}(w) / P_m(w), a crossing where it is > 0.  One `_interlacing` call
+    tests rho = 1, each crossing radius and one point inside each arc they cut,
+    rows direction-major, and the witness names the direction.  A multiple root
+    of W at an end makes a STRICT pair WEAK with margin 0.
     """
     rows = stack_rows(stack, dirs)
     w = np.zeros((len(dirs), 2 * stack.m + 1))
@@ -343,10 +346,11 @@ def _crossing_pair(stack: OperatorStack, dirs: np.ndarray, tables: Sequence[_Roo
     roots = np.full((len(dirs), 2 * stack.m - 3), np.nan, dtype=complex)
     for k in np.unique(degree[degree > 0]):
         roots[degree == k, :k] = roots_batch(w[degree == k, : k + 1])
-    ends = anchor_cases(roots, np.concatenate([tables[0].roots, tables[2].roots], axis=1),
-                        np.maximum(tables[0].scale, tables[2].scale))
-    end = ends.distance <= ends.tol[:, None]
-    num, den = _polyval(rows[:, 2], roots.real), _polyval(rows[:, 0], roots.real)
+    scale = np.max([t.scale for t in tables], axis=0)
+    cases = [anchor_cases(roots, t.roots, scale) for t in tables]
+    at = [c.distance <= c.tol[:, None] for c in cases]
+    end, swap, x = at[0] & at[1] | at[2] & at[3], at[0] & at[2], roots.real
+    num, den = (np.where(swap, _polyval(rows[:, j + 1], x), _polyval(rows[:, j], x)) for j in (2, 0))
     d, k = np.nonzero(is_real_root(roots) & ~end & (num * den > 0))
     r = np.sqrt(num[d, k] / den[d, k])
     order = np.lexsort((r, d))
@@ -360,7 +364,7 @@ def _crossing_pair(stack: OperatorStack, dirs: np.ndarray, tables: Sequence[_Roo
     pair = _interlacing(_RootTable(odd), _RootTable(even))
     if pair.witness is not None:
         pair = replace(pair, witness=(int(owner[pair.witness[0]]),) + pair.witness[1:])
-    marginal = np.any(end & (ends.multiplicity >= 2), axis=1)
+    marginal = np.any(end & (cases[0].multiplicity >= 2), axis=1)
     if pair.klass is not Interlacing.STRICT or not marginal.any():
         return pair
     return InterlacingClass(Interlacing.WEAK, 0.0, (int(np.argmax(marginal)), "multiple root of W at an end", 0.0))

@@ -1,4 +1,3 @@
-import time
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +293,22 @@ def test_depth3_crossing_between_samples_and_under_a_change_of_units():
     assert _scan_abscissa(stack, axis_direction(1), np.array([0.51])) > 0
 
 
+def test_depth3_crossing_at_a_root_shared_by_p_m_and_p_m2():
+    """P_4 = lambda (lambda + xi)(lambda - xi)(lambda - 2 xi) and P_2 = 3 lambda (lambda - xi)
+    share the root w = 0 of W along both rays.  There rho^2 P_4 = P_2 holds at every rho
+    and rho^2 P_3 = P_1 puts the crossing at rho = 2/3: Re lambda > 0 on (0, 2/3).
+    Rescaled by s, the arc is (0, 2s/3)."""
+    def one_d(order, c):
+        return HomogeneousSymbol(order, 1, {(j, (order - j,)): x for j, x in enumerate(c) if x})
+    stack = OperatorStack.build([one_d(4, [0, 2, -1, -2, 1]), one_d(3, [2.25, -3.75, -3, 3]),
+                                 one_d(2, [0, -3, 3]), one_d(1, [1, 1])])
+    for s in (1.0, 1e4, 1e-4):
+        rep = classify_stack(_rescaled(stack, s))
+        assert not rep.strictly_stable and rep.interlacing_upper.klass is Interlacing.FAIL, s
+    assert _scan_abscissa(stack, axis_direction(1), np.array([0.1, 0.66])) > 0
+    assert _scan_abscissa(stack, axis_direction(1), np.array([0.67, 1.0, 1e3])) < 0
+
+
 def test_example_ell3_at_and_near_its_boundary():
     """b = b*(1 +- eps) on both sides of b*^2 = (1 - c1/(c2 c3)) a^2 agrees with the
     predicate; at b = b* the high-frequency damping of the shared root vanishes, a
@@ -329,7 +344,7 @@ def random_depth3_stack(rng):
 
 
 def test_depth3_random_stacks_agree_with_an_abscissa_scan():
-    t0 = time.monotonic()
+    """120 seeded stacks, each against a 401-radius scan of both rays."""
     rng = np.random.default_rng(5)
     radii = np.geomspace(1e-5, 1e5, 401)
     verdicts = []
@@ -339,7 +354,6 @@ def test_depth3_random_stacks_agree_with_an_abscissa_scan():
         verdicts.append(classify_stack(stack).strictly_stable)
         assert verdicts[-1] == direct, trial
     assert 0 < sum(verdicts) < len(verdicts)
-    assert time.monotonic() - t0 < 5.0
 
 
 def test_depth3_crossing_directions_match_a_dense_scan():
