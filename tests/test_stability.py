@@ -280,33 +280,32 @@ def _scan_abscissa(stack, d, radii):
     return float(np.max(RadialRootSolver(stack, d).lambdas_grid(radii).real))
 
 
+def _shared_root_stack():
+    """P_4 = lambda (lambda + xi)(lambda - xi)(lambda - 2 xi) and P_2 = 3 lambda (lambda - xi) share
+    the root w = 0 of W along both rays.  There rho^2 P_4 = P_2 holds at every rho, and
+    rho^2 P_3 = P_1 puts the crossing at rho = 2/3: Re lambda > 0 on (0, 2/3)."""
+    def one_d(order, c):
+        return HomogeneousSymbol(order, 1, {(j, (order - j,)): x for j, x in enumerate(c) if x})
+    return OperatorStack.build([one_d(4, [0, 2, -1, -2, 1]), one_d(3, [2.25, -3.75, -3, 3]),
+                                one_d(2, [0, -3, 3]), one_d(1, [1, 1])])
+
+
 def test_depth3_crossing_between_samples_and_under_a_change_of_units():
-    """The committed 1-d stack is unstable only on rho in (0.4806, 0.5403); its rescalings
-    move that arc to (4806, 5403) and (4.806e-5, 5.403e-5).  At s = 2000 the 2-d stack's
-    crossings move to 2000 times their radii (1154.70 along direction 64)."""
+    """The committed 1-d stack is unstable only on rho in (0.4806, 0.5403), and
+    `_shared_root_stack` on (0, 2/3); rescaled by s = 1e4 or 1e-4 the arcs move to s
+    times their radii.  At s = 2000 the 2-d stack's crossings move to 2000 times their
+    radii (1154.70 along direction 64)."""
     stack, _ = load_model(Path(__file__).parent / "data" / "depth3_crossing.json")
-    for s, st in ((1.0, stack), (1e4, stack), (1e-4, stack), (2000.0, _anisotropic_depth3())):
+    shared = _shared_root_stack()
+    cases = [(s, st) for st in (stack, shared) for s in (1.0, 1e4, 1e-4)] + [(2000.0, _anisotropic_depth3())]
+    for s, st in cases:
         rep = classify_stack(_rescaled(st, s))
         assert not rep.strictly_stable and rep.interlacing_upper.klass is Interlacing.FAIL, s
         assert rep.min_margin < 0 and rep.notes == [], s
     assert _scan_abscissa(stack, axis_direction(1), np.array([0.47, 0.55])) < 0
     assert _scan_abscissa(stack, axis_direction(1), np.array([0.51])) > 0
-
-
-def test_depth3_crossing_at_a_root_shared_by_p_m_and_p_m2():
-    """P_4 = lambda (lambda + xi)(lambda - xi)(lambda - 2 xi) and P_2 = 3 lambda (lambda - xi)
-    share the root w = 0 of W along both rays.  There rho^2 P_4 = P_2 holds at every rho
-    and rho^2 P_3 = P_1 puts the crossing at rho = 2/3: Re lambda > 0 on (0, 2/3).
-    Rescaled by s, the arc is (0, 2s/3)."""
-    def one_d(order, c):
-        return HomogeneousSymbol(order, 1, {(j, (order - j,)): x for j, x in enumerate(c) if x})
-    stack = OperatorStack.build([one_d(4, [0, 2, -1, -2, 1]), one_d(3, [2.25, -3.75, -3, 3]),
-                                 one_d(2, [0, -3, 3]), one_d(1, [1, 1])])
-    for s in (1.0, 1e4, 1e-4):
-        rep = classify_stack(_rescaled(stack, s))
-        assert not rep.strictly_stable and rep.interlacing_upper.klass is Interlacing.FAIL, s
-    assert _scan_abscissa(stack, axis_direction(1), np.array([0.1, 0.66])) > 0
-    assert _scan_abscissa(stack, axis_direction(1), np.array([0.67, 1.0, 1e3])) < 0
+    assert _scan_abscissa(shared, axis_direction(1), np.array([0.1, 0.66])) > 0
+    assert _scan_abscissa(shared, axis_direction(1), np.array([0.67, 1.0, 1e3])) < 0
 
 
 def test_example_ell3_at_and_near_its_boundary():
